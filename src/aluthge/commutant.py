@@ -22,14 +22,12 @@ from .linalg import (
     as_matrix,
     as_square,
     fro_norm,
-    hermitian_part,
     min_hermitian_eigenvalue,
     op_norm,
     pd_log,
     psd_power,
-    singular_values,
 )
-from .polar import MODE_UNITARY, aluthge, polar_decompose
+from .polar import polar_factors
 
 __all__ = [
     "CommutantBasis",
@@ -125,16 +123,6 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     )
 
 
-def _adjoint_residuals(basis: list[np.ndarray], A2: np.ndarray, B2: np.ndarray) -> tuple[float, np.ndarray | None]:
-    worst = 0.0
-    witness = None
-    for X in basis:
-        r = fro_norm(A2 @ X - X @ B2)
-        if r >= worst:
-            worst, witness = r, X
-    return worst, witness
-
-
 def fp_property(A, B, tol: Tolerances = DEFAULT_TOL) -> FpReport:
     """Does every X with AX = XB also satisfy A*X = XB*?
 
@@ -143,18 +131,7 @@ def fp_property(A, B, tol: Tolerances = DEFAULT_TOL) -> FpReport:
     ``residual_rel * (||A|| + ||B||)``. A trivial commutant makes the
     verdict vacuously true.
     """
-    A = as_square(A)
-    B = as_square(B)
-    cb = commutant_basis(A, B, tol)
-    threshold = tol.residual_rel * (op_norm(A) + op_norm(B))
-    worst, witness = _adjoint_residuals(cb.basis, adjoint(A), adjoint(B))
-    holds = bool(worst <= threshold)
-    return FpReport(
-        holds=holds,
-        witness=None if holds else witness,
-        max_residual=worst,
-        com_dim=cb.nullity,
-    )
+    return com_inclusion(A, B, adjoint(A), adjoint(B), tol)
 
 
 def com_inclusion(A1, B1, A2, B2, tol: Tolerances = DEFAULT_TOL) -> FpReport:
@@ -172,7 +149,12 @@ def com_inclusion(A1, B1, A2, B2, tol: Tolerances = DEFAULT_TOL) -> FpReport:
         raise ValueError("operator pairs act on mismatched spaces")
     cb = commutant_basis(A1, B1, tol)
     threshold = tol.residual_rel * (op_norm(A2) + op_norm(B2))
-    worst, witness = _adjoint_residuals(cb.basis, A2, B2)
+    worst = 0.0
+    witness = None
+    for X in cb.basis:
+        r = fro_norm(A2 @ X - X @ B2)
+        if r >= worst:
+            worst, witness = r, X
     holds = bool(worst <= threshold)
     return FpReport(
         holds=holds,
@@ -180,23 +162,6 @@ def com_inclusion(A1, B1, A2, B2, tol: Tolerances = DEFAULT_TOL) -> FpReport:
         max_residual=worst,
         com_dim=cb.nullity,
     )
-
-
-def _require_invertible(M: np.ndarray, tol: Tolerances, name: str) -> float:
-    """Reject numerically singular input; returns the smallest singular value."""
-    s = singular_values(M)
-    if s[0] == 0.0 or s[-1] <= tol.rank_rel * s[0]:
-        raise ValueError(f"{name} must be invertible for this check")
-    return float(s[-1])
-
-
-def _abs_power(M: np.ndarray, p: float, tol: Tolerances) -> np.ndarray:
-    """|M|^p from the SVD of M; negative powers require full rank."""
-    _, sv, Qh = np.linalg.svd(M)
-    if p < 0 and (sv[0] == 0.0 or sv[-1] <= tol.rank_rel * sv[0]):
-        raise ValueError("negative power of |M| requires an invertible matrix")
-    Q = Qh.conj().T
-    return hermitian_part(Q @ (np.power(sv, p)[:, None] * Qh))
 
 
 def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -214,15 +179,14 @@ def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> Chec
     X = as_matrix(X)
     if X.shape != (A.shape[0], B.shape[0]):
         raise ValueError("X must map the space of B into the space of A")
-    _require_invertible(A, tol, "A")
-    smin_b = _require_invertible(B, tol, "B")
-    pA = polar_decompose(A, MODE_UNITARY, tol)
-    pB = polar_decompose(B, MODE_UNITARY, tol)
-    m1 = pA.positive @ X @ _abs_power(B, -1.0, tol)
-    m2 = adjoint(pA.angular) @ X @ pB.angular
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    fa.require_invertible("A")
+    fb.require_invertible("B")
+    m1 = fa.power(1.0) @ X @ fb.power(-1.0)
+    m2 = adjoint(fa.angular()) @ X @ fb.angular()
     xn = fro_norm(X)
-    thr_member = tol.residual_rel * (op_norm(A) + op_norm(B)) * max(xn, 1.0)
-    thr_eq = thr_member / smin_b
+    thr_member = tol.residual_rel * (fa.norm + fb.norm) * max(xn, 1.0)
+    thr_eq = thr_member / float(fb.s[-1])
     r_com = fro_norm(A @ X - X @ B)
     r_com_star = fro_norm(adjoint(A) @ X - X @ adjoint(B))
     r_eq = fro_norm(m1 - m2)
@@ -262,14 +226,15 @@ def power_intertwining_check(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) -
         raise ValueError("power p must be positive")
     if X.shape != (A.shape[0], B.shape[0]):
         raise ValueError("X must map the space of B into the space of A")
-    _require_invertible(A, tol, "A")
-    _require_invertible(B, tol, "B")
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    fa.require_invertible("A")
+    fb.require_invertible("B")
     xn = fro_norm(X)
-    thr_member = tol.residual_rel * (op_norm(A) + op_norm(B)) * max(xn, 1.0)
+    thr_member = tol.residual_rel * (fa.norm + fb.norm) * max(xn, 1.0)
     if fro_norm(A @ X - X @ B) > thr_member or fro_norm(adjoint(A) @ X - X @ adjoint(B)) > thr_member:
         raise ValueError("X must intertwine both the pair and its adjoints within tolerance")
-    residual = fro_norm(_abs_power(A, p, tol) @ X - X @ _abs_power(B, p, tol))
-    threshold = tol.residual_rel * (op_norm(A) ** p + op_norm(B) ** p) * max(xn, 1.0)
+    residual = fro_norm(fa.power(p) @ X - X @ fb.power(p))
+    threshold = tol.residual_rel * (fa.norm**p + fb.norm**p) * max(xn, 1.0)
     return CheckReport(
         ok=bool(residual <= threshold),
         max_residual=residual,
@@ -289,12 +254,13 @@ def aluthge_intertwiner_map(A, B, X, direction: str = "forward", tol: Tolerances
     X = as_matrix(X)
     if X.shape != (A.shape[0], B.shape[0]):
         raise ValueError("X must map the space of B into the space of A")
-    _require_invertible(A, tol, "A")
-    _require_invertible(B, tol, "B")
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    fa.require_invertible("A")
+    fb.require_invertible("B")
     if direction == "forward":
-        return _abs_power(A, 0.5, tol) @ X @ _abs_power(B, -0.5, tol)
+        return fa.power(0.5) @ X @ fb.power(-0.5)
     if direction == "inverse":
-        return _abs_power(A, -0.5, tol) @ X @ _abs_power(B, 0.5, tol)
+        return fa.power(-0.5) @ X @ fb.power(0.5)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -306,11 +272,11 @@ def squared_angular_criterion(A, B, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     """
     A = as_square(A)
     B = as_square(B)
-    _require_invertible(A, tol, "A")
-    _require_invertible(B, tol, "B")
-    U = polar_decompose(A, MODE_UNITARY, tol).angular
-    V = polar_decompose(B, MODE_UNITARY, tol).angular
-    left = fp_property(aluthge(A, tol), aluthge(B, tol), tol).holds
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    fa.require_invertible("A")
+    fb.require_invertible("B")
+    U, V = fa.angular(), fb.angular()
+    left = fp_property(fa.transform(0.5, 0.5), fb.transform(0.5, 0.5), tol).holds
     cb = commutant_basis(A, B, tol)
     U2 = U @ U
     V2 = V @ V
@@ -374,16 +340,15 @@ def hyponormal_class(A, p: float, tol: Tolerances = DEFAULT_TOL, include_log: bo
     A = as_square(A)
     if p <= 0:
         raise ValueError("power p must be positive")
+    f = polar_factors(A, tol)
     gram_right = adjoint(A) @ A
     gram_left = A @ adjoint(A)
     diff = psd_power(gram_right, p, tol) - psd_power(gram_left, p, tol)
-    thr_p = tol.residual_rel * max(1.0, op_norm(A) ** (2.0 * p))
+    thr_p = tol.residual_rel * max(1.0, f.norm ** (2.0 * p))
     p_ok = min_hermitian_eigenvalue(diff) >= -thr_p
     log_ok = False
     if include_log:
-        s = singular_values(A)
-        if s[0] == 0.0 or s[-1] <= tol.rank_rel * s[0]:
-            raise ValueError("log-hyponormality test requires an invertible matrix")
+        f.require_invertible("A")
         log_right = pd_log(gram_right, tol)
         log_left = pd_log(gram_left, tol)
         thr_log = tol.residual_rel * max(1.0, op_norm(log_right), op_norm(log_left))

@@ -156,8 +156,6 @@ def psd_power(P, s: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if s < 0:
         raise ValueError("exponent s must be nonnegative")
     w, V, scale = _checked_psd_eigh(P, tol, require_pd=False)
-    if s == 1.0:
-        return hermitian_part(P)
     if s == 0.0:
         f = (w > tol.rank_rel * scale).astype(float)
     else:

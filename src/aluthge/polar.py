@@ -71,6 +71,64 @@ class AluthgeTrajectory:
     radius: float
 
 
+@dataclass(frozen=True)
+class PolarFactors:
+    """One SVD A = W diag(s) Qh of a square matrix; every polar quantity of A derives from it.
+
+    ``rank`` counts singular values above ``rank_rel`` times the largest;
+    the others are the cut values.
+    """
+
+    W: np.ndarray
+    s: np.ndarray
+    Qh: np.ndarray
+    rank: int
+
+    @property
+    def norm(self) -> float:
+        """Operator norm ||A||, the largest singular value."""
+        return float(self.s[0])
+
+    def _kept(self) -> np.ndarray:
+        return np.arange(self.s.size) < self.rank
+
+    def require_invertible(self, name: str) -> None:
+        if self.rank < self.s.size:
+            raise ValueError(f"{name} must be invertible for this check")
+
+    def power(self, p: float) -> np.ndarray:
+        """|A|^p = Q diag(s^p) Q* for p != 0.
+
+        p = 1 gives the positive part from the raw singular values, other
+        p treat cut values as exact zeros; p < 0 requires an invertible A.
+        """
+        if p < 0:
+            self.require_invertible("matrix")
+        f = self.s if p == 1.0 else np.power(self.s * self._kept(), p)
+        return hermitian_part(self.Qh.conj().T @ (f[:, None] * self.Qh))
+
+    def angular(self, mode: str = MODE_UNITARY) -> np.ndarray:
+        """W Q* (unitary mode), or W R Q* with R dropping the cut values (partial mode)."""
+        if mode == MODE_UNITARY:
+            return self.W @ self.Qh
+        if mode == MODE_PARTIAL:
+            return (self.W * self._kept()) @ self.Qh
+        raise ValueError(f"unknown polar mode {mode!r}")
+
+    def transform(self, s: float, t: float) -> np.ndarray:
+        """|A|^s U |A|^t = Q S^s (Q* W) S^t Q* for s, t > 0, cut values as exact zeros."""
+        cut = self.s * self._kept()
+        inner = np.power(cut, s)[:, None] * (self.Qh @ self.W) * np.power(cut, t)
+        return self.Qh.conj().T @ inner @ self.Qh
+
+
+def polar_factors(A, tol: Tolerances = DEFAULT_TOL) -> PolarFactors:
+    """Factor a square matrix once, A = W diag(s) Qh, with the rank cut of ``tol``."""
+    W, s, Qh = np.linalg.svd(as_square(A))
+    rank = int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return PolarFactors(W=W, s=s, Qh=Qh, rank=rank)
+
+
 def polar_decompose(A, mode: str = MODE_UNITARY, tol: Tolerances = DEFAULT_TOL) -> PolarParts:
     """Polar decomposition of a square matrix via the SVD.
 
@@ -81,20 +139,8 @@ def polar_decompose(A, mode: str = MODE_UNITARY, tol: Tolerances = DEFAULT_TOL) 
     deterministically by the computed SVD factors; only its action on
     range(positive) is contractual.
     """
-    A = as_square(A)
-    if mode not in (MODE_UNITARY, MODE_PARTIAL):
-        raise ValueError(f"unknown polar mode {mode!r}")
-    W, s, Qh = np.linalg.svd(A)
-    Q = Qh.conj().T
-    positive = hermitian_part(Q @ (s[:, None] * Qh))
-    smax = float(s[0]) if s.size else 0.0
-    keep = s > tol.rank_rel * smax
-    rank = int(np.count_nonzero(keep))
-    if mode == MODE_UNITARY:
-        angular = W @ Qh
-    else:
-        angular = (W * keep) @ Qh
-    return PolarParts(angular=angular, positive=positive, mode=mode, rank=rank)
+    f = polar_factors(A, tol)
+    return PolarParts(angular=f.angular(mode), positive=f.power(1.0), mode=mode, rank=f.rank)
 
 
 def aluthge_st(A, s: float, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -105,16 +151,9 @@ def aluthge_st(A, s: float, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     ker|A|. The boundary s = 0 or t = 0 is rejected: |A|^0 is
     convention-dependent for singular A.
     """
-    A = as_square(A)
     if s <= 0 or t <= 0:
         raise ValueError("exponents s and t must be positive")
-    W, sv, Qh = np.linalg.svd(A)
-    Q = Qh.conj().T
-    smax = float(sv[0]) if sv.size else 0.0
-    sv = np.where(sv > tol.rank_rel * smax, sv, 0.0)
-    left = Q @ (np.power(sv, s)[:, None] * Qh)
-    right = Q @ (np.power(sv, t)[:, None] * Qh)
-    return left @ (W @ Qh) @ right
+    return polar_factors(A, tol).transform(s, t)
 
 
 def aluthge(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -126,15 +165,19 @@ def aluthge_iterate(A, n: int, tol: Tolerances = DEFAULT_TOL) -> AluthgeTrajecto
     """First n iterated transforms of A with their operator norms.
 
     The norm sequence is nonincreasing and bounded below by the
-    spectral radius of A.
+    spectral radius of A. One SVD per step gives both the next iterate
+    and the norm of the current one.
     """
     A = as_square(A)
     if n < 1:
         raise ValueError("iteration count n must be at least 1")
     iterates = [A]
+    norms = []
     for _ in range(n):
-        iterates.append(aluthge(iterates[-1], tol))
-    norms = [op_norm(M) for M in iterates]
+        f = polar_factors(iterates[-1], tol)
+        norms.append(f.norm)
+        iterates.append(f.transform(0.5, 0.5))
+    norms.append(op_norm(iterates[-1]))
     return AluthgeTrajectory(iterates=iterates, norms=norms, radius=spectral_radius(A))
 
 
@@ -151,16 +194,16 @@ def product_polar_check(T, S, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     S = as_square(S)
     if T.shape != S.shape:
         raise ValueError(f"shape mismatch: {T.shape} vs {S.shape}")
-    pT = polar_decompose(T, MODE_PARTIAL, tol)
-    pS = polar_decompose(S, MODE_PARTIAL, tol)
-    abs_s_star = polar_decompose(adjoint(S), MODE_PARTIAL, tol).positive
-    W = polar_decompose(pT.positive @ abs_s_star, MODE_PARTIAL, tol).angular
+    fT = polar_factors(T, tol)
+    fS = polar_factors(S, tol)
+    abs_s_star = polar_factors(adjoint(S), tol).power(1.0)
+    W = polar_factors(fT.power(1.0) @ abs_s_star, tol).angular(MODE_PARTIAL)
     prod = T @ S
-    pos_prod = polar_decompose(prod, MODE_PARTIAL, tol).positive
-    uwv = pT.angular @ W @ pS.angular
+    pos_prod = polar_factors(prod, tol).power(1.0)
+    uwv = fT.angular(MODE_PARTIAL) @ W @ fS.angular(MODE_PARTIAL)
     r_reconstruct = op_norm(uwv @ pos_prod - prod)
     r_positive = op_norm(adjoint(uwv) @ prod - pos_prod)
-    scale = op_norm(T) * op_norm(S)
+    scale = fT.norm * fS.norm
     threshold = tol.residual_rel * scale
     worst = max(r_reconstruct, r_positive)
     return CheckReport(
@@ -178,11 +221,12 @@ def involution_angular_check(A, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     tolerance; the claim is conditional on that hypothesis.
     """
     A = as_square(A)
+    f = polar_factors(A, tol)
     eye = np.eye(A.shape[0])
     r_involution = op_norm(A @ A - eye)
-    if r_involution > tol.residual_rel * max(1.0, op_norm(A) ** 2):
+    if r_involution > tol.residual_rel * max(1.0, f.norm**2):
         raise ValueError("input does not square to the identity within tolerance")
-    U = polar_decompose(A, MODE_UNITARY, tol).angular
+    U = f.angular()
     residual = op_norm(U @ U - eye)
     return CheckReport(
         ok=bool(residual <= tol.residual_rel),

@@ -25,10 +25,9 @@ from .linalg import (
     fro_norm,
     min_hermitian_eigenvalue,
     op_norm,
-    psd_power,
     singular_values,
 )
-from .polar import MODE_UNITARY, aluthge, polar_decompose
+from .polar import PolarFactors, polar_factors
 
 __all__ = [
     "InequalityReport",
@@ -62,30 +61,43 @@ class InequalityReport:
     details: dict[str, Any] = field(default_factory=dict)
 
 
+# Relative slack, against max(1, lhs, rhs), within which a bound counts as met.
+_SLACK_REL = 1e-9
+
+
+def slack_verdict(rep: InequalityReport, upper: bool = False) -> tuple[bool, float, float]:
+    """(satisfied, violation, allowance) of the lower (or ``upper``) bound in ``rep``.
+
+    The violation is how far lhs lies on the wrong side of rhs; a lower
+    bound also needs its hypotheses.
+    """
+    allowance = _SLACK_REL * max(1.0, rep.lhs, rep.rhs)
+    if upper:
+        return bool(rep.slack <= allowance), max(0.0, rep.slack), allowance
+    return bool(rep.hypotheses_ok and rep.slack >= -allowance), max(0.0, -rep.slack), allowance
+
+
 def _validate_p(p: float) -> float:
     p = float(p)
-    if p != inf and p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be at least 1 (or inf)")
     return p
 
 
-def _power_sum(s: np.ndarray, p: float) -> float:
-    """Sum of singular values to the p-th power, scaled for stability."""
+def _lp(s: np.ndarray, p: float) -> float:
+    """(sum of s**p)**(1/p) for values sorted decreasing, scaled by the largest; p = inf gives it."""
     if s.size == 0 or s[0] == 0.0:
         return 0.0
     top = float(s[0])
-    return float(top**p * np.sum((s / top) ** p))
+    if p == inf:
+        return top
+    return float(top * np.sum((s / top) ** p) ** (1.0 / p))
 
 
 def schatten_norm(M, p: float) -> float:
     """Schatten p-norm of M; p = inf gives the operator norm."""
     p = _validate_p(p)
-    s = singular_values(M)
-    if p == inf:
-        return float(s[0])
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[0] * np.sum((s / s[0]) ** p) ** (1.0 / p))
+    return _lp(singular_values(M), p)
 
 
 def block_embed(A, B) -> np.ndarray:
@@ -118,8 +130,8 @@ def block_identity_check(A, B, p: float, tol: Tolerances = DEFAULT_TOL) -> Check
         # dominate the comparison for p < 1; cut them on both sides alike.
         sz, sa, sb = singular_values(Z), singular_values(A), singular_values(B)
         cutoff = tol.rank_rel * max(sz[0], sa[0], sb[0])
-        lhs = _power_sum(sz[sz > cutoff], p)
-        rhs = _power_sum(sa[sa > cutoff], p) + _power_sum(sb[sb > cutoff], p)
+        lhs = _lp(sz[sz > cutoff], p) ** p
+        rhs = _lp(sa[sa > cutoff], p) ** p + _lp(sb[sb > cutoff], p) ** p
     rel = abs(lhs - rhs) / max(lhs, rhs, np.finfo(float).tiny)
     return CheckReport(
         ok=bool(rel <= tol.residual_rel),
@@ -129,11 +141,11 @@ def block_identity_check(A, B, p: float, tol: Tolerances = DEFAULT_TOL) -> Check
     )
 
 
-def _polar_root(A: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float]:
-    """Angular part U, positive square root |A|^(1/2) and a = min eig Re(U |A|^(1/2))."""
-    parts = polar_decompose(A, MODE_UNITARY, tol)
-    root = psd_power(parts.positive, 0.5, tol)
-    return parts.angular, root, min_hermitian_eigenvalue(parts.angular @ root)
+def _polar_root(A: np.ndarray, tol: Tolerances) -> tuple[PolarFactors, np.ndarray, np.ndarray, float]:
+    """Factors of A, angular part U, |A|^(1/2) and a = min eig Re(U |A|^(1/2))."""
+    f = polar_factors(A, tol)
+    U, root = f.angular(), f.power(0.5)
+    return f, U, root, min_hermitian_eigenvalue(U @ root)
 
 
 def aluthge_commutator_bound(A, X, p: float, tol: Tolerances = DEFAULT_TOL) -> InequalityReport:
@@ -153,12 +165,12 @@ def aluthge_commutator_bound(A, X, p: float, tol: Tolerances = DEFAULT_TOL) -> I
     if X.shape != A.shape:
         raise ValueError("X must have the same shape as A")
     p = _validate_p(p)
-    U, root, a = _polar_root(A, tol)
+    f, U, root, a = _polar_root(A, tol)
     xn = fro_norm(X)
     self_adjoint = fro_norm(X - adjoint(X)) <= tol.residual_rel * max(xn, 1.0)
     commutes = fro_norm(adjoint(U) @ X - X @ U) <= tol.residual_rel * max(2.0 * xn, 1.0)
     hypotheses = bool(a > 0.0 and self_adjoint and commutes)
-    T = aluthge(A, tol)
+    T = f.transform(0.5, 0.5)
     lhs = schatten_norm(adjoint(T) @ X - X @ T, p)
     rhs = 2.0 * a * schatten_norm(root @ X - X @ root, p)
     return InequalityReport(
@@ -192,25 +204,24 @@ def aluthge_intertwiner_bound(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) 
     if X.shape != (n1, n2):
         raise ValueError("X must map the space of B into the space of A")
     p = _validate_p(p)
-    U, root_a, a_left = _polar_root(A, tol)
-    V, root_b, a_right = _polar_root(B, tol)
+    fa, U, root_a, a_left = _polar_root(A, tol)
+    fb, V, root_b, a_right = _polar_root(B, tol)
     a = min(a_left, a_right)
     xn = fro_norm(X)
     commutes = fro_norm(adjoint(U) @ X - X @ V) <= tol.residual_rel * max(2.0 * xn, 1.0)
     hypotheses = bool(a > 0.0 and commutes)
-    Ta = aluthge(A, tol)
-    Tb = aluthge(B, tol)
+    Ta = fa.transform(0.5, 0.5)
+    Tb = fb.transform(0.5, 0.5)
     lhs = schatten_norm(adjoint(Ta) @ X - X @ Tb, p)
     rhs = 2.0 * a * schatten_norm(root_a @ X - X @ root_b, p)
 
     T = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     T[:n1, :n1] = A
     T[n1:, n1:] = B
-    Y = np.zeros_like(T)
-    Y[:n1, n1:] = X
-    Y[n1:, :n1] = adjoint(X)
-    Tt = aluthge(T, tol)
-    root_t = psd_power(polar_decompose(T, MODE_UNITARY, tol).positive, 0.5, tol)
+    Y = block_embed(X, adjoint(X))
+    ft = polar_factors(T, tol)
+    Tt = ft.transform(0.5, 0.5)
+    root_t = ft.power(0.5)
     num = schatten_norm(adjoint(Tt) @ Y - Y @ Tt, p)
     den = schatten_norm(root_t @ Y - Y @ root_t, p)
     if p == inf:
@@ -247,25 +258,24 @@ def exact_intertwiner_transfer(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckR
     X = as_matrix(X)
     if X.shape != (A.shape[0], B.shape[0]):
         raise ValueError("X must map the space of B into the space of A")
-    pa = polar_decompose(A, MODE_UNITARY, tol)
-    pb = polar_decompose(B, MODE_UNITARY, tol)
-    root_a = psd_power(pa.positive, 0.5, tol)
-    root_b = psd_power(pb.positive, 0.5, tol)
-    a = min(min_hermitian_eigenvalue(pa.angular @ root_a), min_hermitian_eigenvalue(pb.angular @ root_b))
+    fa, U, _, a_left = _polar_root(A, tol)
+    fb, V, _, a_right = _polar_root(B, tol)
+    a = min(a_left, a_right)
     xn = fro_norm(X)
     if a <= 0.0:
         raise ValueError("hypothesis violated: Re(U |A|^(1/2)) and Re(V |B|^(1/2)) must be positive definite")
-    if fro_norm(adjoint(pa.angular) @ X - X @ pb.angular) > tol.residual_rel * max(2.0 * xn, 1.0):
+    if fro_norm(adjoint(U) @ X - X @ V) > tol.residual_rel * max(2.0 * xn, 1.0):
         raise ValueError("hypothesis violated: U* X = X V does not hold within tolerance")
-    Ta = aluthge(A, tol)
-    Tb = aluthge(B, tol)
+    Ta = fa.transform(0.5, 0.5)
+    Tb = fb.transform(0.5, 0.5)
     pre_thr = tol.residual_rel * max((op_norm(Ta) + op_norm(Tb)) * xn, 1.0)
     r_pre = fro_norm(adjoint(Ta) @ X - X @ Tb)
     if r_pre > pre_thr:
         raise ValueError("hypothesis violated: the transformed intertwining relation does not hold within tolerance")
-    na, nb = op_norm(A), op_norm(B)
-    r_pos = fro_norm(pa.positive @ X - X @ pb.positive)
-    Y = pa.positive @ X
+    na, nb = fa.norm, fb.norm
+    abs_a = fa.power(1.0)
+    r_pos = fro_norm(abs_a @ X - X @ fb.power(1.0))
+    Y = abs_a @ X
     r_adj = fro_norm(adjoint(A) @ Y - Y @ B)
     thr_pos = max((sqrt(na) + sqrt(nb)) / (2.0 * a) * pre_thr, tol.residual_rel * max((na + nb) * xn, 1.0))
     thr_adj = na * (thr_pos + tol.residual_rel * max(2.0 * xn, 1.0) * nb) + tol.residual_rel
@@ -301,16 +311,16 @@ def approx_commutator_bound(A, X, delta: float, tol: Tolerances = DEFAULT_TOL) -
     X = as_square(X)
     if X.shape != A.shape:
         raise ValueError("X must have the same shape as A")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    U, root, a = _polar_root(A, tol)
+    if not 0.0 <= delta < inf:
+        raise ValueError("delta must be finite and nonnegative")
+    f, U, root, a = _polar_root(A, tol)
     d_root = op_norm(root @ X - X @ root)
     d_angular = op_norm(adjoint(U) @ X - X @ U)
     if d_root > delta or d_angular > delta:
         raise ValueError("X is not within delta of the required commutants")
-    T = aluthge(A, tol)
+    T = f.transform(0.5, 0.5)
     lhs = op_norm(adjoint(T) @ X - X @ T)
-    na = op_norm(A)
+    na = f.norm
     rhs = (2.0 * sqrt(na) + na) * delta
     details: dict[str, Any] = {"delta": float(delta), "root_commutator": d_root, "angular_commutator": d_angular}
     if a > 0.0:

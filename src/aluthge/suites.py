@@ -46,7 +46,6 @@ from .linalg import (
     fro_norm,
     hermitian_part,
     op_norm,
-    psd_power,
     singular_values,
 )
 from .matrixio import matrix_to_doc
@@ -56,6 +55,7 @@ from .polar import (
     aluthge_st,
     involution_angular_check,
     polar_decompose,
+    polar_factors,
     product_polar_check,
 )
 from .schatten import (
@@ -64,6 +64,7 @@ from .schatten import (
     approx_commutator_bound,
     block_identity_check,
     exact_intertwiner_transfer,
+    slack_verdict,
 )
 
 __all__ = ["CaseOutcome", "CaseFailure", "SuiteReport", "SUITE_IDS", "run_suite"]
@@ -119,9 +120,6 @@ class SuiteReport:
                 for f in self.failures
             ],
         }
-
-
-_SLACK_REL = 1e-9
 
 
 def _combo(rng: np.random.Generator, basis: list[np.ndarray]) -> np.ndarray:
@@ -238,10 +236,6 @@ def _semicircle_operator(rng: np.random.Generator, n: int, center: float, normal
     return U @ pd_min_eig(rng, n, 0.5)
 
 
-def _angular(M: np.ndarray, tol: Tolerances) -> np.ndarray:
-    return polar_decompose(M, MODE_UNITARY, tol).angular
-
-
 def _decisively_nonnormal(M: np.ndarray) -> bool:
     return op_norm(M @ adjoint(M) - adjoint(M) @ M) > 1e-2
 
@@ -262,7 +256,7 @@ def _case_cor27(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         else:
             A = _semicircle_operator(rng, n, center, normal=bool(rng.integers(2)))
             B = _semicircle_operator(rng, n, center, normal=bool(rng.integers(2)))
-        if semicircle_check(_angular(A, tol), tol) and semicircle_check(_angular(B, tol), tol):
+        if all(semicircle_check(polar_factors(M, tol).angular(), tol) for M in (A, B)):
             break
     else:
         raise GenerationError("no semicircle pair found")
@@ -300,7 +294,7 @@ def _case_rem28(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         else:
             A = _odd_root_operator(rng, n, k, normal=bool(rng.integers(2)))
             B = _odd_root_operator(rng, n, k, normal=bool(rng.integers(2)))
-        if odd_root_unity_check(_angular(A, tol), _angular(B, tol), n0, tol):
+        if odd_root_unity_check(polar_factors(A, tol).angular(), polar_factors(B, tol).angular(), n0, tol):
             break
     else:
         raise GenerationError("no odd-root pair found")
@@ -444,9 +438,8 @@ def _case_lemma41(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         A = pd_min_eig(rng, n, a_target**2)
         X = hermitian_part(ginibre(rng, n))
         rep = aluthge_commutator_bound(A, X, p, tol)
-    scale = max(1.0, rep.lhs, rep.rhs)
-    passed = rep.hypotheses_ok and rep.slack >= -_SLACK_REL * scale
-    return CaseOutcome(bool(passed), max(0.0, -rep.slack), _SLACK_REL * scale, {"A": A, "X": X})
+    passed, violation, allowance = slack_verdict(rep)
+    return CaseOutcome(passed, violation, allowance, {"A": A, "X": X})
 
 
 def _case_thm42(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
@@ -458,13 +451,12 @@ def _case_thm42(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     B = pd_min_eig(rng, nb, floor)
     X = ginibre(rng, na, nb)
     rep = aluthge_intertwiner_bound(A, B, X, p, tol)
-    scale = max(1.0, rep.lhs, rep.rhs)
+    satisfied, violation, allowance = slack_verdict(rep)
     agree = (
-        abs(rep.lhs - rep.details["block_lhs"]) <= _SLACK_REL * scale
-        and abs(rep.rhs - rep.details["block_rhs"]) <= _SLACK_REL * scale
+        abs(rep.lhs - rep.details["block_lhs"]) <= allowance
+        and abs(rep.rhs - rep.details["block_rhs"]) <= allowance
     )
-    passed = rep.hypotheses_ok and rep.slack >= -_SLACK_REL * scale and agree
-    return CaseOutcome(bool(passed), max(0.0, -rep.slack), _SLACK_REL * scale, {"A": A, "B": B, "X": X})
+    return CaseOutcome(bool(satisfied and agree), violation, allowance, {"A": A, "B": B, "X": X})
 
 
 def _case_cor44(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
@@ -492,16 +484,12 @@ def _case_moore(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
     A = ginibre(rng, n)
     X = ginibre(rng, n)
-    parts = polar_decompose(A, MODE_UNITARY, tol)
-    root = psd_power(parts.positive, 0.5, tol)
-    delta = max(
-        op_norm(root @ X - X @ root),
-        op_norm(adjoint(parts.angular) @ X - X @ parts.angular),
-    )
+    f = polar_factors(A, tol)
+    root, U = f.power(0.5), f.angular()
+    delta = max(op_norm(root @ X - X @ root), op_norm(adjoint(U) @ X - X @ U))
     rep = approx_commutator_bound(A, X, delta, tol)
-    scale = max(1.0, rep.lhs, rep.rhs)
-    passed = rep.slack <= _SLACK_REL * scale
-    return CaseOutcome(bool(passed), max(0.0, rep.slack), _SLACK_REL * scale, {"A": A, "X": X})
+    passed, violation, allowance = slack_verdict(rep, upper=True)
+    return CaseOutcome(passed, violation, allowance, {"A": A, "X": X})
 
 
 _BLOCK_P_CHOICES = (0.5, 1.0, 2.0, 3.0, 4.5, inf)

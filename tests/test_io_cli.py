@@ -133,6 +133,38 @@ class TestCli:
         assert main(["inequality", "moore", str(tmp_path / "in.json")]) == 2
         assert main(["inequality", "moore", str(tmp_path / "in.json"), "--delta", "0.5"]) == 0
 
+    def test_nan_order_is_usage_error(self, cube_root_file, tmp_path, capsys):
+        write_matrices(tmp_path / "ax.json", {"A": np.eye(2), "X": np.eye(2)})
+        write_matrices(tmp_path / "abx.json", {"A": np.eye(2), "B": np.eye(2), "X": np.eye(2)})
+        for argv in (
+            ["schatten", cube_root_file, "--p", "nan"],
+            ["inequality", "lemma41", str(tmp_path / "ax.json"), "--p", "nan"],
+            ["inequality", "thm42", str(tmp_path / "abx.json"), "--p", "nan"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_non_finite_delta_is_usage_error(self, tmp_path, capsys):
+        write_matrices(tmp_path / "in.json", {"A": np.eye(2), "X": np.eye(2)})
+        for delta in ("nan", "inf"):
+            assert main(["inequality", "moore", str(tmp_path / "in.json"), "--delta", delta]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_non_finite_result_is_usage_error(self, tmp_path, capsys, p):
+        # Finite entries whose singular values overflow: the norm comes out
+        # NaN (p = 2) or Infinity (p = inf), which JSON cannot carry.
+        path = tmp_path / "big.json"
+        write_matrix(path, np.full((2, 2), 1e308))
+        out = tmp_path / "out.json"
+        assert main(["schatten", str(path), "--p", p]) == 2
+        assert main(["schatten", str(path), "--p", p, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+        assert not out.exists()
+
     def test_suite_pass_and_exit_codes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["suite", "prop29", "--trials", "5", "--seed", "3", "--out", str(out)]) == 0

@@ -99,6 +99,9 @@ class TestPsdPower:
         P = np.diag([3.0, 0.5])
         np.testing.assert_array_equal(psd_power(P, 1.0), P)
 
+    def test_power_one_clamps_dust(self):
+        np.testing.assert_allclose(psd_power(np.diag([1.0, -1e-12]), 1.0), np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
+
     def test_power_zero_is_range_projection(self):
         np.testing.assert_allclose(psd_power(np.diag([0.0, 4.0]), 0.0), np.diag([0.0, 1.0]), atol=1e-14)
 

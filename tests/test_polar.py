@@ -13,6 +13,7 @@ from aluthge.polar import (
     aluthge_st,
     involution_angular_check,
     polar_decompose,
+    polar_factors,
     product_polar_check,
 )
 
@@ -91,6 +92,62 @@ class TestPolarDecompose:
             parts = polar_decompose(A, MODE_PARTIAL)
             range_proj = psd_power(parts.positive, 0.0)
             assert op_norm(parts.angular.conj().T @ parts.angular - range_proj) <= 1e-8
+
+
+def factor_case(kind, n):
+    """Full-rank Ginibre, rank-one-deficient or zero test matrix of size n."""
+    rng = np.random.default_rng(n)
+    A = ginibre(rng, n)
+    if kind == "deficient":
+        A[:, -1] = A[:, :-1] @ rng.standard_normal(n - 1)
+    elif kind == "zero":
+        A = np.zeros((n, n), dtype=complex)
+    return A
+
+
+FACTOR_SIZES = [1, 3, 6, 32]
+
+
+class TestPolarFactors:
+    @pytest.mark.parametrize("n", FACTOR_SIZES)
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_power_matches_psd_power(self, n, p):
+        A = factor_case("full", n)
+        f = polar_factors(A)
+        reference = psd_power(polar_decompose(A).positive, p)
+        assert op_norm(f.power(p) - reference) <= 1e-10 * f.norm**p
+
+    @pytest.mark.parametrize("n", FACTOR_SIZES)
+    def test_negative_power_inverts(self, n):
+        f = polar_factors(factor_case("full", n))
+        cond = f.s[0] / f.s[-1]
+        assert op_norm(f.power(-0.5) @ f.power(0.5) - np.eye(n)) <= 1e-12 * n * cond
+
+    @pytest.mark.parametrize("kind", ["full", "deficient", "zero"])
+    @pytest.mark.parametrize("n", FACTOR_SIZES)
+    @pytest.mark.parametrize("s,t", [(0.5, 0.5), (0.3, 0.7)])
+    def test_transform_matches_factored_form(self, kind, n, s, t):
+        f = polar_factors(factor_case(kind, n))
+        factored = f.power(s) @ f.angular() @ f.power(t)
+        assert op_norm(f.transform(s, t) - factored) <= 1e-10 * f.norm ** (s + t)
+
+    @pytest.mark.parametrize("kind", ["deficient", "zero"])
+    @pytest.mark.parametrize("n", FACTOR_SIZES)
+    def test_invertibility_guard(self, kind, n):
+        f = polar_factors(factor_case(kind, n))
+        assert f.rank < n
+        with pytest.raises(ValueError, match="A must be invertible for this check"):
+            f.require_invertible("A")
+        with pytest.raises(ValueError, match="invertible"):
+            f.power(-0.5)
+
+    @pytest.mark.parametrize("kind", ["full", "deficient", "zero"])
+    @pytest.mark.parametrize("n", FACTOR_SIZES)
+    def test_iterate_norms_are_iterate_norms(self, kind, n):
+        traj = aluthge_iterate(factor_case(kind, n), 5)
+        assert len(traj.norms) == len(traj.iterates) == 6
+        for M, norm in zip(traj.iterates, traj.norms):
+            assert norm == pytest.approx(op_norm(M), rel=1e-12)
 
 
 class TestAluthge:

@@ -39,6 +39,8 @@ class TestSchattenNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError, match="at least 1"):
             schatten_norm(np.eye(2), 0.5)
+        with pytest.raises(ValueError, match="at least 1"):
+            schatten_norm(np.eye(2), float("nan"))
 
     def test_matches_frobenius_at_two(self):
         rng = np.random.default_rng(1)
