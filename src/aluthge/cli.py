@@ -16,6 +16,7 @@ import sys
 from math import inf
 
 from .commutant import commutant_basis, fp_property
+from .generate import GenerationError
 from .linalg import DEFAULT_TOL, Tolerances, op_norm
 from .matrixio import matrix_from_doc, matrix_to_doc
 from .polar import MODE_PARTIAL, MODE_UNITARY, aluthge_iterate, aluthge_st, polar_decompose
@@ -242,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

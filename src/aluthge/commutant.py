@@ -22,6 +22,7 @@ from .linalg import (
     as_matrix,
     as_square,
     fro_norm,
+    intertwiner_operands,
     min_hermitian_eigenvalue,
     op_norm,
     pd_log,
@@ -147,7 +148,15 @@ def com_inclusion(A1, B1, A2, B2, tol: Tolerances = DEFAULT_TOL) -> FpReport:
     B2 = as_square(B2)
     if A1.shape != A2.shape or B1.shape != B2.shape:
         raise ValueError("operator pairs act on mismatched spaces")
-    cb = commutant_basis(A1, B1, tol)
+    return basis_inclusion(commutant_basis(A1, B1, tol), A2, B2, tol)
+
+
+def basis_inclusion(cb: CommutantBasis, A2: np.ndarray, B2: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> FpReport:
+    """The check half of :func:`com_inclusion`, against an already solved basis.
+
+    Lets one solve of Com(A1, B1) serve several target pairs. A2 and B2
+    must be square arrays acting on the spaces of ``cb``.
+    """
     threshold = tol.residual_rel * (op_norm(A2) + op_norm(B2))
     worst = 0.0
     witness = None
@@ -174,11 +183,7 @@ def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> Chec
     verdict. Equality thresholds absorb the ||B^-1|| amplification
     incurred by the right multiplication.
     """
-    A = as_square(A)
-    B = as_square(B)
-    X = as_matrix(X)
-    if X.shape != (A.shape[0], B.shape[0]):
-        raise ValueError("X must map the space of B into the space of A")
+    A, B, X = intertwiner_operands(A, B, X)
     fa, fb = polar_factors(A, tol), polar_factors(B, tol)
     fa.require_invertible("A")
     fb.require_invertible("B")
@@ -219,13 +224,9 @@ def power_intertwining_check(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) -
     A and B must be invertible and p positive. The double-intertwining
     hypothesis is verified first and raises when violated.
     """
-    A = as_square(A)
-    B = as_square(B)
-    X = as_matrix(X)
+    A, B, X = intertwiner_operands(A, B, X)
     if p <= 0:
         raise ValueError("power p must be positive")
-    if X.shape != (A.shape[0], B.shape[0]):
-        raise ValueError("X must map the space of B into the space of A")
     fa, fb = polar_factors(A, tol), polar_factors(B, tol)
     fa.require_invertible("A")
     fb.require_invertible("B")
@@ -249,11 +250,7 @@ def aluthge_intertwiner_map(A, B, X, direction: str = "forward", tol: Tolerances
     forward: X -> |A|^(1/2) X |B|^(-1/2); inverse: X -> |A|^(-1/2) X |B|^(1/2).
     The two compose to the identity. Requires invertible A and B.
     """
-    A = as_square(A)
-    B = as_square(B)
-    X = as_matrix(X)
-    if X.shape != (A.shape[0], B.shape[0]):
-        raise ValueError("X must map the space of B into the space of A")
+    A, B, X = intertwiner_operands(A, B, X)
     fa, fb = polar_factors(A, tol), polar_factors(B, tol)
     fa.require_invertible("A")
     fb.require_invertible("B")
@@ -417,11 +414,7 @@ def reduces_check(A, X, side: str = "range", tol: Tolerances = DEFAULT_TOL) -> C
 
 def com_delta_membership(A, B, X, delta: float) -> bool:
     """True when the operator norm of AX - XB is at most delta."""
-    A = as_square(A)
-    B = as_square(B)
-    X = as_matrix(X)
-    if X.shape != (A.shape[0], B.shape[0]):
-        raise ValueError("X must map the space of B into the space of A")
+    A, B, X = intertwiner_operands(A, B, X)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     return bool(op_norm(A @ X - X @ B) <= delta)

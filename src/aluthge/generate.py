@@ -247,13 +247,10 @@ def draw(kind: str, n: int, rng: np.random.Generator, a: float = 1.0, tol: Toler
                 return A, B
         elif kind == KIND_INVERTIBLE_FP:
             A, B = invertible_fp_pair(rng, n)
-            if (
-                _is_invertible(A)
-                and _is_invertible(B)
-                and fp_property(A, B, tol).holds
-                and commutant_basis(A, B, tol).nullity >= 1
-            ):
-                return A, B
+            if _is_invertible(A) and _is_invertible(B):
+                rep = fp_property(A, B, tol)
+                if rep.holds and rep.com_dim >= 1:
+                    return A, B
         elif kind == KIND_PD_PAIR:
             A = pd_min_eig(rng, n, a)
             B = pd_min_eig(rng, n, a)

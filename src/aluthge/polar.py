@@ -10,6 +10,7 @@ and its iterates are built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -144,15 +145,15 @@ def polar_decompose(A, mode: str = MODE_UNITARY, tol: Tolerances = DEFAULT_TOL) 
 
 
 def aluthge_st(A, s: float, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """(s,t) transform |A|^s U |A|^t with s, t > 0.
+    """(s,t) transform |A|^s U |A|^t with finite s, t > 0.
 
     Singular values below the rank cutoff are treated as exact zeros, so
     the result does not depend on how the angular part is extended to
     ker|A|. The boundary s = 0 or t = 0 is rejected: |A|^0 is
     convention-dependent for singular A.
     """
-    if s <= 0 or t <= 0:
-        raise ValueError("exponents s and t must be positive")
+    if not (0 < s < inf and 0 < t < inf):
+        raise ValueError("exponents s and t must be positive and finite")
     return polar_factors(A, tol).transform(s, t)
 
 

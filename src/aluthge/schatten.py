@@ -23,6 +23,7 @@ from .linalg import (
     as_matrix,
     as_square,
     fro_norm,
+    intertwiner_operands,
     min_hermitian_eigenvalue,
     op_norm,
     singular_values,
@@ -85,11 +86,14 @@ def _validate_p(p: float) -> float:
 
 
 def _lp(s: np.ndarray, p: float) -> float:
-    """(sum of s**p)**(1/p) for values sorted decreasing, scaled by the largest; p = inf gives it."""
+    """(sum of s**p)**(1/p) for values sorted decreasing, scaled by the largest.
+
+    p = inf, or an infinite (overflowed) largest value, gives the largest value.
+    """
     if s.size == 0 or s[0] == 0.0:
         return 0.0
     top = float(s[0])
-    if p == inf:
+    if p == inf or top == inf:
         return top
     return float(top * np.sum((s / top) ** p) ** (1.0 / p))
 
@@ -197,12 +201,8 @@ def aluthge_intertwiner_bound(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) 
     diag(A, B) against [[0, X], [X*, 0]] and reported in ``details`` as
     ``block_lhs`` / ``block_rhs``; both routes must agree.
     """
-    A = as_square(A)
-    B = as_square(B)
-    X = as_matrix(X)
+    A, B, X = intertwiner_operands(A, B, X)
     n1, n2 = A.shape[0], B.shape[0]
-    if X.shape != (n1, n2):
-        raise ValueError("X must map the space of B into the space of A")
     p = _validate_p(p)
     fa, U, root_a, a_left = _polar_root(A, tol)
     fb, V, root_b, a_right = _polar_root(B, tol)
@@ -253,11 +253,7 @@ def exact_intertwiner_transfer(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckR
     T_A* X = X T_B (within tolerance), it follows that |A| X = X |B| and
     that Y = |A| X satisfies A* Y = Y B. Hypothesis violations raise.
     """
-    A = as_square(A)
-    B = as_square(B)
-    X = as_matrix(X)
-    if X.shape != (A.shape[0], B.shape[0]):
-        raise ValueError("X must map the space of B into the space of A")
+    A, B, X = intertwiner_operands(A, B, X)
     fa, U, _, a_left = _polar_root(A, tol)
     fb, V, _, a_right = _polar_root(B, tol)
     a = min(a_left, a_right)

@@ -11,6 +11,7 @@ reproducible case by case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import inf, sqrt
 from typing import Any, Callable
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .commutant import (
     aluthge_intertwiner_map,
+    basis_inclusion,
     com_inclusion,
     commutant_basis,
     fp_property,
@@ -202,37 +204,28 @@ def _case_thm24(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "B": B})
 
 
-def _case_cor25(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
-    n = int(rng.integers(2, 6))
-    A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    rep = fp_property(aluthge(A, tol), aluthge(B, tol), tol)
-    thr = tol.residual_rel * (op_norm(A) + op_norm(B))
-    return CaseOutcome(rep.holds, rep.max_residual, thr, {"A": A, "B": B})
-
-
-def _case_cor26(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
-    n = int(rng.integers(2, 5))
+def _case_iterated_fp(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> CaseOutcome:
+    """The FP-property of an invertible pair survives each of ``steps`` iterated transforms."""
+    n = int(rng.integers(2, n_hi))
     A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     Ak, Bk = A, B
-    worst = 0.0
-    ok = True
-    for _ in range(3):
+    reps = []
+    for _ in range(steps):
         Ak, Bk = aluthge(Ak, tol), aluthge(Bk, tol)
-        rep = fp_property(Ak, Bk, tol)
-        ok = ok and rep.holds
-        worst = max(worst, rep.max_residual)
+        reps.append(fp_property(Ak, Bk, tol))
     thr = tol.residual_rel * (op_norm(A) + op_norm(B))
-    return CaseOutcome(bool(ok), worst, thr, {"A": A, "B": B})
+    return CaseOutcome(all(r.holds for r in reps), max(r.max_residual for r in reps), thr, {"A": A, "B": B})
 
 
-def _semicircle_operator(rng: np.random.Generator, n: int, center: float, normal: bool) -> np.ndarray:
-    margin = 0.15
-    phases = center + rng.uniform(margin, np.pi - margin, size=n)
+def _unit_spectrum_operator(rng: np.random.Generator, units: Callable, normal: bool) -> np.ndarray:
+    """Operator whose angular part is Q diag(u) Q*, with the unit values u drawn by ``units(rng)``."""
+    u = units(rng)
+    n = u.size
     Q = random_unitary(rng, n)
     if normal:
         radii = rng.uniform(0.5, 1.8, size=n)
-        return Q @ ((radii * np.exp(1j * phases))[:, None] * Q.conj().T)
-    U = Q @ (np.exp(1j * phases)[:, None] * Q.conj().T)
+        return Q @ ((radii * u)[:, None] * Q.conj().T)
+    U = Q @ (u[:, None] * Q.conj().T)
     return U @ pd_min_eig(rng, n, 0.5)
 
 
@@ -240,68 +233,53 @@ def _decisively_nonnormal(M: np.ndarray) -> bool:
     return op_norm(M @ adjoint(M) - adjoint(M) @ M) > 1e-2
 
 
-def _case_cor27(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
-    n = int(rng.integers(2, 5))
-    center = float(rng.uniform(0.0, 2.0 * np.pi))
+def _angular_transfer_case(
+    rng: np.random.Generator, tol: Tolerances, units: Callable, accept: Callable, what: str
+) -> CaseOutcome:
+    """The FP-property holds before the transform iff after, for pairs whose angular parts ``accept`` takes."""
     variant = int(rng.integers(3))
     for _ in range(50):
-        if variant == 0:
-            A = _semicircle_operator(rng, n, center, normal=False)
-            B = A.copy()
-            if not _decisively_nonnormal(A):
-                continue
-        elif variant == 1:
-            A = _semicircle_operator(rng, n, center, normal=True)
-            B = A.copy()
+        if variant == 2:
+            A = _unit_spectrum_operator(rng, units, normal=bool(rng.integers(2)))
+            B = _unit_spectrum_operator(rng, units, normal=bool(rng.integers(2)))
         else:
-            A = _semicircle_operator(rng, n, center, normal=bool(rng.integers(2)))
-            B = _semicircle_operator(rng, n, center, normal=bool(rng.integers(2)))
-        if all(semicircle_check(polar_factors(M, tol).angular(), tol) for M in (A, B)):
+            A = _unit_spectrum_operator(rng, units, normal=variant == 1)
+            B = A.copy()
+            if variant == 0 and not _decisively_nonnormal(A):
+                continue
+        if accept(polar_factors(A, tol).angular(), polar_factors(B, tol).angular()):
             break
     else:
-        raise GenerationError("no semicircle pair found")
+        raise GenerationError(f"no {what} pair found")
     before = fp_property(A, B, tol)
     after = fp_property(aluthge(A, tol), aluthge(B, tol), tol)
     passed = before.holds == after.holds
     return CaseOutcome(bool(passed), max(before.max_residual, after.max_residual), 0.0, {"A": A, "B": B})
 
 
-def _odd_root_operator(rng: np.random.Generator, n: int, k: int, normal: bool) -> np.ndarray:
-    omega = np.exp(2j * np.pi / k)
-    powers = omega ** rng.integers(0, k, size=n)
-    Q = random_unitary(rng, n)
-    if normal:
-        radii = rng.uniform(0.5, 1.8, size=n)
-        return Q @ ((radii * powers)[:, None] * Q.conj().T)
-    U = Q @ (powers[:, None] * Q.conj().T)
-    return U @ pd_min_eig(rng, n, 0.5)
+def _case_cor27(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+    n = int(rng.integers(2, 5))
+    center = float(rng.uniform(0.0, 2.0 * np.pi))
+
+    def units(r: np.random.Generator) -> np.ndarray:
+        return np.exp(1j * (center + r.uniform(0.15, np.pi - 0.15, size=n)))
+
+    def accept(U: np.ndarray, V: np.ndarray) -> bool:
+        return semicircle_check(U, tol) and semicircle_check(V, tol)
+
+    return _angular_transfer_case(rng, tol, units, accept, "semicircle")
 
 
 def _case_rem28(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 5))
     n0 = int(rng.integers(1, 4))
     k = 2 * n0 + 1
-    variant = int(rng.integers(3))
-    for _ in range(50):
-        if variant == 0:
-            A = _odd_root_operator(rng, n, k, normal=False)
-            B = A.copy()
-            if not _decisively_nonnormal(A):
-                continue
-        elif variant == 1:
-            A = _odd_root_operator(rng, n, k, normal=True)
-            B = A.copy()
-        else:
-            A = _odd_root_operator(rng, n, k, normal=bool(rng.integers(2)))
-            B = _odd_root_operator(rng, n, k, normal=bool(rng.integers(2)))
-        if odd_root_unity_check(polar_factors(A, tol).angular(), polar_factors(B, tol).angular(), n0, tol):
-            break
-    else:
-        raise GenerationError("no odd-root pair found")
-    before = fp_property(A, B, tol)
-    after = fp_property(aluthge(A, tol), aluthge(B, tol), tol)
-    passed = before.holds == after.holds
-    return CaseOutcome(bool(passed), max(before.max_residual, after.max_residual), 0.0, {"A": A, "B": B})
+    omega = np.exp(2j * np.pi / k)
+
+    def units(r: np.random.Generator) -> np.ndarray:
+        return omega ** r.integers(0, k, size=n)
+
+    return _angular_transfer_case(rng, tol, units, partial(odd_root_unity_check, n0=n0, tol=tol), "odd-root")
 
 
 def _case_prop29(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
@@ -343,8 +321,8 @@ def _case_example_a3(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 
 def _case_example_fp_fail(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     A = _EXAMPLE_FP_FAIL
-    rep = fp_property(A, A, tol)
     cb = commutant_basis(A, A, tol)
+    rep = basis_inclusion(cb, adjoint(A), adjoint(A), tol)
     projection = sum(np.vdot(E, _EXAMPLE_WITNESS) * E for E in cb.basis)
     r_span = fro_norm(projection - _EXAMPLE_WITNESS)
     inv = involution_angular_check(A, tol)
@@ -368,41 +346,32 @@ def _case_thm31(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     else:
         A, B = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
-    fwd = com_inclusion(A, B, aluthge(A, tol), aluthge(B, tol), tol)
+    cb = commutant_basis(A, B, tol)
+    fwd = basis_inclusion(cb, aluthge(A, tol), aluthge(B, tol), tol)
     s, t = rng.uniform(0.1, 2.0, size=2)
-    fwd_st = com_inclusion(A, B, aluthge_st(A, s, t, tol), aluthge_st(B, s, t, tol), tol)
+    fwd_st = basis_inclusion(cb, aluthge_st(A, s, t, tol), aluthge_st(B, s, t, tol), tol)
     passed = fwd.holds and fwd_st.holds
     worst = max(fwd.max_residual, fwd_st.max_residual)
     thr = tol.residual_rel * (op_norm(A) + op_norm(B))
     return CaseOutcome(bool(passed), worst, thr, {"A": A, "B": B})
 
 
-def _case_thm33(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
-    n = int(rng.integers(2, 6))
-    A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    Ta, Tb = aluthge(A, tol), aluthge(B, tol)
-    fwd = com_inclusion(A, B, Ta, Tb, tol)
-    rev = com_inclusion(Ta, Tb, A, B, tol)
-    passed = fwd.holds and rev.holds
-    worst = max(fwd.max_residual, rev.max_residual)
-    thr = tol.residual_rel * (op_norm(A) + op_norm(B))
-    return CaseOutcome(bool(passed), worst, thr, {"A": A, "B": B})
+def _case_iterated_commutants(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> CaseOutcome:
+    """Com(A, B) equals the commutant of each of ``steps`` iterated transforms (invertible FP pairs).
 
-
-def _case_cor36(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
-    n = int(rng.integers(2, 5))
+    One solve of Com(A, B) serves every forward inclusion; each reverse
+    inclusion solves the commutant of its own iterate.
+    """
+    n = int(rng.integers(2, n_hi))
     A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    cb = commutant_basis(A, B, tol)
     Ak, Bk = A, B
-    worst = 0.0
-    ok = True
-    for _ in range(3):
+    reps = []
+    for _ in range(steps):
         Ak, Bk = aluthge(Ak, tol), aluthge(Bk, tol)
-        fwd = com_inclusion(A, B, Ak, Bk, tol)
-        rev = com_inclusion(Ak, Bk, A, B, tol)
-        ok = ok and fwd.holds and rev.holds
-        worst = max(worst, fwd.max_residual, rev.max_residual)
+        reps += [basis_inclusion(cb, Ak, Bk, tol), com_inclusion(Ak, Bk, A, B, tol)]
     thr = tol.residual_rel * (op_norm(A) + op_norm(B))
-    return CaseOutcome(bool(ok), worst, thr, {"A": A, "B": B})
+    return CaseOutcome(all(r.holds for r in reps), max(r.max_residual for r in reps), thr, {"A": A, "B": B})
 
 
 _P_CHOICES = (1.0, 2.0, 3.0, inf)
@@ -535,16 +504,16 @@ SUITES: dict[str, Callable[[np.random.Generator, Tolerances], CaseOutcome]] = {
     "remark22": _case_remark22,
     "lemma23": _case_lemma23,
     "thm24": _case_thm24,
-    "cor25": _case_cor25,
-    "cor26": _case_cor26,
+    "cor25": partial(_case_iterated_fp, n_hi=6, steps=1),
+    "cor26": partial(_case_iterated_fp, n_hi=5, steps=3),
     "cor27": _case_cor27,
     "rem28": _case_rem28,
     "prop29": _case_prop29,
     "example_a3": _case_example_a3,
     "example_fp_fail": _case_example_fp_fail,
     "thm31": _case_thm31,
-    "thm33": _case_thm33,
-    "cor36": _case_cor36,
+    "thm33": partial(_case_iterated_commutants, n_hi=6, steps=1),
+    "cor36": partial(_case_iterated_commutants, n_hi=5, steps=3),
     "lemma41": _case_lemma41,
     "thm42": _case_thm42,
     "cor44": _case_cor44,

@@ -7,6 +7,7 @@ from aluthge.commutant import (
     BOTH_HYPONORMAL,
     NEITHER_HYPONORMAL,
     aluthge_intertwiner_map,
+    basis_inclusion,
     com_delta_membership,
     com_inclusion,
     commutant_basis,
@@ -181,9 +182,34 @@ class TestComInclusion:
         assert not rev.holds
         assert rev.com_dim == 4 and rev.witness is not None
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, monkeypatch):
+        def no_solve(A, B):
+            raise AssertionError("the commutant was solved")
+
+        # the spaces are compared before Com(A1, B1) is solved
+        monkeypatch.setattr("aluthge.commutant.sylvester_matrix", no_solve)
         with pytest.raises(ValueError, match="mismatched"):
             com_inclusion(np.eye(2), np.eye(2), np.eye(3), np.eye(2))
+        with pytest.raises(ValueError, match="mismatched"):
+            com_inclusion(np.eye(2), np.eye(3), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("holding", [True, False])
+    def test_solved_basis_matches_one_shot(self, holding):
+        if holding:
+            A, B = draw(KIND_INVERTIBLE_FP, 4, np.random.default_rng(5))
+            A2, B2 = aluthge(A), aluthge(B)
+        else:
+            A, B = FP_FAIL_A, FP_FAIL_A
+            A2, B2 = adjoint(A), adjoint(A)
+        one_shot = com_inclusion(A, B, A2, B2)
+        solved = basis_inclusion(commutant_basis(A, B), A2, B2)
+        assert one_shot.holds is solved.holds is holding
+        assert solved.max_residual == one_shot.max_residual
+        assert solved.com_dim == one_shot.com_dim >= 1
+        if holding:
+            assert solved.witness is None and one_shot.witness is None
+        else:
+            np.testing.assert_array_equal(solved.witness, one_shot.witness)
 
 
 class TestIntertwinerPolarIdentities:

@@ -1,8 +1,11 @@
 """Tests for the seeded instance generators."""
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 
+import aluthge.commutant as commutant_module
 from aluthge.commutant import (
     BOTH_HYPONORMAL,
     commutant_basis,
@@ -18,6 +21,7 @@ from aluthge.generate import (
     KIND_PD_PAIR,
     KIND_UNITARY_SEMICIRCLE,
     KINDS,
+    draw,
     generate,
 )
 from aluthge.linalg import min_hermitian_eigenvalue, op_norm, singular_values
@@ -81,6 +85,30 @@ def test_invertible_fp_pair_properties():
         assert sa[-1] > 1e-6 * sa[0] and sb[-1] > 1e-6 * sb[0]
         rep = fp_property(A, B)
         assert rep.holds and rep.com_dim >= 1
+
+
+def test_invertible_fp_draw_solves_once_per_attempt(monkeypatch):
+    # The FP report's com_dim decides nontriviality, so each checked
+    # attempt solves its commutant exactly once.
+    generate_module = import_module("aluthge.generate")  # the package attribute is the function
+    counts = {"solve": 0, "fp": 0}
+    solve, fp = commutant_module.sylvester_matrix, generate_module.fp_property
+
+    def counted_solve(A, B):
+        counts["solve"] += 1
+        return solve(A, B)
+
+    def counted_fp(A, B, tol):
+        counts["fp"] += 1
+        return fp(A, B, tol)
+
+    monkeypatch.setattr(commutant_module, "sylvester_matrix", counted_solve)
+    monkeypatch.setattr(generate_module, "fp_property", counted_fp)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4, 5):
+        draw(KIND_INVERTIBLE_FP, n, rng)
+    assert counts["fp"] >= 5
+    assert counts["solve"] == counts["fp"]
 
 
 def test_invertible_fp_pair_can_be_nonnormal():

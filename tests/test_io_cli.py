@@ -99,6 +99,12 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["rows"] == 2 and doc["cols"] == 2
 
+    @pytest.mark.parametrize("flag,value", [("--s", "nan"), ("--t", "inf")])
+    def test_aluthge_non_finite_exponent(self, cube_root_file, capsys, flag, value):
+        assert main(["aluthge", cube_root_file, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: exponents s and t must be positive and finite" in captured.err
+
     def test_aluthge_iterate(self, cube_root_file, capsys):
         assert main(["aluthge", cube_root_file, "--iterate", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -155,7 +161,7 @@ class TestCli:
     @pytest.mark.parametrize("p", ["2", "inf"])
     def test_non_finite_result_is_usage_error(self, tmp_path, capsys, p):
         # Finite entries whose singular values overflow: the norm comes out
-        # NaN (p = 2) or Infinity (p = inf), which JSON cannot carry.
+        # Infinity for every p, which JSON cannot carry.
         path = tmp_path / "big.json"
         write_matrix(path, np.full((2, 2), 1e308))
         out = tmp_path / "out.json"
@@ -171,6 +177,13 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["cases_run"] == 5 and doc["cases_passed"] == 5
         assert doc["failures"] == []
+
+    def test_suite_generation_failure_is_usage_error(self, capsys):
+        # At zero residual tolerance no generated pair passes its FP check.
+        assert main(["suite", "lemma21", "--trials", "1", "--tol", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert any(line.startswith("error: ") for line in captured.err.splitlines())
 
     def test_suite_unknown_id(self, capsys):
         with pytest.raises(SystemExit) as exc:

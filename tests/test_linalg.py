@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from aluthge.commutant import (
+    aluthge_intertwiner_map,
+    com_delta_membership,
+    intertwiner_polar_identities,
+    power_intertwining_check,
+)
 from aluthge.generate import ginibre, random_unitary
 from aluthge.linalg import (
     Tolerances,
@@ -16,6 +22,7 @@ from aluthge.linalg import (
     singular_values,
     spectral_radius,
 )
+from aluthge.schatten import aluthge_intertwiner_bound, exact_intertwiner_transfer
 
 E = np.e
 
@@ -39,6 +46,22 @@ class TestValidation:
             Tolerances(**{field: 1.5})
         with pytest.raises(ValueError, match=field):
             Tolerances(**{field: -1e-3})
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            intertwiner_polar_identities,
+            lambda A, B, X: power_intertwining_check(A, B, X, 1.0),
+            aluthge_intertwiner_map,
+            lambda A, B, X: com_delta_membership(A, B, X, 0.1),
+            lambda A, B, X: aluthge_intertwiner_bound(A, B, X, 2.0),
+            exact_intertwiner_transfer,
+        ],
+        ids=["polar_identities", "power", "map", "delta_membership", "intertwiner_bound", "transfer"],
+    )
+    def test_intertwiner_shape(self, check):
+        with pytest.raises(ValueError, match="X must map the space of B into the space of A"):
+            check(np.eye(2), 2.0 * np.eye(3), np.ones((3, 2)))
 
 
 class TestAdjoint:

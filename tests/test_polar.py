@@ -205,9 +205,9 @@ class TestAluthgeSt:
     def test_jordan_one_one(self):
         np.testing.assert_allclose(aluthge_st(JORDAN, 1.0, 1.0), np.zeros((2, 2)), atol=1e-14)
 
-    @pytest.mark.parametrize("s,t", [(0.0, 0.5), (0.5, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("s,t", [(0.0, 0.5), (0.5, 0.0), (-1.0, 1.0), (np.nan, 0.5), (0.5, np.inf)])
     def test_rejects_nonpositive_exponents(self, s, t):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="positive and finite"):
             aluthge_st(JORDAN, s, t)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import aluthge.commutant as commutant_module
 from aluthge.suites import SUITE_IDS, SUITES, run_suite
 
 EXPECTED_IDS = {
@@ -81,3 +82,18 @@ def test_failure_entries_are_populated():
     assert entry.inputs["A"]["rows"] == 2
     doc = rep.to_doc()
     assert doc["failures"][0]["inputs"]["A"]["data"][0] == [2.0, 0.0]
+
+
+def test_example_fp_fail_solves_each_pair_once(monkeypatch):
+    # One solve of Com(A, A) gives the verdict and the witness projection;
+    # the transformed pair needs its own.
+    calls = []
+    solve = commutant_module.sylvester_matrix
+
+    def counted(A, B):
+        calls.append(A.shape)
+        return solve(A, B)
+
+    monkeypatch.setattr(commutant_module, "sylvester_matrix", counted)
+    assert run_suite("example_fp_fail", seed=0, trials=1).passed
+    assert len(calls) == 2
