@@ -243,8 +243,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, GenerationError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for this input", file=sys.stderr)
         return 2
 
 

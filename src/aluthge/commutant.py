@@ -1,8 +1,11 @@
 """Commutant (intertwiner) spaces and the verdicts built on them.
 
-Com(A, B) is the linear space of matrices X with AX = XB. It is
-computed as the numerical nullspace of the Kronecker linearization of
-X -> AX - XB. On top of the basis sit the adjoint-intertwining
+Com(A, B) is the linear space of matrices X with AX = XB. Small pairs
+take the numerical nullspace of the Kronecker linearization of
+X -> AX - XB; larger ones reduce both matrices to Schur form and solve
+only the eigenvalue clusters the two spectra share (Bartels-Stewart;
+by Rosenblum's theorem the other clusters contribute nothing). On top
+of the basis sit the adjoint-intertwining
 (FP-property) verdict, subspace inclusion tests, the polar-part
 intertwining identities, hyponormality classifiers and reducing
 subspace checks.
@@ -100,21 +103,114 @@ def sylvester_matrix(A, B) -> np.ndarray:
     return np.kron(np.eye(n2), A) - np.kron(B.T, np.eye(n1))
 
 
-def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
-    """Orthonormal basis of Com(A, B) from the Sylvester nullspace.
+# Pairs with n1 * n2 up to this size take the Kronecker SVD, which there
+# costs no more than importing scipy for the Schur route (about 0.3 s).
+_KRONECKER_MAX = 512
+# Largest cluster block (rows of its Kronecker matrix) the Schur route solves.
+_CLUSTER_MAX = 4096
 
-    Singular values of the linearization at or below ``rank_rel`` times
-    the largest count as zero; the corresponding right singular vectors,
-    reshaped column-major, form the basis.
+
+def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
+    """Orthonormal basis of Com(A, B).
+
+    Pairs with n1 * n2 <= 512 take the SVD of the Kronecker
+    linearization: singular values at or below ``rank_rel`` times the
+    largest count as zero. Larger pairs solve only the eigenvalue
+    clusters shared by A and B on their Schur forms, with the cut
+    ``rank_rel`` times a shift-invariant bound on that largest value;
+    a shared cluster whose block would exceed 4096 rows raises
+    ``ValueError``.
     """
     A = as_square(A)
     B = as_square(B)
+    if A.shape[0] * B.shape[0] <= _KRONECKER_MAX:
+        return _kronecker_commutant(A, B, tol)
+    return _schur_commutant(A, B, tol)
+
+
+def _kronecker_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
+    """Right singular vectors of the Kronecker linearization, reshaped column-major."""
     n1, n2 = A.shape[0], B.shape[0]
     L = sylvester_matrix(A, B)
     _, s, Vh = np.linalg.svd(L)
     smax = float(s[0])
     null_rows = Vh[s <= tol.rank_rel * smax]
-    basis = [row.conj().reshape((n1, n2), order="F") for row in null_rows]
+    return _basis_of(A, B, [row.conj().reshape((n1, n2), order="F") for row in null_rows])
+
+
+def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
+    """Solve AX = XB cluster by cluster on the complex Schur forms of A and B*.
+
+    Eigenvalues of A and B are grouped by single linkage with gap
+    ``rank_rel**0.25 * scale``, wide enough to keep together the
+    eps^(1/m) splitting of a defective eigenvalue of multiplicity m.
+    For a shared cluster, R (leading Schur vectors of A) and K (of B*)
+    span the cluster's invariant subspaces after one reordering, and
+    X = R Z K* solves the pair exactly when T Z = Z S with T = R*AR and
+    S = K*BK. The small block's SVD makes the rank decision, so a gap
+    too coarse costs time, not correctness. The lift is an isometry;
+    one QR makes elements from different clusters orthonormal.
+    """
+    from scipy.linalg import schur
+    from scipy.linalg.lapack import ztrsen
+
+    n1, n2 = A.shape[0], B.shape[0]
+    # ||A - cI|| + ||B - cI|| bounds ||L|| and is invariant under a shift, a
+    # positive scaling and a unitary similarity of the pair.
+    c = (np.trace(A) + np.trace(B)) / (n1 + n2)
+    scale = op_norm(A - c * np.eye(n1)) + op_norm(B - c * np.eye(n2))
+    Ta, Qa = schur(A, output="complex")
+    Tb, Qb = schur(adjoint(B), output="complex")
+    ev = np.concatenate([np.diag(Ta), np.diag(Tb).conj()])
+    # Every shared block is sized before any is solved, so a refusal costs no solve.
+    shared = []
+    for members in _single_linkage(ev, tol.rank_rel**0.25 * scale):
+        in_a, in_b = members[:n1], members[n1:]
+        rows = int(in_a.sum()) * int(in_b.sum())
+        if rows > _CLUSTER_MAX:
+            raise ValueError(
+                f"commutant cluster block has {rows} rows, above the {_CLUSTER_MAX} the Schur route solves"
+            )
+        if rows:
+            shared.append((in_a, in_b))
+    lifts = []
+    for in_a, in_b in shared:
+        ma, mb = int(in_a.sum()), int(in_b.sum())
+        R = ztrsen(in_a.astype(np.int32), Ta, Qa, job="N")[1][:, :ma]
+        K = ztrsen(in_b.astype(np.int32), Tb, Qb, job="N")[1][:, :mb]
+        T = adjoint(R) @ A @ R
+        S = adjoint(K) @ B @ K
+        _, s, Vh = np.linalg.svd(sylvester_matrix(T, S))
+        Z = Vh[s <= tol.rank_rel * scale].conj().reshape((-1, mb, ma)).transpose(0, 2, 1)
+        if len(Z):
+            lifts.append(R @ Z @ adjoint(K))
+    X = np.concatenate(lifts) if lifts else np.zeros((0, n1, n2), dtype=complex)
+    if len(lifts) > 1:
+        Q, _ = np.linalg.qr(X.reshape(len(X), -1).T)
+        X = Q.T.reshape(-1, n1, n2)
+    return _basis_of(A, B, list(X))
+
+
+def _single_linkage(points: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Membership masks of the clusters whose members chain within ``gap``."""
+    near = np.abs(points[:, None] - points[None, :]) <= gap
+    free = np.ones(len(points), dtype=bool)
+    clusters = []
+    while free.any():
+        members = np.zeros(len(points), dtype=bool)
+        members[np.argmax(free)] = True
+        while True:
+            grown = near[members].any(axis=0)
+            if (grown == members).all():
+                break
+            members = grown
+        clusters.append(members)
+        free &= ~members
+    return clusters
+
+
+def _basis_of(A: np.ndarray, B: np.ndarray, basis: list[np.ndarray]) -> CommutantBasis:
+    n1, n2 = A.shape[0], B.shape[0]
     residuals = [fro_norm(A @ X - X @ B) for X in basis]
     return CommutantBasis(
         dim_domain=(n2, n1),

@@ -36,8 +36,20 @@ def matrix_to_doc(M) -> dict[str, Any]:
     return {
         "rows": int(rows),
         "cols": int(cols),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.stack([flat.real, flat.imag], axis=1).tolist(),
     }
+
+
+def _is_pair(entry) -> bool:
+    if not isinstance(entry, list) or len(entry) != 2:
+        return False
+    re, im = entry
+    return (
+        isinstance(re, (int, float))
+        and isinstance(im, (int, float))
+        and not isinstance(re, bool)
+        and not isinstance(im, bool)
+    )
 
 
 def matrix_from_doc(doc) -> np.ndarray:
@@ -54,19 +66,15 @@ def matrix_from_doc(doc) -> np.ndarray:
         raise ValueError("field 'data' must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise ValueError(f"field 'data' has length {len(data)}, expected rows*cols = {rows * cols}")
-    out = np.empty(rows * cols, dtype=complex)
-    for k, entry in enumerate(data):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-        ):
-            raise ValueError(f"field 'data' entry {k} must be a [re, im] pair of numbers")
-        re, im = float(entry[0]), float(entry[1])
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise ValueError(f"field 'data' entry {k} must be finite")
-        out[k] = complex(re, im)
-    return out.reshape((rows, cols))
+    # The first faulty entry is reported, whether it is malformed or non-finite.
+    malformed = next((k for k, entry in enumerate(data) if not _is_pair(entry)), len(data))
+    pairs = np.array(data[:malformed], dtype=np.float64).reshape(-1, 2)
+    finite = np.isfinite(pairs).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"field 'data' entry {int(np.argmin(finite))} must be finite")
+    if malformed < len(data):
+        raise ValueError(f"field 'data' entry {malformed} must be a [re, im] pair of numbers")
+    return pairs.view(np.complex128).reshape((rows, cols))
 
 
 def _open_for(path_or_fp, mode: str):

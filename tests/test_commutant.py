@@ -6,6 +6,9 @@ import pytest
 from aluthge.commutant import (
     BOTH_HYPONORMAL,
     NEITHER_HYPONORMAL,
+    _KRONECKER_MAX,
+    _kronecker_commutant,
+    _schur_commutant,
     aluthge_intertwiner_map,
     basis_inclusion,
     com_delta_membership,
@@ -27,9 +30,13 @@ from aluthge.generate import (
     draw,
     ginibre,
     hyponormal_matrix,
+    invertible_fp_pair,
+    normal_pair,
     random_unitary,
+    similarity_pair,
+    well_conditioned,
 )
-from aluthge.linalg import adjoint, fro_norm, op_norm
+from aluthge.linalg import DEFAULT_TOL, adjoint, fro_norm, op_norm
 from aluthge.polar import aluthge, polar_decompose
 
 FP_FAIL_A = np.array([[2.0, -3.0], [1.0, -2.0]], dtype=complex)
@@ -110,6 +117,152 @@ class TestCommutantBasis:
             A = S1 @ (ev_a[:, None] * np.linalg.inv(S1))
             B = S2 @ (ev_b[:, None] * np.linalg.inv(S2))
             assert commutant_basis(A, B).nullity == brute_force_nullity(ev_a, ev_b)
+
+
+def stacked(basis):
+    return np.stack([X.reshape(-1) for X in basis])
+
+
+def subspace_gap(basis1, basis2):
+    """sin of the largest principal angle between two orthonormal bases of equal length."""
+    V1, V2 = stacked(basis1), stacked(basis2)
+    return op_norm(V1 - (V1 @ V2.conj().T) @ V2)
+
+
+def assert_routes_agree(A, B, gap_bound=1e-8):
+    """The Schur route against the Kronecker oracle, both called directly whatever the size."""
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    oracle = _kronecker_commutant(A, B, DEFAULT_TOL)
+    fast = _schur_commutant(A, B, DEFAULT_TOL)
+    assert fast.nullity == oracle.nullity == len(fast.basis)
+    assert fast.dim_domain == oracle.dim_domain
+    if fast.nullity:
+        assert subspace_gap(fast.basis, oracle.basis) <= gap_bound
+        V = stacked(fast.basis)
+        np.testing.assert_allclose(V.conj() @ V.T, np.eye(fast.nullity), atol=1e-12)
+    thr = DEFAULT_TOL.residual_rel * (op_norm(A) + op_norm(B))
+    for X, r in zip(fast.basis, fast.residuals):
+        assert r <= thr and fro_norm(A @ X - X @ B) <= thr
+    return fast
+
+
+def conjugated(rng, M):
+    """S M S^-1 for a random S with singular values in [0.6, 1.6], and S."""
+    S = well_conditioned(rng, M.shape[0], (0.6, 1.6))
+    return S @ M @ np.linalg.inv(S), S
+
+
+def separated(rng, count, avoid=0.0):
+    """Distinct values on a jittered grid, pairwise at least 0.3 apart and 0.3 from ``avoid``."""
+    side = int(np.ceil(np.sqrt(2 * count + 4)))
+    cells = rng.permutation(side * side)
+    jitter = rng.uniform(-0.1, 0.1, size=(len(cells), 2))
+    pts = (np.stack([cells % side, cells // side], axis=1) - (side - 1) / 2.0) * 0.5 + jitter
+    z = pts[:, 0] + 1j * pts[:, 1]
+    return z[np.abs(z - avoid) >= 0.3][:count]
+
+
+def benchmark_pairs(rng, n):
+    """A normal pair whose eigenvalues all have multiplicity 4, and a similarity pair."""
+    ev = np.repeat(separated(rng, n // 4), 4)
+    Qa, Qb = random_unitary(rng, n), random_unitary(rng, n)
+    normal = (Qa @ (ev[:, None] * Qa.conj().T), Qb @ (ev[:, None] * Qb.conj().T))
+    ev = separated(rng, n)
+    similar = (conjugated(rng, np.diag(ev))[0], conjugated(rng, np.diag(rng.permutation(ev)))[0])
+    return (normal, 16 * (n // 4)), (similar, n)
+
+
+class TestCommutantRoutes:
+    """The Schur-cluster route reproduces the Kronecker oracle."""
+
+    def test_small_ensembles(self):
+        rng = np.random.default_rng(40)
+        values = np.array([1.0, 2.0, -1.0, 0.5j, 1.0 + 1.0j])
+        fixed = [
+            (1.5 * np.eye(2), 1.5 * np.eye(2)),
+            (np.diag([1.0, 2.0]), np.diag([2.0, 3.0])),
+            (np.diag([1.0, 2.0]), np.diag([3.0, 4.0])),
+            (FP_FAIL_A, FP_FAIL_A),
+            (adjoint(FP_FAIL_A), adjoint(FP_FAIL_A)),
+            (JORDAN, JORDAN),
+            (JORDAN, np.zeros((3, 3))),
+        ]
+        for A, B in fixed:
+            assert_routes_agree(A, B)
+        for n in range(2, 7):
+            for _ in range(4):
+                assert_routes_agree(*normal_pair(rng, n))
+                A, B = invertible_fp_pair(rng, n)
+                assert_routes_agree(A, B)
+                assert_routes_agree(aluthge(A), aluthge(B))
+                assert_routes_agree(*similarity_pair(rng, n))
+                n2 = int(rng.integers(1, 7))
+                A = conjugated(rng, np.diag(rng.choice(values, size=n)))[0]
+                B = conjugated(rng, np.diag(rng.choice(values, size=n2)))[0]
+                assert_routes_agree(A, B)
+
+    @pytest.mark.parametrize("a", range(1, 6))
+    def test_jordan_blocks(self, a):
+        # J_a(lam) + D against J_b(lam) + D', where D and D' share three
+        # values, so dim Com = min(a, b) + 3.
+        n, lam = 20, 0.3 + 0.2j
+        rng = np.random.default_rng(41 + a)
+        for b in range(1, 6):
+            pool = separated(rng, 2 * n, avoid=lam)
+            pair = []
+            for size, rest in ((a, pool[: n - a]), (b, np.concatenate([pool[:3], pool[n : 2 * n - b - 3]]))):
+                J = np.diag(np.concatenate([np.full(size, lam), rest]))
+                J[np.arange(size - 1), np.arange(1, size)] = 1.0
+                pair.append(conjugated(rng, J)[0])
+            assert assert_routes_agree(*pair).nullity == min(a, b) + 3
+
+    def test_near_coincident_eigenvalues(self):
+        # B repeats A's spectrum with five values moved by delta. At or
+        # below the rank cut the moved pairs count as coincident; above
+        # it the commutant is spanned by S1 e_j e_j^T S2^-1 over the 15
+        # exact matches. There the oracle's own subspace error is about
+        # eps ||L|| / sep (Wedin), sep being its smallest singular value
+        # above the cut, while the Schur route stays within 1e-8 of the
+        # exact commutant.
+        n, eps = 20, np.finfo(float).eps
+        rng = np.random.default_rng(50)
+        for delta in (1e-14, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4, 1e-2):
+            ev = separated(rng, n)
+            moved = ev.copy()
+            moved[:5] += delta
+            A, S1 = conjugated(rng, np.diag(ev))
+            B, S2 = conjugated(rng, np.diag(moved))
+            s = np.linalg.svd(sylvester_matrix(A, B), compute_uv=False)
+            cut = DEFAULT_TOL.rank_rel * s[0]
+            sep = s[s > cut].min()
+            fast = assert_routes_agree(A, B, gap_bound=1e-8 + 10 * eps * s[0] / sep)
+            if delta > cut:
+                assert fast.nullity == 15
+                S2inv = np.linalg.inv(S2)
+                exact, _ = np.linalg.qr(stacked([np.outer(S1[:, j], S2inv[j]) for j in range(5, n)]).T)
+                assert subspace_gap(fast.basis, list(exact.T)) <= 1e-8
+            else:
+                assert fast.nullity == n
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_benchmark_pairs(self, n):
+        rng = np.random.default_rng(60 + n)
+        for (A, B), nullity in benchmark_pairs(rng, n):
+            assert assert_routes_agree(A, B).nullity == nullity
+
+    def test_similarity_invariance(self):
+        # nullity of Com(S A S^-1, B) = nullity of Com(A, B), on the Schur route
+        rng = np.random.default_rng(70)
+        n = 24
+        for (A, B), nullity in benchmark_pairs(rng, n):
+            assert n * n > _KRONECKER_MAX
+            assert commutant_basis(A, B).nullity == nullity
+            assert commutant_basis(conjugated(rng, A)[0], B).nullity == nullity
+            assert commutant_basis(A, conjugated(rng, B)[0]).nullity == nullity
+
+    def test_refuses_oversized_cluster(self):
+        with pytest.raises(ValueError, match="4225 rows"):
+            commutant_basis(2.0 * np.eye(65), 2.0 * np.eye(65))
 
 
 class TestFpProperty:

@@ -1,13 +1,18 @@
 """Tests for matrix document round-trips and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from math import inf
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aluthge.cli import main
-from aluthge.generate import ginibre
+from aluthge.generate import ginibre, normal_pair
 from aluthge.matrixio import (
     matrix_from_doc,
     matrix_to_doc,
@@ -54,6 +59,23 @@ class TestMatrixIO:
     def test_bad_entry_rejected(self):
         with pytest.raises(ValueError, match="entry 0"):
             matrix_from_doc({"rows": 1, "cols": 1, "data": [[1.0]]})
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((1.0, 2.0), "entry 2 must be a"),
+            ([1.0, 2.0, 3.0], "entry 2 must be a"),
+            ([True, 0.0], "entry 2 must be a"),
+            ([0.0, "1"], "entry 2 must be a"),
+            ([None, 0.0], "entry 2 must be a"),
+            ([0.0, float("nan")], "entry 2 must be finite"),
+            ([float("-inf"), 0.0], "entry 2 must be finite"),
+        ],
+    )
+    def test_first_faulty_entry_named(self, entry, message):
+        data = [[1.0, 0.0], [2, -3], entry, [float("nan"), 0.0], [False, 0.0]]
+        with pytest.raises(ValueError, match=message):
+            matrix_from_doc({"rows": 1, "cols": 5, "data": data})
 
     def test_named_collection_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -171,6 +193,29 @@ class TestCli:
         assert captured.out == "" and "error:" in captured.err
         assert not out.exists()
 
+    def test_integer_beyond_double_range_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}')
+        assert main(["schatten", str(path), "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_out_of_memory_is_usage_error(self, pair_file, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("aluthge.cli.fp_property", exhausted)
+        assert main(["fp-check", pair_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_oversized_commutant_is_usage_error(self, tmp_path, capsys):
+        # A = B = 2I at n = 65 puts all 65 * 65 unknowns in one cluster block.
+        write_matrices(tmp_path / "pair.json", {"A": 2.0 * np.eye(65), "B": 2.0 * np.eye(65)})
+        assert main(["commutant", str(tmp_path / "pair.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "4225 rows" in captured.err
+
     def test_suite_pass_and_exit_codes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["suite", "prop29", "--trials", "5", "--seed", "3", "--out", str(out)]) == 0
@@ -223,3 +268,27 @@ class TestCli:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix_to_doc(np.eye(2)))))
         assert main(["schatten", "-", "--p", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["norm"] == pytest.approx(2.0)
+
+
+def test_small_work_does_not_import_scipy(tmp_path):
+    # Only the Schur commutant route (n1 * n2 > 512) imports scipy, so the
+    # package import, a small suite and a small CLI call never pay for it.
+    path = tmp_path / "pair.json"
+    A, B = normal_pair(np.random.default_rng(0), 12)
+    write_matrices(path, {"A": A, "B": B})
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import aluthge
+        assert "scipy" not in sys.modules, "import aluthge"
+        aluthge.run_suite("thm33", 1, 3)
+        assert "scipy" not in sys.modules, "run_suite"
+        from aluthge.cli import main
+        main(["fp-check", {str(path)!r}])
+        assert "scipy" not in sys.modules, "fp-check"
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
