@@ -3,9 +3,9 @@
 Com(A, B) is the linear space of matrices X with AX = XB. Small pairs
 take the numerical nullspace of the Kronecker linearization of
 X -> AX - XB; larger ones reduce both matrices to Schur form and solve
-only the eigenvalue clusters the two spectra share (Bartels-Stewart;
-by Rosenblum's theorem the other clusters contribute nothing). On top
-of the basis sit the adjoint-intertwining
+only the pairs of eigenvalue groups that the two spectra may share
+(Bartels-Stewart; by Rosenblum's theorem the other pairs contribute
+nothing). On top of the basis sit the adjoint-intertwining
 (FP-property) verdict, subspace inclusion tests, the polar-part
 intertwining identities, hyponormality classifiers and reducing
 subspace checks.
@@ -106,8 +106,8 @@ def sylvester_matrix(A, B) -> np.ndarray:
 # Pairs with n1 * n2 up to this size take the Kronecker SVD, which there
 # costs no more than importing scipy for the Schur route (about 0.3 s).
 _KRONECKER_MAX = 512
-# Largest cluster block (rows of its Kronecker matrix) the Schur route solves.
-_CLUSTER_MAX = 4096
+# Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
+_BLOCK_MAX = 4096
 
 
 def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
@@ -115,11 +115,11 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
 
     Pairs with n1 * n2 <= 512 take the SVD of the Kronecker
     linearization: singular values at or below ``rank_rel`` times the
-    largest count as zero. Larger pairs solve only the eigenvalue
-    clusters shared by A and B on their Schur forms, with the cut
-    ``rank_rel`` times a shift-invariant bound on that largest value;
-    a shared cluster whose block would exceed 4096 rows raises
-    ``ValueError``.
+    largest count as zero. Larger pairs solve only the pairs of
+    eigenvalue groups of A and B that may share a solution, on their
+    Schur forms, with the cut ``rank_rel`` times a shift-invariant bound
+    on that largest value; a pair whose block would exceed 4096 rows
+    raises ``ValueError``.
     """
     A = as_square(A)
     B = as_square(B)
@@ -139,49 +139,42 @@ def _kronecker_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commu
 
 
 def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
-    """Solve AX = XB cluster by cluster on the complex Schur forms of A and B*.
+    """Solve AX = XB group by group on the complex Schur forms of A and B*.
 
-    Eigenvalues of A and B are grouped by single linkage with gap
-    ``rank_rel**0.25 * scale``, wide enough to keep together the
-    eps^(1/m) splitting of a defective eigenvalue of multiplicity m.
-    For a shared cluster, R (leading Schur vectors of A) and K (of B*)
-    span the cluster's invariant subspaces after one reordering, and
-    X = R Z K* solves the pair exactly when T Z = Z S with T = R*AR and
-    S = K*BK. The small block's SVD makes the rank decision, so a gap
-    too coarse costs time, not correctness. The lift is an isometry;
-    one QR makes elements from different clusters orthonormal.
+    The spectra of A and of B* are split into well-conditioned groups
+    (see :func:`_spectral_groups`). For a group of A with invariant
+    basis R and compression T = R*AR, and one of B* with basis K and
+    S = K*BK, X = R Z K* solves the pair exactly when T Z = Z S. A pair
+    of groups is dropped only when ``|c - d| - ||T - cI||_F -
+    ||S - dI||_F`` (c, d the mean eigenvalues) exceeds the gap
+    ``rank_rel**0.25 * scale``. That is a lower bound on the smallest
+    singular value of Z -> TZ - ZS however roundoff scatters the
+    eigenvalues, and the well-conditioned groups keep the pairs
+    decoupled, so by Rosenblum's theorem a dropped pair holds no
+    solution. Every other pair takes the SVD of its small Kronecker
+    block, which makes the rank decision. The lift is an isometry; one
+    QR makes elements from different pairs orthonormal.
     """
-    from scipy.linalg import schur
-    from scipy.linalg.lapack import ztrsen
-
     n1, n2 = A.shape[0], B.shape[0]
     # ||A - cI|| + ||B - cI|| bounds ||L|| and is invariant under a shift, a
     # positive scaling and a unitary similarity of the pair.
     c = (np.trace(A) + np.trace(B)) / (n1 + n2)
     scale = op_norm(A - c * np.eye(n1)) + op_norm(B - c * np.eye(n2))
-    Ta, Qa = schur(A, output="complex")
-    Tb, Qb = schur(adjoint(B), output="complex")
-    ev = np.concatenate([np.diag(Ta), np.diag(Tb).conj()])
-    # Every shared block is sized before any is solved, so a refusal costs no solve.
-    shared = []
-    for members in _single_linkage(ev, tol.rank_rel**0.25 * scale):
-        in_a, in_b = members[:n1], members[n1:]
-        rows = int(in_a.sum()) * int(in_b.sum())
-        if rows > _CLUSTER_MAX:
-            raise ValueError(
-                f"commutant cluster block has {rows} rows, above the {_CLUSTER_MAX} the Schur route solves"
-            )
-        if rows:
-            shared.append((in_a, in_b))
+    gap = tol.rank_rel**0.25 * scale
+    groups_a = _spectral_groups(A, gap, tol.rank_rel**0.25)
+    groups_b = [(K, adjoint(U)) for K, U in _spectral_groups(adjoint(B), gap, tol.rank_rel**0.25)]
+    ca, ra = _centers_radii(groups_a)
+    cb, rb = _centers_radii(groups_b)
+    bound = np.abs(np.subtract.outer(ca, cb)) - np.add.outer(ra, rb)
+    pairs = [(*groups_a[i], *groups_b[j]) for i, j in np.argwhere(bound <= gap)]
+    # Every kept block is sized before any is solved, so a refusal costs no solve.
+    rows = max((len(T) * len(S) for _, T, _, S in pairs), default=0)
+    if rows > _BLOCK_MAX:
+        raise ValueError(f"commutant group block has {rows} rows, above the {_BLOCK_MAX} the Schur route solves")
     lifts = []
-    for in_a, in_b in shared:
-        ma, mb = int(in_a.sum()), int(in_b.sum())
-        R = ztrsen(in_a.astype(np.int32), Ta, Qa, job="N")[1][:, :ma]
-        K = ztrsen(in_b.astype(np.int32), Tb, Qb, job="N")[1][:, :mb]
-        T = adjoint(R) @ A @ R
-        S = adjoint(K) @ B @ K
+    for R, T, K, S in pairs:
         _, s, Vh = np.linalg.svd(sylvester_matrix(T, S))
-        Z = Vh[s <= tol.rank_rel * scale].conj().reshape((-1, mb, ma)).transpose(0, 2, 1)
+        Z = Vh[s <= tol.rank_rel * scale].conj().reshape((-1, len(S), len(T))).transpose(0, 2, 1)
         if len(Z):
             lifts.append(R @ Z @ adjoint(K))
     X = np.concatenate(lifts) if lifts else np.zeros((0, n1, n2), dtype=complex)
@@ -189,6 +182,49 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
         Q, _ = np.linalg.qr(X.reshape(len(X), -1).T)
         X = Q.T.reshape(-1, n1, n2)
     return _basis_of(A, B, list(X))
+
+
+def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split the spectrum of M into groups and return each as (R, R*MR).
+
+    R is an orthonormal basis of the group's invariant subspace, read
+    from one Schur form reordered by ``ztrsen``. Eigenvalues start in
+    single-linkage clusters within ``gap``. A group whose reciprocal
+    condition number (1 / the norm of its spectral projector) is below
+    ``s_min`` merges with its nearest group and is tested again. That
+    keeps together the eigenvalues a defective eigenvalue splits into,
+    however far roundoff scatters them, and keeps the block
+    diagonalization behind the drop rule well conditioned.
+    """
+    from scipy.linalg import schur
+    from scipy.linalg.lapack import ztrsen
+
+    T, Q = schur(M, output="complex")
+    n = len(T)
+    ev = np.diag(T)
+    dist = np.abs(ev[:, None] - ev[None, :])
+    clusters = _single_linkage(ev, gap)
+    groups = []
+    while clusters:
+        members = clusters.pop()
+        m = int(members.sum())
+        # s is 1 when the group holds the whole spectrum, so a merge always has a partner.
+        Ts, Qs, _, _, s, _, _ = ztrsen(members.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (n - m)))
+        if s >= s_min:
+            groups.append((members, Qs[:, :m], Ts[:m, :m]))
+            continue
+        others = clusters + [g[0] for g in groups]
+        k = int(np.argmin([dist[np.ix_(members, other)].min() for other in others]))
+        other = clusters.pop(k) if k < len(clusters) else groups.pop(k - len(clusters))[0]
+        clusters.append(members | other)
+    return [(R, TR) for _, R, TR in groups]
+
+
+def _centers_radii(groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean eigenvalue c and ||T - cI||_F of each group's compression T."""
+    centers = np.array([np.trace(T) / len(T) for _, T in groups])
+    radii = np.array([fro_norm(T - c * np.eye(len(T))) for (_, T), c in zip(groups, centers)])
+    return centers, radii
 
 
 def _single_linkage(points: np.ndarray, gap: float) -> list[np.ndarray]:

@@ -52,6 +52,13 @@ def _is_pair(entry) -> bool:
     )
 
 
+def _to_double(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf
+
+
 def matrix_from_doc(doc) -> np.ndarray:
     """Parse and validate a matrix document."""
     if not isinstance(doc, dict):
@@ -68,7 +75,11 @@ def matrix_from_doc(doc) -> np.ndarray:
         raise ValueError(f"field 'data' has length {len(data)}, expected rows*cols = {rows * cols}")
     # The first faulty entry is reported, whether it is malformed or non-finite.
     malformed = next((k for k, entry in enumerate(data) if not _is_pair(entry)), len(data))
-    pairs = np.array(data[:malformed], dtype=np.float64).reshape(-1, 2)
+    try:
+        pairs = np.array(data[:malformed], dtype=np.float64).reshape(-1, 2)
+    except OverflowError:
+        # An integer beyond the double range; it or an earlier entry is named below.
+        pairs = np.array([[_to_double(re), _to_double(im)] for re, im in data[:malformed]]).reshape(-1, 2)
     finite = np.isfinite(pairs).all(axis=1)
     if not finite.all():
         raise ValueError(f"field 'data' entry {int(np.argmin(finite))} must be finite")

@@ -162,6 +162,27 @@ def separated(rng, count, avoid=0.0):
     return z[np.abs(z - avoid) >= 0.3][:count]
 
 
+def jordan_plus(size, lam, rest):
+    """J_size(lam) followed by the diagonal of ``rest``."""
+    J = np.diag(np.concatenate([np.full(size, lam), rest]))
+    J[np.arange(size - 1), np.arange(1, size)] = 1.0
+    return J
+
+
+def jordan_pair(rng, n, a, b, lam=0.3 + 0.2j):
+    """Conjugated J_a(lam) + D and J_b(lam) + D' at size n, and dim Com.
+
+    D and D' share min(3, n - a, n - b) values, so dim Com is min(a, b)
+    plus that count.
+    """
+    shared = min(3, n - a, n - b)
+    pool = separated(rng, 2 * n, avoid=lam)
+    rest_b = np.concatenate([pool[:shared], pool[n : 2 * n - b - shared]])
+    A = conjugated(rng, jordan_plus(a, lam, pool[: n - a]))[0]
+    B = conjugated(rng, jordan_plus(b, lam, rest_b))[0]
+    return A, B, min(a, b) + shared
+
+
 def benchmark_pairs(rng, n):
     """A normal pair whose eigenvalues all have multiplicity 4, and a similarity pair."""
     ev = np.repeat(separated(rng, n // 4), 4)
@@ -203,18 +224,34 @@ class TestCommutantRoutes:
 
     @pytest.mark.parametrize("a", range(1, 6))
     def test_jordan_blocks(self, a):
-        # J_a(lam) + D against J_b(lam) + D', where D and D' share three
-        # values, so dim Com = min(a, b) + 3.
-        n, lam = 20, 0.3 + 0.2j
+        n = 20
         rng = np.random.default_rng(41 + a)
         for b in range(1, 6):
-            pool = separated(rng, 2 * n, avoid=lam)
-            pair = []
-            for size, rest in ((a, pool[: n - a]), (b, np.concatenate([pool[:3], pool[n : 2 * n - b - 3]]))):
-                J = np.diag(np.concatenate([np.full(size, lam), rest]))
-                J[np.arange(size - 1), np.arange(1, size)] = 1.0
-                pair.append(conjugated(rng, J)[0])
-            assert assert_routes_agree(*pair).nullity == min(a, b) + 3
+            A, B, nullity = jordan_pair(rng, n, a, b)
+            assert assert_routes_agree(A, B).nullity == nullity
+
+    @pytest.mark.parametrize("a", [8, 12, 16, 24])
+    def test_large_jordan_blocks(self, a):
+        # Roundoff scatters the eigenvalues of a conjugated J_m(lam) over a
+        # circle of radius about eps^(1/m), 0.2 at m = 24: far wider than the
+        # linkage gap, so the blocks stay whole only by their conditioning.
+        # Where L's smallest singular value above the cut (sep) is small, the
+        # oracle's own subspace error eps ||L|| / sep (Wedin) bounds the gap.
+        n, eps = 24, np.finfo(float).eps
+
+        def agree(A, B):
+            s = np.linalg.svd(sylvester_matrix(A, B), compute_uv=False)
+            sep = s[s > DEFAULT_TOL.rank_rel * s[0]].min()
+            return assert_routes_agree(A, B, gap_bound=1e-8 + 10 * eps * s[0] / sep)
+
+        rng = np.random.default_rng(80 + a)
+        for b in (8, 16, 24):
+            A, B, nullity = jordan_pair(rng, n, a, b)
+            assert agree(A, B).nullity == nullity
+        # Com(A, A) always holds I.
+        V = stacked(agree(A, A).basis)
+        e = np.eye(n).reshape(-1) / np.sqrt(n)
+        assert np.linalg.norm(e - V.T @ (V.conj() @ e)) <= 1e-8
 
     def test_near_coincident_eigenvalues(self):
         # B repeats A's spectrum with five values moved by delta. At or

@@ -70,12 +70,17 @@ class TestMatrixIO:
             ([None, 0.0], "entry 2 must be a"),
             ([0.0, float("nan")], "entry 2 must be finite"),
             ([float("-inf"), 0.0], "entry 2 must be finite"),
+            ([0.0, -(10**400)], "entry 2 must be finite"),
         ],
     )
     def test_first_faulty_entry_named(self, entry, message):
         data = [[1.0, 0.0], [2, -3], entry, [float("nan"), 0.0], [False, 0.0]]
         with pytest.raises(ValueError, match=message):
             matrix_from_doc({"rows": 1, "cols": 5, "data": data})
+
+    def test_non_finite_entry_before_huge_integer_named(self):
+        with pytest.raises(ValueError, match="entry 0 must be finite"):
+            matrix_from_doc({"rows": 2, "cols": 1, "data": [[float("nan"), 0.0], [10**400, 0.0]]})
 
     def test_named_collection_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -210,7 +215,7 @@ class TestCli:
         assert captured.out == "" and captured.err.startswith("error:")
 
     def test_oversized_commutant_is_usage_error(self, tmp_path, capsys):
-        # A = B = 2I at n = 65 puts all 65 * 65 unknowns in one cluster block.
+        # A = B = 2I at n = 65 puts all 65 * 65 unknowns in one group block.
         write_matrices(tmp_path / "pair.json", {"A": 2.0 * np.eye(65), "B": 2.0 * np.eye(65)})
         assert main(["commutant", str(tmp_path / "pair.json")]) == 2
         captured = capsys.readouterr()
