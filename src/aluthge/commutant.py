@@ -108,6 +108,12 @@ def sylvester_matrix(A, B) -> np.ndarray:
 _KRONECKER_MAX = 512
 # Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
 _BLOCK_MAX = 4096
+# Largest basis (nullity * n1 * n2 complex entries, 512 MiB) the Schur route
+# builds. With the QR fallback and the residual checks the peak is a few
+# times that, which stays well inside a machine with a few GB of memory.
+_BASIS_MAX = 2**25
+# Complex entries per temporary array of the stacked residual check (8 MiB).
+_RESIDUAL_CHUNK = 2**19
 
 
 def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
@@ -118,7 +124,8 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     largest count as zero. Larger pairs solve only the pairs of
     eigenvalue groups of A and B that may share a solution, on their
     Schur forms, with the cut ``rank_rel`` times a shift-invariant bound
-    on that largest value; a pair whose block would exceed 4096 rows
+    on that largest value; a pair whose block would exceed 4096 rows,
+    or a basis of more than 2**25 complex entries (nullity * n1 * n2),
     raises ``ValueError``.
     """
     A = as_square(A)
@@ -135,7 +142,7 @@ def _kronecker_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commu
     _, s, Vh = np.linalg.svd(L)
     smax = float(s[0])
     null_rows = Vh[s <= tol.rank_rel * smax]
-    return _basis_of(A, B, [row.conj().reshape((n1, n2), order="F") for row in null_rows])
+    return _basis_of(A, B, null_rows.conj().reshape((-1, n2, n1)).transpose(0, 2, 1))
 
 
 def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
@@ -152,8 +159,11 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     eigenvalues, and the well-conditioned groups keep the pairs
     decoupled, so by Rosenblum's theorem a dropped pair holds no
     solution. Every other pair takes the SVD of its small Kronecker
-    block, which makes the rank decision. The lift is an isometry; one
-    QR makes elements from different pairs orthonormal.
+    block, which makes the rank decision. The lift is an isometry, so
+    the lifts of one pair are orthonormal. Lifts of different pairs are
+    orthogonal when their groups' invariant subspaces are, as for a
+    normal pair; :func:`_cross_gram_bound` decides that from the small
+    factors, and only otherwise one QR makes the lifts orthonormal.
     """
     n1, n2 = A.shape[0], B.shape[0]
     # ||A - cI|| + ||B - cI|| bounds ||L|| and is invariant under a shift, a
@@ -166,22 +176,81 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     ca, ra = _centers_radii(groups_a)
     cb, rb = _centers_radii(groups_b)
     bound = np.abs(np.subtract.outer(ca, cb)) - np.add.outer(ra, rb)
-    pairs = [(*groups_a[i], *groups_b[j]) for i, j in np.argwhere(bound <= gap)]
+    pairs = np.argwhere(bound <= gap)
     # Every kept block is sized before any is solved, so a refusal costs no solve.
-    rows = max((len(T) * len(S) for _, T, _, S in pairs), default=0)
+    rows = max((len(groups_a[i][1]) * len(groups_b[j][1]) for i, j in pairs), default=0)
     if rows > _BLOCK_MAX:
         raise ValueError(f"commutant group block has {rows} rows, above the {_BLOCK_MAX} the Schur route solves")
-    lifts = []
-    for R, T, K, S in pairs:
+    solved = []
+    for i, j in pairs:
+        T, S = groups_a[i][1], groups_b[j][1]
         _, s, Vh = np.linalg.svd(sylvester_matrix(T, S))
         Z = Vh[s <= tol.rank_rel * scale].conj().reshape((-1, len(S), len(T))).transpose(0, 2, 1)
         if len(Z):
-            lifts.append(R @ Z @ adjoint(K))
-    X = np.concatenate(lifts) if lifts else np.zeros((0, n1, n2), dtype=complex)
-    if len(lifts) > 1:
-        Q, _ = np.linalg.qr(X.reshape(len(X), -1).T)
+            solved.append((i, j, Z))
+    nullity = sum(len(Z) for _, _, Z in solved)
+    # The basis is sized before any lift is built, so a refusal allocates nothing large.
+    if nullity * n1 * n2 > _BASIS_MAX:
+        raise ValueError(
+            f"commutant basis has {nullity} elements of size {n1}x{n2} ({nullity * n1 * n2} entries), "
+            f"above the {_BASIS_MAX} the Schur route builds"
+        )
+    X = np.empty((nullity, n1, n2), dtype=complex)
+    start = 0
+    for i, j, Z in solved:
+        np.matmul(groups_a[i][0] @ Z, adjoint(groups_b[j][0]), out=X[start : start + len(Z)])
+        start += len(Z)
+    if _cross_gram_bound(groups_a, groups_b, solved) > nullity * np.finfo(float).eps:
+        Q, _ = np.linalg.qr(X.reshape(nullity, -1).T)
         X = Q.T.reshape(-1, n1, n2)
-    return _basis_of(A, B, list(X))
+    return _basis_of(A, B, X)
+
+
+def _cross_gram_bound(
+    groups_a: list[tuple[np.ndarray, np.ndarray]],
+    groups_b: list[tuple[np.ndarray, np.ndarray]],
+    solved: list[tuple[int, int, np.ndarray]],
+) -> float:
+    """Bound the Frobenius norm of the lifts' Gram matrix outside its per-pair blocks.
+
+    A lift of group pair (i, j) is R_i Z K_j* with orthonormal Z, so
+    <R_i Z K_j*, R_k W K_l*> = tr(Z* (R_i*R_k) W (K_l*K_j)). By Bessel's
+    inequality the block of pairs p and q then has Frobenius norm at
+    most sqrt(min(k_p, k_q)) ||R_i*R_k|| ||K_l*K_j|| for k_p and k_q
+    solutions, with the norm of R_i*R_i taken as 1 and any other factor
+    bounded by its Frobenius norm. One product R*R over the distinct
+    groups of A gives every cross factor, and one K*K those of B*.
+
+    The caller skips the QR when this bound is at most nullity * eps.
+    Householder QR itself returns a Q whose Q*Q is off the identity by
+    about that much, and the per-pair blocks are off it only by the
+    roundoff of an isometric lift, so such lifts are as orthonormal as
+    the QR's output would be. For a normal pair every cross factor sits
+    at roundoff and two pairs that share no group multiply two of them:
+    the bound is about 1e-28 on normal pairs up to n = 128, while the
+    oblique invariant subspaces of a similarity pair put it at 0.25-0.28
+    on the n = 24 and n = 32 pairs of the commutant benchmark.
+    """
+    if len(solved) < 2:
+        return 0.0
+    ua, pa = np.unique([i for i, _, _ in solved], return_inverse=True)
+    ub, pb = np.unique([j for _, j, _ in solved], return_inverse=True)
+    a = _cross_norms([groups_a[i][0] for i in ua])[np.ix_(pa, pa)]
+    b = _cross_norms([groups_b[j][0] for j in ub])[np.ix_(pb, pb)]
+    counts = np.array([len(Z) for _, _, Z in solved])
+    mass = np.minimum.outer(counts, counts) * (a * b) ** 2
+    np.fill_diagonal(mass, 0.0)
+    return float(np.sqrt(mass.sum()))
+
+
+def _cross_norms(bases: list[np.ndarray]) -> np.ndarray:
+    """||R_g* R_h||_F for every two of the orthonormal bases, and 1 on the diagonal."""
+    starts = np.cumsum([0] + [R.shape[1] for R in bases[:-1]])
+    R = np.concatenate(bases, axis=1)
+    squares = np.abs(adjoint(R) @ R) ** 2
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(squares, starts, axis=0), starts, axis=1))
+    np.fill_diagonal(norms, 1.0)
+    return norms
 
 
 def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -211,7 +280,8 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
         # s is 1 when the group holds the whole spectrum, so a merge always has a partner.
         Ts, Qs, _, _, s, _, _ = ztrsen(members.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (n - m)))
         if s >= s_min:
-            groups.append((members, Qs[:, :m], Ts[:m, :m]))
+            # Copies, so a group does not keep the whole reordered Schur form alive.
+            groups.append((members, Qs[:, :m].copy(), Ts[:m, :m].copy()))
             continue
         others = clusters + [g[0] for g in groups]
         k = int(np.argmin([dist[np.ix_(members, other)].min() for other in others]))
@@ -245,15 +315,34 @@ def _single_linkage(points: np.ndarray, gap: float) -> list[np.ndarray]:
     return clusters
 
 
-def _basis_of(A: np.ndarray, B: np.ndarray, basis: list[np.ndarray]) -> CommutantBasis:
+def _basis_of(A: np.ndarray, B: np.ndarray, X: np.ndarray) -> CommutantBasis:
+    """Package a (nullity, n1, n2) stack of basis elements with their residuals."""
     n1, n2 = A.shape[0], B.shape[0]
-    residuals = [fro_norm(A @ X - X @ B) for X in basis]
     return CommutantBasis(
         dim_domain=(n2, n1),
-        basis=basis,
-        residuals=residuals,
-        nullity=len(basis),
+        basis=list(X),
+        residuals=_residual_norms(A, B, X).tolist(),
+        nullity=len(X),
     )
+
+
+def _residual_norms(A: np.ndarray, B: np.ndarray, Xs) -> np.ndarray:
+    """Frobenius norm of A X - X B for every X of a stack or list, in bounded chunks.
+
+    Each chunk of X takes one batched product on each side, and a
+    temporary holds at most max(``_RESIDUAL_CHUNK``, n1 * n2) entries.
+    Like :func:`fro_norm`, it rejects a residual with a non-finite entry.
+    """
+    norms = np.empty(len(Xs))
+    step = max(1, _RESIDUAL_CHUNK // (A.shape[0] * B.shape[0]))
+    for start in range(0, len(Xs), step):
+        chunk = np.asarray(Xs[start : start + step])
+        D = (A @ chunk - chunk @ B).reshape(len(chunk), -1).view(np.float64)
+        part = np.sqrt(np.einsum("ij,ij->i", D, D))
+        if not np.isfinite(part).all() and not np.isfinite(D).all():
+            raise ValueError("matrix entries must be finite (no NaN or Inf)")
+        norms[start : start + len(chunk)] = part
+    return norms
 
 
 def fp_property(A, B, tol: Tolerances = DEFAULT_TOL) -> FpReport:
@@ -292,10 +381,11 @@ def basis_inclusion(cb: CommutantBasis, A2: np.ndarray, B2: np.ndarray, tol: Tol
     threshold = tol.residual_rel * (op_norm(A2) + op_norm(B2))
     worst = 0.0
     witness = None
-    for X in cb.basis:
-        r = fro_norm(A2 @ X - X @ B2)
-        if r >= worst:
-            worst, witness = r, X
+    residuals = _residual_norms(A2, B2, cb.basis)
+    if len(residuals):
+        # The last element with the largest residual is the witness.
+        k = len(residuals) - 1 - int(np.argmax(residuals[::-1]))
+        worst, witness = float(residuals[k]), cb.basis[k]
     holds = bool(worst <= threshold)
     return FpReport(
         holds=holds,
@@ -407,11 +497,7 @@ def squared_angular_criterion(A, B, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     U, V = fa.angular(), fb.angular()
     left = fp_property(fa.transform(0.5, 0.5), fb.transform(0.5, 0.5), tol).holds
     cb = commutant_basis(A, B, tol)
-    U2 = U @ U
-    V2 = V @ V
-    worst = 0.0
-    for X in cb.basis:
-        worst = max(worst, fro_norm(U2 @ X - X @ V2))
+    worst = float(_residual_norms(U @ U, V @ V, cb.basis).max(initial=0.0))
     threshold = 2.0 * tol.residual_rel
     right = bool(worst <= threshold)
     return CheckReport(

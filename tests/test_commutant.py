@@ -6,8 +6,11 @@ import pytest
 from aluthge.commutant import (
     BOTH_HYPONORMAL,
     NEITHER_HYPONORMAL,
+    _BASIS_MAX,
     _KRONECKER_MAX,
+    CommutantBasis,
     _kronecker_commutant,
+    _residual_norms,
     _schur_commutant,
     aluthge_intertwiner_map,
     basis_inclusion,
@@ -301,6 +304,80 @@ class TestCommutantRoutes:
         with pytest.raises(ValueError, match="4225 rows"):
             commutant_basis(2.0 * np.eye(65), 2.0 * np.eye(65))
 
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("multiplicity", [1, 4])
+    def test_large_normal_pairs_skip_the_qr(self, n, multiplicity, monkeypatch):
+        # The invariant subspaces of a normal pair are orthogonal, so the
+        # lifts of different group pairs already are: no QR, and the basis is
+        # still orthonormal with every residual in tolerance.
+        rng = np.random.default_rng(90 + n + multiplicity)
+        ev = np.repeat(separated(rng, n // multiplicity), multiplicity)
+        Qa, Qb = random_unitary(rng, n), random_unitary(rng, n)
+        A = Qa @ (ev[:, None] * Qa.conj().T)
+        B = Qb @ (rng.permutation(ev)[:, None] * Qb.conj().T)
+        qr_calls = count_qr_calls(monkeypatch)
+        cb = _schur_commutant(A, B, DEFAULT_TOL)
+        assert not qr_calls
+        assert cb.nullity == len(cb.basis) == n * multiplicity
+        V = stacked(cb.basis)
+        np.testing.assert_allclose(V.conj() @ V.T, np.eye(cb.nullity), atol=1e-12)
+        thr = DEFAULT_TOL.residual_rel * (op_norm(A) + op_norm(B))
+        assert max(cb.residuals) <= thr
+        assert max(fro_norm(A @ X - X @ B) for X in cb.basis) <= thr
+
+    def test_non_orthogonal_lifts_take_the_qr(self, monkeypatch):
+        # The invariant subspaces of a similarity pair are oblique, so the
+        # lifts of different group pairs overlap and only the QR makes them
+        # orthonormal.
+        rng = np.random.default_rng(64)
+        _, ((A, B), nullity) = benchmark_pairs(rng, 24)
+        qr_calls = count_qr_calls(monkeypatch)
+        assert assert_routes_agree(A, B).nullity == nullity
+        assert len(qr_calls) == 1
+
+    def test_refuses_oversized_basis(self, monkeypatch):
+        # A normal pair at n = 24 with multiplicity 4 has 96 elements of
+        # 24 x 24: 55296 entries, refused only once the cap is below that.
+        rng = np.random.default_rng(65)
+        ((A, B), nullity), _ = benchmark_pairs(rng, 24)
+        assert nullity * 24 * 24 == 55296 <= _BASIS_MAX
+        monkeypatch.setattr("aluthge.commutant._BASIS_MAX", 55296)
+        assert commutant_basis(A, B).nullity == nullity
+        monkeypatch.setattr("aluthge.commutant._BASIS_MAX", 55295)
+        with pytest.raises(ValueError, match="96 elements of size 24x24 \\(55296 entries\\)"):
+            commutant_basis(A, B)
+
+
+def count_qr_calls(monkeypatch):
+    """Record every ``np.linalg.qr`` call from here on."""
+    calls = []
+    qr = np.linalg.qr
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return calls
+
+
+class TestResidualNorms:
+    def test_matches_per_element_norms_across_chunks(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        A, B = ginibre(rng, 5), ginibre(rng, 3)
+        Xs = np.stack([ginibre(rng, 5, 3) for _ in range(7)])
+        expected = [fro_norm(A @ X - X @ B) for X in Xs]
+        for chunk in (15, 30, 2**19):
+            monkeypatch.setattr("aluthge.commutant._RESIDUAL_CHUNK", chunk)
+            np.testing.assert_allclose(_residual_norms(A, B, Xs), expected, rtol=1e-13)
+            np.testing.assert_allclose(_residual_norms(A, B, list(Xs)), expected, rtol=1e-13)
+        assert _residual_norms(A, B, []).shape == (0,)
+
+    def test_rejects_overflowing_residual(self):
+        A = np.diag([1e308, 1.0]).astype(complex)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            _residual_norms(A, np.eye(2), [10.0 * np.eye(2)])
+
 
 class TestFpProperty:
     def test_normal_pairs_hold(self):
@@ -382,6 +459,16 @@ class TestComInclusion:
             com_inclusion(np.eye(2), np.eye(2), np.eye(3), np.eye(2))
         with pytest.raises(ValueError, match="mismatched"):
             com_inclusion(np.eye(2), np.eye(3), np.eye(2), np.eye(2))
+
+    def test_last_of_tied_residuals_is_witness(self):
+        # Against (diag(1, 2), 0) the residual of E_ij is the i-th diagonal
+        # entry: 2, 1, 2 here, so the first and last elements tie.
+        E = np.eye(2)
+        basis = [np.outer(E[1], E[0]), np.outer(E[0], E[0]), np.outer(E[1], E[1])]
+        cb = CommutantBasis(dim_domain=(2, 2), basis=basis, residuals=[0.0] * 3, nullity=3)
+        rep = basis_inclusion(cb, np.diag([1.0, 2.0]).astype(complex), np.zeros((2, 2), dtype=complex))
+        assert not rep.holds and rep.max_residual == 2.0
+        assert rep.witness is basis[2]
 
     @pytest.mark.parametrize("holding", [True, False])
     def test_solved_basis_matches_one_shot(self, holding):
@@ -491,6 +578,16 @@ class TestSquaredAngularCriterion:
         rep = squared_angular_criterion(A, B)
         assert rep.ok
         assert rep.details["transformed_pair_fp"] and rep.details["squared_intertwine"]
+
+    def test_worst_residual_over_the_basis(self):
+        # Com(A, A) of the counterexample holds elements that the squared
+        # angular part does not commute with.
+        U = polar_decompose(FP_FAIL_A).angular
+        rep = squared_angular_criterion(FP_FAIL_A, FP_FAIL_A)
+        worst = max(fro_norm(U @ U @ X - X @ U @ U) for X in commutant_basis(FP_FAIL_A, FP_FAIL_A).basis)
+        assert rep.max_residual == pytest.approx(worst, rel=1e-12)
+        assert rep.threshold == 2.0 * DEFAULT_TOL.residual_rel
+        assert rep.details["squared_intertwine"] is (worst <= rep.threshold)
 
     def test_trivial_commutant_vacuous(self):
         rep = squared_angular_criterion(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))

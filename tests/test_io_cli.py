@@ -221,6 +221,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "4225 rows" in captured.err
 
+    def test_oversized_commutant_basis_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # Six eigenvalues of multiplicity 4 at n = 24: 96 elements of 24 x 24.
+        Q = np.linalg.qr(ginibre(np.random.default_rng(0), 24))[0]
+        A = Q @ (np.repeat(np.arange(1.0, 7.0), 4)[:, None] * Q.conj().T)
+        write_matrices(tmp_path / "pair.json", {"A": A, "B": A})
+        monkeypatch.setattr("aluthge.commutant._BASIS_MAX", 55295)
+        assert main(["commutant", str(tmp_path / "pair.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "96 elements of size 24x24 (55296 entries)" in captured.err
+
     def test_suite_pass_and_exit_codes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["suite", "prop29", "--trials", "5", "--seed", "3", "--out", str(out)]) == 0
@@ -277,7 +288,8 @@ class TestCli:
 
 def test_small_work_does_not_import_scipy(tmp_path):
     # Only the Schur commutant route (n1 * n2 > 512) imports scipy, so the
-    # package import, a small suite and a small CLI call never pay for it.
+    # package import, a small suite, a small CLI call and a pair right at
+    # the crossover never pay for it.
     path = tmp_path / "pair.json"
     A, B = normal_pair(np.random.default_rng(0), 12)
     write_matrices(path, {"A": A, "B": B})
@@ -291,6 +303,10 @@ def test_small_work_does_not_import_scipy(tmp_path):
         from aluthge.cli import main
         main(["fp-check", {str(path)!r}])
         assert "scipy" not in sys.modules, "fp-check"
+        import numpy as np
+        cb = aluthge.commutant_basis(np.diag(np.arange(16.0)), np.diag(np.arange(32.0)))
+        assert cb.nullity == 16, cb.nullity
+        assert "scipy" not in sys.modules, "commutant_basis at n1 * n2 = 512"
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
