@@ -7,18 +7,12 @@ verification suites behind a small CLI.
 """
 
 from .commutant import (
-    BOTH_HYPONORMAL,
-    LOG_HYPONORMAL,
-    NEITHER_HYPONORMAL,
-    P_HYPONORMAL,
     CommutantBasis,
     FpReport,
     aluthge_intertwiner_map,
-    com_delta_membership,
     com_inclusion,
     commutant_basis,
     fp_property,
-    hyponormal_class,
     intertwiner_polar_identities,
     odd_root_unity_check,
     power_intertwining_check,
@@ -37,7 +31,6 @@ from .linalg import (
     hermitian_part,
     min_hermitian_eigenvalue,
     op_norm,
-    pd_log,
     psd_power,
     singular_values,
     spectral_radius,
@@ -78,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AluthgeTrajectory",
-    "BOTH_HYPONORMAL",
     "CaseFailure",
     "CheckReport",
     "CommutantBasis",
@@ -87,11 +79,8 @@ __all__ = [
     "GenerationError",
     "InequalityReport",
     "KINDS",
-    "LOG_HYPONORMAL",
     "MODE_PARTIAL",
     "MODE_UNITARY",
-    "NEITHER_HYPONORMAL",
-    "P_HYPONORMAL",
     "PolarParts",
     "SUITE_IDS",
     "SuiteReport",
@@ -106,7 +95,6 @@ __all__ = [
     "approx_commutator_bound",
     "block_embed",
     "block_identity_check",
-    "com_delta_membership",
     "com_inclusion",
     "commutant_basis",
     "exact_intertwiner_transfer",
@@ -114,7 +102,6 @@ __all__ = [
     "fro_norm",
     "generate",
     "hermitian_part",
-    "hyponormal_class",
     "intertwiner_polar_identities",
     "involution_angular_check",
     "matrix_from_doc",
@@ -122,7 +109,6 @@ __all__ = [
     "min_hermitian_eigenvalue",
     "odd_root_unity_check",
     "op_norm",
-    "pd_log",
     "polar_decompose",
     "power_intertwining_check",
     "product_polar_check",

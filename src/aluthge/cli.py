@@ -18,7 +18,7 @@ from math import inf
 from .commutant import commutant_basis, fp_property
 from .generate import GenerationError
 from .linalg import DEFAULT_TOL, Tolerances, op_norm
-from .matrixio import matrix_from_doc, matrix_to_doc
+from .matrixio import matrix_to_doc, read_matrices, read_matrix
 from .polar import MODE_PARTIAL, MODE_UNITARY, aluthge_iterate, aluthge_st, polar_decompose
 from .schatten import (
     aluthge_commutator_bound,
@@ -30,25 +30,16 @@ from .schatten import (
 from .suites import SUITE_IDS, run_suite
 
 
-def _read_doc(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fp:
-        return json.load(fp)
-
-
-def _read_one_matrix(path: str):
-    return matrix_from_doc(_read_doc(path))
+def _source(path: str):
+    return sys.stdin if path == "-" else path
 
 
 def _read_named(path: str, names: tuple[str, ...]) -> dict:
-    doc = _read_doc(path)
-    if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object of named matrix documents")
-    missing = [name for name in names if name not in doc]
+    mats = read_matrices(_source(path))
+    missing = [name for name in names if name not in mats]
     if missing:
         raise ValueError(f"missing matrices {missing} in input document")
-    return {name: matrix_from_doc(doc[name]) for name in names}
+    return mats
 
 
 def _emit(doc, out: str | None) -> None:
@@ -76,7 +67,7 @@ def _tolerances(args) -> Tolerances:
 
 def _cmd_polar(args) -> int:
     tol = _tolerances(args)
-    M = _read_one_matrix(args.input)
+    M = read_matrix(_source(args.input))
     mode = MODE_PARTIAL if args.mode == "partial" else MODE_UNITARY
     parts = polar_decompose(M, mode, tol)
     residual = op_norm(parts.angular @ parts.positive - M)
@@ -95,7 +86,7 @@ def _cmd_polar(args) -> int:
 
 def _cmd_aluthge(args) -> int:
     tol = _tolerances(args)
-    M = _read_one_matrix(args.input)
+    M = read_matrix(_source(args.input))
     if args.iterate is not None:
         trajectory = aluthge_iterate(M, args.iterate, tol)
         doc = {
@@ -144,7 +135,7 @@ def _cmd_fp_check(args) -> int:
 
 
 def _cmd_schatten(args) -> int:
-    M = _read_one_matrix(args.input)
+    M = read_matrix(_source(args.input))
     _emit({"p": "inf" if args.p == inf else args.p, "norm": schatten_norm(M, args.p)}, args.out)
     return 0
 
@@ -243,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError, GenerationError) as exc:
+    except (ValueError, OverflowError, RecursionError, OSError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -7,8 +7,8 @@ only the pairs of eigenvalue groups that the two spectra may share
 (Bartels-Stewart; by Rosenblum's theorem the other pairs contribute
 nothing). On top of the basis sit the adjoint-intertwining
 (FP-property) verdict, subspace inclusion tests, the polar-part
-intertwining identities, hyponormality classifiers and reducing
-subspace checks.
+intertwining identities, the spectral tests on angular parts and a
+reducing subspace check.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from .linalg import (
     as_square,
     fro_norm,
     intertwiner_operands,
-    min_hermitian_eigenvalue,
     op_norm,
-    pd_log,
-    psd_power,
 )
 from .polar import polar_factors
 
@@ -46,19 +43,8 @@ __all__ = [
     "squared_angular_criterion",
     "semicircle_check",
     "odd_root_unity_check",
-    "hyponormal_class",
     "reduces_check",
-    "com_delta_membership",
-    "P_HYPONORMAL",
-    "LOG_HYPONORMAL",
-    "BOTH_HYPONORMAL",
-    "NEITHER_HYPONORMAL",
 ]
-
-P_HYPONORMAL = "p_hyponormal"
-LOG_HYPONORMAL = "log_hyponormal"
-BOTH_HYPONORMAL = "both"
-NEITHER_HYPONORMAL = "neither"
 
 
 @dataclass(frozen=True)
@@ -543,40 +529,6 @@ def odd_root_unity_check(U, V, n0: int, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(ru <= threshold and rv <= threshold)
 
 
-def hyponormal_class(A, p: float, tol: Tolerances = DEFAULT_TOL, include_log: bool = True) -> str:
-    """Classify A as p-hyponormal, log-hyponormal, both or neither.
-
-    p-hyponormal means (A*A)^p - (AA*)^p is positive semidefinite;
-    log-hyponormal compares the logarithms instead and is defined only
-    for invertible A. Requesting the log test on a singular matrix
-    raises; pass ``include_log=False`` to classify the p part alone
-    (the matrix then cannot be reported log-hyponormal).
-    """
-    A = as_square(A)
-    if p <= 0:
-        raise ValueError("power p must be positive")
-    f = polar_factors(A, tol)
-    gram_right = adjoint(A) @ A
-    gram_left = A @ adjoint(A)
-    diff = psd_power(gram_right, p, tol) - psd_power(gram_left, p, tol)
-    thr_p = tol.residual_rel * max(1.0, f.norm ** (2.0 * p))
-    p_ok = min_hermitian_eigenvalue(diff) >= -thr_p
-    log_ok = False
-    if include_log:
-        f.require_invertible("A")
-        log_right = pd_log(gram_right, tol)
-        log_left = pd_log(gram_left, tol)
-        thr_log = tol.residual_rel * max(1.0, op_norm(log_right), op_norm(log_left))
-        log_ok = min_hermitian_eigenvalue(log_right - log_left) >= -thr_log
-    if p_ok and log_ok:
-        return BOTH_HYPONORMAL
-    if p_ok:
-        return P_HYPONORMAL
-    if log_ok:
-        return LOG_HYPONORMAL
-    return NEITHER_HYPONORMAL
-
-
 def reduces_check(A, X, side: str = "range", tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Does range(X) (or the orthogonal complement of ker X) reduce A?
 
@@ -628,11 +580,3 @@ def reduces_check(A, X, side: str = "range", tol: Tolerances = DEFAULT_TOL) -> C
             "restriction_spectrum": spectrum,
         },
     )
-
-
-def com_delta_membership(A, B, X, delta: float) -> bool:
-    """True when the operator norm of AX - XB is at most delta."""
-    A, B, X = intertwiner_operands(A, B, X)
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    return bool(op_norm(A @ X - X @ B) <= delta)

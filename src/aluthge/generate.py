@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .commutant import (
-    BOTH_HYPONORMAL,
-    commutant_basis,
-    fp_property,
-    hyponormal_class,
-    semicircle_check,
-)
+from .commutant import basis_inclusion, commutant_basis
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    adjoint,
     hermitian_part,
-    min_hermitian_eigenvalue,
     op_norm,
     singular_values,
 )
@@ -33,10 +27,7 @@ __all__ = [
     "KINDS",
     "KIND_NORMAL_PAIR",
     "KIND_INVERTIBLE_FP",
-    "KIND_PD_PAIR",
-    "KIND_UNITARY_SEMICIRCLE",
     "KIND_INVOLUTION",
-    "KIND_HYPONORMAL",
     "generate",
     "draw",
     "ginibre",
@@ -46,26 +37,14 @@ __all__ = [
     "invertible_fp_pair",
     "similarity_pair",
     "pd_min_eig",
-    "unitary_semicircle",
     "involution",
-    "hyponormal_matrix",
 ]
 
 KIND_NORMAL_PAIR = "normal_pair_shared_spectrum"
 KIND_INVERTIBLE_FP = "invertible_fp_pair"
-KIND_PD_PAIR = "pd_pair_min_eig_a"
-KIND_UNITARY_SEMICIRCLE = "unitary_semicircle"
 KIND_INVOLUTION = "involution"
-KIND_HYPONORMAL = "hyponormal"
 
-KINDS = (
-    KIND_NORMAL_PAIR,
-    KIND_INVERTIBLE_FP,
-    KIND_PD_PAIR,
-    KIND_UNITARY_SEMICIRCLE,
-    KIND_INVOLUTION,
-    KIND_HYPONORMAL,
-)
+KINDS = (KIND_NORMAL_PAIR, KIND_INVERTIBLE_FP, KIND_INVOLUTION)
 
 _RETRY_BUDGET = 100
 
@@ -196,33 +175,11 @@ def pd_min_eig(rng: np.random.Generator, n: int, a: float) -> np.ndarray:
     return H + a * np.eye(n)
 
 
-def unitary_semicircle(rng: np.random.Generator, n: int, center: float | None = None) -> np.ndarray:
-    """Unitary whose spectrum sits inside one open semicircle.
-
-    ``center`` fixes the arc start so several matrices can share a
-    common semicircle.
-    """
-    margin = 0.15
-    theta = rng.uniform(0.0, 2.0 * np.pi) if center is None else center
-    phases = theta + rng.uniform(margin, np.pi - margin, size=n)
-    Q = random_unitary(rng, n)
-    return Q @ (np.exp(1j * phases)[:, None] * Q.conj().T)
-
-
 def involution(rng: np.random.Generator, n: int) -> np.ndarray:
     """Matrix squaring to the identity: signs conjugated by a mild similarity."""
     signs = rng.choice([1.0, -1.0], size=n)
     S = well_conditioned(rng, n)
     return (S * signs) @ np.linalg.inv(S)
-
-
-def hyponormal_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Invertible normal matrix; at finite dimension these are the only
-    hyponormal operators (the defect has zero trace, so PSD forces it
-    to vanish)."""
-    ev = rng.uniform(0.4, 2.0, size=n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
-    Q = random_unitary(rng, n)
-    return Q @ (ev[:, None] * Q.conj().T)
 
 
 def _is_normal(M: np.ndarray) -> bool:
@@ -234,8 +191,14 @@ def _is_invertible(M: np.ndarray) -> bool:
     return bool(s[0] > 0.0 and s[-1] > 1e-6 * s[0])
 
 
-def draw(kind: str, n: int, rng: np.random.Generator, a: float = 1.0, tol: Tolerances = DEFAULT_TOL):
-    """Verified instance for ``kind`` using the caller's generator stream."""
+def draw(kind: str, n: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL):
+    """Verified instance for ``kind`` using the caller's generator stream.
+
+    Pair kinds return (A, B, cb), where ``cb`` is the
+    :class:`~aluthge.commutant.CommutantBasis` of Com(A, B) that the
+    hypothesis check solved, so callers need not solve it again;
+    ``involution`` returns the matrix.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     if n < 1:
@@ -243,40 +206,27 @@ def draw(kind: str, n: int, rng: np.random.Generator, a: float = 1.0, tol: Toler
     for _ in range(_RETRY_BUDGET):
         if kind == KIND_NORMAL_PAIR:
             A, B = normal_pair(rng, n)
-            if _is_normal(A) and _is_normal(B) and commutant_basis(A, B, tol).nullity >= 1:
-                return A, B
+            if _is_normal(A) and _is_normal(B):
+                cb = commutant_basis(A, B, tol)
+                if cb.nullity >= 1:
+                    return A, B, cb
         elif kind == KIND_INVERTIBLE_FP:
             A, B = invertible_fp_pair(rng, n)
             if _is_invertible(A) and _is_invertible(B):
-                rep = fp_property(A, B, tol)
-                if rep.holds and rep.com_dim >= 1:
-                    return A, B
-        elif kind == KIND_PD_PAIR:
-            A = pd_min_eig(rng, n, a)
-            B = pd_min_eig(rng, n, a)
-            floor = a - 1e-10 * max(1.0, a)
-            if min_hermitian_eigenvalue(A) >= floor and min_hermitian_eigenvalue(B) >= floor:
-                return A, B
-        elif kind == KIND_UNITARY_SEMICIRCLE:
-            U = unitary_semicircle(rng, n)
-            if semicircle_check(U, tol):
-                return U
-        elif kind == KIND_INVOLUTION:
+                cb = commutant_basis(A, B, tol)
+                if cb.nullity >= 1 and basis_inclusion(cb, adjoint(A), adjoint(B), tol).holds:
+                    return A, B, cb
+        else:
             A = involution(rng, n)
             if op_norm(A @ A - np.eye(n)) <= 1e-12:
-                return A
-        elif kind == KIND_HYPONORMAL:
-            A = hyponormal_matrix(rng, n)
-            if _is_invertible(A) and hyponormal_class(A, 1.0, tol) == BOTH_HYPONORMAL:
                 return A
     raise GenerationError(f"no {kind!r} instance satisfying its hypothesis within {_RETRY_BUDGET} attempts")
 
 
-def generate(kind: str, n: int, seed: int, a: float = 1.0, tol: Tolerances = DEFAULT_TOL):
+def generate(kind: str, n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     """Deterministic hypothesis-satisfying instance for ``(kind, n, seed)``.
 
-    Pair kinds return a tuple (A, B); the others a single matrix. ``a``
-    only applies to ``pd_pair_min_eig_a`` (eigenvalue floor of both
-    parts).
+    Pair kinds return a tuple (A, B); ``involution`` returns the matrix.
     """
-    return draw(kind, n, np.random.default_rng(seed), a=a, tol=tol)
+    instance = draw(kind, n, np.random.default_rng(seed), tol=tol)
+    return instance if kind == KIND_INVOLUTION else instance[:2]

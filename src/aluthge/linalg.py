@@ -23,7 +23,6 @@ __all__ = [
     "hermitian_part",
     "min_hermitian_eigenvalue",
     "psd_power",
-    "pd_log",
     "singular_values",
     "spectral_radius",
     "op_norm",
@@ -133,27 +132,6 @@ def spectral_radius(M) -> float:
     return float(np.abs(np.linalg.eigvals(as_square(M))).max())
 
 
-def _checked_psd_eigh(P: np.ndarray, tol: Tolerances, require_pd: bool) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigendecomposition of a Hermitian (semi)definite matrix with dust control.
-
-    Returns (eigenvalues ascending, eigenvectors, operator-norm scale).
-    Eigenvalue dust in [-residual_rel * scale, 0) is clamped to zero;
-    anything more negative is rejected as genuinely indefinite.
-    """
-    P = as_square(P)
-    herm_res = fro_norm(P - P.conj().T)
-    if herm_res > tol.residual_rel * max(1.0, fro_norm(P)):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, V = np.linalg.eigh(hermitian_part(P))
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    if require_pd:
-        if scale == 0.0 or w[0] <= tol.rank_rel * scale:
-            raise ValueError("matrix must be positive definite")
-    elif w[0] < -tol.residual_rel * scale:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    return np.clip(w, 0.0, None) if not require_pd else w, V, scale
-
-
 def psd_power(P, s: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Real power P^s of a Hermitian positive semidefinite matrix.
 
@@ -165,15 +143,16 @@ def psd_power(P, s: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     if s < 0:
         raise ValueError("exponent s must be nonnegative")
-    w, V, scale = _checked_psd_eigh(P, tol, require_pd=False)
+    P = as_square(P)
+    if fro_norm(P - P.conj().T) > tol.residual_rel * max(1.0, fro_norm(P)):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    w, V = np.linalg.eigh(hermitian_part(P))
+    scale = float(np.abs(w).max())
+    if w[0] < -tol.residual_rel * scale:
+        raise ValueError("matrix is not positive semidefinite within tolerance")
+    w = np.clip(w, 0.0, None)
     if s == 0.0:
         f = (w > tol.rank_rel * scale).astype(float)
     else:
         f = np.power(w, s)
     return hermitian_part(V @ (f[:, None] * V.conj().T))
-
-
-def pd_log(P, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Principal logarithm of a Hermitian positive definite matrix."""
-    w, V, _ = _checked_psd_eigh(P, tol, require_pd=True)
-    return hermitian_part(V @ (np.log(w)[:, None] * V.conj().T))

@@ -133,16 +133,16 @@ def _combo(rng: np.random.Generator, basis: list[np.ndarray]) -> np.ndarray:
 
 def _case_fuglede_putnam(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 7))
-    A, B = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
-    rep = fp_property(A, B, tol)
+    A, B, cb = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
+    rep = basis_inclusion(cb, adjoint(A), adjoint(B), tol)
     thr = tol.residual_rel * (op_norm(A) + op_norm(B))
     return CaseOutcome(rep.holds, rep.max_residual, thr, {"A": A, "B": B})
 
 
 def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
-    A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    X = _combo(rng, commutant_basis(A, B, tol).basis)
+    A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    X = _combo(rng, cb.basis)
     rep_in = intertwiner_polar_identities(A, B, X, tol)
     s = singular_values(B)
     decisive = 10.0 * tol.residual_rel * (op_norm(A) + op_norm(B)) * (s[0] / s[-1])
@@ -165,8 +165,8 @@ def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 
 def _case_remark22(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
-    A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    X = _combo(rng, commutant_basis(A, B, tol).basis)
+    A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    X = _combo(rng, cb.basis)
     p = float(rng.uniform(0.3, 2.5))
     rep = power_intertwining_check(A, B, X, p, tol)
     return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "B": B, "X": X})
@@ -175,10 +175,11 @@ def _case_remark22(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 def _case_lemma23(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
     if rng.random() < 0.5:
-        A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+        A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     else:
         A, B = similarity_pair(rng, n)
-    X = _combo(rng, commutant_basis(A, B, tol).basis)
+        cb = commutant_basis(A, B, tol)
+    X = _combo(rng, cb.basis)
     Y = aluthge_intertwiner_map(A, B, X, "forward", tol)
     Ta, Tb = aluthge(A, tol), aluthge(B, tol)
     r_member = fro_norm(Ta @ Y - Y @ Tb)
@@ -195,7 +196,7 @@ def _case_thm24(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
     variant = int(rng.integers(3))
     if variant == 0:
-        A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+        A, B, _ = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     elif variant == 1:
         A, B = similarity_pair(rng, n)
     else:
@@ -207,7 +208,7 @@ def _case_thm24(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 def _case_iterated_fp(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> CaseOutcome:
     """The FP-property of an invertible pair survives each of ``steps`` iterated transforms."""
     n = int(rng.integers(2, n_hi))
-    A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    A, B, _ = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     Ak, Bk = A, B
     reps = []
     for _ in range(steps):
@@ -343,10 +344,9 @@ def _case_example_fp_fail(rng: np.random.Generator, tol: Tolerances) -> CaseOutc
 def _case_thm31(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
     if rng.random() < 0.5:
-        A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+        A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     else:
-        A, B = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
-    cb = commutant_basis(A, B, tol)
+        A, B, cb = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
     fwd = basis_inclusion(cb, aluthge(A, tol), aluthge(B, tol), tol)
     s, t = rng.uniform(0.1, 2.0, size=2)
     fwd_st = basis_inclusion(cb, aluthge_st(A, s, t, tol), aluthge_st(B, s, t, tol), tol)
@@ -359,12 +359,12 @@ def _case_thm31(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 def _case_iterated_commutants(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> CaseOutcome:
     """Com(A, B) equals the commutant of each of ``steps`` iterated transforms (invertible FP pairs).
 
-    One solve of Com(A, B) serves every forward inclusion; each reverse
-    inclusion solves the commutant of its own iterate.
+    The solve of Com(A, B) that ``draw`` made serves every forward
+    inclusion; each reverse inclusion solves the commutant of its own
+    iterate.
     """
     n = int(rng.integers(2, n_hi))
-    A, B = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    cb = commutant_basis(A, B, tol)
+    A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     Ak, Bk = A, B
     reps = []
     for _ in range(steps):

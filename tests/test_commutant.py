@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from aluthge.commutant import (
-    BOTH_HYPONORMAL,
-    NEITHER_HYPONORMAL,
     _BASIS_MAX,
     _KRONECKER_MAX,
     CommutantBasis,
@@ -14,11 +12,9 @@ from aluthge.commutant import (
     _schur_commutant,
     aluthge_intertwiner_map,
     basis_inclusion,
-    com_delta_membership,
     com_inclusion,
     commutant_basis,
     fp_property,
-    hyponormal_class,
     intertwiner_polar_identities,
     odd_root_unity_check,
     power_intertwining_check,
@@ -32,7 +28,6 @@ from aluthge.generate import (
     KIND_NORMAL_PAIR,
     draw,
     ginibre,
-    hyponormal_matrix,
     invertible_fp_pair,
     normal_pair,
     random_unitary,
@@ -101,7 +96,7 @@ class TestCommutantBasis:
 
     def test_orthonormal_and_small_residuals(self):
         rng = np.random.default_rng(1)
-        A, B = draw(KIND_NORMAL_PAIR, 4, rng)
+        A, B, _ = draw(KIND_NORMAL_PAIR, 4, rng)
         cb = commutant_basis(A, B)
         assert cb.dim_domain == (4, 4)
         gram = np.array([[np.vdot(E, F) for F in cb.basis] for E in cb.basis])
@@ -383,7 +378,7 @@ class TestFpProperty:
     def test_normal_pairs_hold(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            A, B = draw(KIND_NORMAL_PAIR, int(rng.integers(2, 6)), rng)
+            A, B, _ = draw(KIND_NORMAL_PAIR, int(rng.integers(2, 6)), rng)
             rep = fp_property(A, B)
             assert rep.holds and rep.witness is None
 
@@ -417,7 +412,7 @@ class TestFpProperty:
 
     def test_verdict_scale_invariant(self):
         rng = np.random.default_rng(31)
-        A, B = draw(KIND_NORMAL_PAIR, 3, rng)
+        A, B, _ = draw(KIND_NORMAL_PAIR, 3, rng)
         for M in (FP_FAIL_A, None):
             for c in (1e-3, 1.0, 1e3):
                 if M is None:
@@ -429,12 +424,12 @@ class TestFpProperty:
 class TestComInclusion:
     def test_reflexive(self):
         rng = np.random.default_rng(4)
-        A, B = draw(KIND_NORMAL_PAIR, 3, rng)
+        A, B, _ = draw(KIND_NORMAL_PAIR, 3, rng)
         assert com_inclusion(A, B, A, B).holds
 
     def test_invertible_fp_pair_equality(self):
         rng = np.random.default_rng(5)
-        A, B = draw(KIND_INVERTIBLE_FP, 4, rng)
+        A, B, _ = draw(KIND_INVERTIBLE_FP, 4, rng)
         Ta, Tb = aluthge(A), aluthge(B)
         assert com_inclusion(A, B, Ta, Tb).holds
         assert com_inclusion(Ta, Tb, A, B).holds
@@ -473,7 +468,7 @@ class TestComInclusion:
     @pytest.mark.parametrize("holding", [True, False])
     def test_solved_basis_matches_one_shot(self, holding):
         if holding:
-            A, B = draw(KIND_INVERTIBLE_FP, 4, np.random.default_rng(5))
+            A, B, _ = draw(KIND_INVERTIBLE_FP, 4, np.random.default_rng(5))
             A2, B2 = aluthge(A), aluthge(B)
         else:
             A, B = FP_FAIL_A, FP_FAIL_A
@@ -499,14 +494,14 @@ class TestIntertwinerPolarIdentities:
 
     def test_normal_member(self):
         rng = np.random.default_rng(6)
-        A, B = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
         X = combo(rng, commutant_basis(A, B).basis)
         rep = intertwiner_polar_identities(A, B, X)
         assert rep.ok and rep.details["in_com"] and rep.details["polar_identity"]
 
     def test_non_member_fails_identity(self):
         rng = np.random.default_rng(7)
-        A, B = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
         X = ginibre(rng, 3)
         rep = intertwiner_polar_identities(A, B, X)
         assert rep.ok  # biconditional still consistent
@@ -520,13 +515,13 @@ class TestIntertwinerPolarIdentities:
 class TestPowerIntertwining:
     def test_power_two_double_intertwiner(self):
         rng = np.random.default_rng(8)
-        A, B = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
         X = combo(rng, commutant_basis(A, B).basis)
         assert power_intertwining_check(A, B, X, 2.0).ok
 
     def test_fractional_power_normal(self):
         rng = np.random.default_rng(9)
-        A, _ = draw(KIND_INVERTIBLE_FP, 4, rng)
+        A, _, _ = draw(KIND_INVERTIBLE_FP, 4, rng)
         X = combo(rng, commutant_basis(A, A).basis)
         assert power_intertwining_check(A, A, X, 0.5).ok
 
@@ -535,7 +530,7 @@ class TestPowerIntertwining:
 
     def test_rejects_non_member(self):
         rng = np.random.default_rng(10)
-        A, B = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
         with pytest.raises(ValueError, match="intertwine"):
             power_intertwining_check(A, B, ginibre(rng, 3), 2.0)
 
@@ -543,7 +538,7 @@ class TestPowerIntertwining:
 class TestAluthgeIntertwinerMap:
     def test_forward_lands_in_transformed_commutant(self):
         rng = np.random.default_rng(11)
-        A, B = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
         X = combo(rng, commutant_basis(A, B).basis)
         Y = aluthge_intertwiner_map(A, B, X, "forward")
         Ta, Tb = aluthge(A), aluthge(B)
@@ -551,7 +546,7 @@ class TestAluthgeIntertwinerMap:
 
     def test_round_trip(self):
         rng = np.random.default_rng(12)
-        A, B = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
         X = ginibre(rng, 3)
         back = aluthge_intertwiner_map(A, B, aluthge_intertwiner_map(A, B, X, "forward"), "inverse")
         assert fro_norm(back - X) <= 1e-10 * fro_norm(X)
@@ -574,7 +569,7 @@ class TestAluthgeIntertwinerMap:
 class TestSquaredAngularCriterion:
     def test_normal_invertible_both_sides(self):
         rng = np.random.default_rng(13)
-        A, B = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
         rep = squared_angular_criterion(A, B)
         assert rep.ok
         assert rep.details["transformed_pair_fp"] and rep.details["squared_intertwine"]
@@ -631,31 +626,12 @@ class TestOddRootUnity:
             odd_root_unity_check(np.eye(2), np.eye(2), 0)
 
 
-class TestHyponormalClass:
-    def test_normal_is_both(self):
-        rng = np.random.default_rng(14)
-        A = hyponormal_matrix(rng, 4)
-        assert hyponormal_class(A, 1.0) == BOTH_HYPONORMAL
-
-    def test_jordan_is_neither(self):
-        # (A*A) - (AA*) = diag(-1, 1) by hand, indefinite
-        assert hyponormal_class(JORDAN, 1.0, include_log=False) == NEITHER_HYPONORMAL
-
-    def test_log_test_requires_invertible(self):
-        with pytest.raises(ValueError, match="invertible"):
-            hyponormal_class(JORDAN, 1.0)
-
-    def test_invertible_p_hyponormal_is_log_hyponormal(self):
-        rng = np.random.default_rng(15)
-        for _ in range(10):
-            A = hyponormal_matrix(rng, 3)
-            assert hyponormal_class(A, float(rng.uniform(0.3, 2.0))) == BOTH_HYPONORMAL
-
-
 class TestReducesCheck:
     def test_full_space_reflects_normality(self):
         rng = np.random.default_rng(16)
-        A = hyponormal_matrix(rng, 3)
+        ev = rng.uniform(0.4, 2.0, size=3) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=3))
+        Q = random_unitary(rng, 3)
+        A = Q @ (ev[:, None] * Q.conj().T)
         rep = reduces_check(A, np.eye(3))
         assert rep.ok and rep.details["restriction_normal"]
         rep2 = reduces_check(JORDAN, np.eye(2))
@@ -668,7 +644,7 @@ class TestReducesCheck:
     def test_normal_pair_member_reduces_with_matching_spectra(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
-            A, B = draw(KIND_NORMAL_PAIR, 4, rng)
+            A, B, _ = draw(KIND_NORMAL_PAIR, 4, rng)
             X = combo(rng, commutant_basis(A, B).basis)
             ra = reduces_check(A, X, "range")
             rb = reduces_check(B, X, "kernel_complement")
@@ -682,26 +658,3 @@ class TestReducesCheck:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError, match="side"):
             reduces_check(JORDAN, np.eye(2), "diagonal")
-
-
-class TestComDeltaMembership:
-    def test_exact_commutant_any_delta(self):
-        A = np.diag([1.0, 2.0])
-        assert com_delta_membership(A, A, np.eye(2), 0.0)
-        assert com_delta_membership(A, A, A, 0.0)
-
-    def test_known_commutator_norm(self):
-        # AX - XB = [[0,-1],[0,0]] by hand, operator norm 1
-        A = np.diag([1.0, 2.0])
-        X = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert com_delta_membership(A, A, X, 1.0)
-        assert not com_delta_membership(A, A, X, 0.5)
-
-    def test_generous_bound(self):
-        rng = np.random.default_rng(18)
-        A, X = ginibre(rng, 3), ginibre(rng, 3)
-        assert com_delta_membership(A, A, X, 2.0 * op_norm(A) * op_norm(X))
-
-    def test_rejects_negative_delta(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            com_delta_membership(np.eye(2), np.eye(2), np.eye(2), -1.0)

@@ -6,25 +6,16 @@ import numpy as np
 import pytest
 
 import aluthge.commutant as commutant_module
-from aluthge.commutant import (
-    BOTH_HYPONORMAL,
-    commutant_basis,
-    fp_property,
-    hyponormal_class,
-    semicircle_check,
-)
+from aluthge.commutant import commutant_basis, fp_property
 from aluthge.generate import (
-    KIND_HYPONORMAL,
     KIND_INVERTIBLE_FP,
     KIND_INVOLUTION,
     KIND_NORMAL_PAIR,
-    KIND_PD_PAIR,
-    KIND_UNITARY_SEMICIRCLE,
     KINDS,
     draw,
     generate,
 )
-from aluthge.linalg import min_hermitian_eigenvalue, op_norm, singular_values
+from aluthge.linalg import op_norm, singular_values
 
 
 def test_deterministic_per_seed():
@@ -57,20 +48,6 @@ def test_involution_squares_to_identity():
         assert op_norm(A @ A - np.eye(2)) <= 1e-12
 
 
-def test_pd_pair_floor():
-    for a in (0.5, 1.0, 2.0):
-        A, B = generate(KIND_PD_PAIR, 4, seed=11, a=a)
-        assert min_hermitian_eigenvalue(A) >= a - 1e-9
-        assert min_hermitian_eigenvalue(B) >= a - 1e-9
-
-
-def test_semicircle_unitary():
-    for seed in range(5):
-        U = generate(KIND_UNITARY_SEMICIRCLE, 4, seed=seed)
-        assert op_norm(U.conj().T @ U - np.eye(4)) <= 1e-10
-        assert semicircle_check(U)
-
-
 def test_normal_pair_nontrivial_commutant():
     for seed in range(10):
         A, B = generate(KIND_NORMAL_PAIR, 3, seed=seed)
@@ -88,27 +65,36 @@ def test_invertible_fp_pair_properties():
 
 
 def test_invertible_fp_draw_solves_once_per_attempt(monkeypatch):
-    # The FP report's com_dim decides nontriviality, so each checked
-    # attempt solves its commutant exactly once.
+    # The FP check reuses the basis that decides nontriviality, so each
+    # checked attempt solves its commutant exactly once.
     generate_module = import_module("aluthge.generate")  # the package attribute is the function
-    counts = {"solve": 0, "fp": 0}
-    solve, fp = commutant_module.sylvester_matrix, generate_module.fp_property
+    counts = {"solve": 0, "basis": 0}
+    solve, basis = commutant_module.sylvester_matrix, generate_module.commutant_basis
 
     def counted_solve(A, B):
         counts["solve"] += 1
         return solve(A, B)
 
-    def counted_fp(A, B, tol):
-        counts["fp"] += 1
-        return fp(A, B, tol)
+    def counted_basis(A, B, tol):
+        counts["basis"] += 1
+        return basis(A, B, tol)
 
     monkeypatch.setattr(commutant_module, "sylvester_matrix", counted_solve)
-    monkeypatch.setattr(generate_module, "fp_property", counted_fp)
+    monkeypatch.setattr(generate_module, "commutant_basis", counted_basis)
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 4, 5):
         draw(KIND_INVERTIBLE_FP, n, rng)
-    assert counts["fp"] >= 5
-    assert counts["solve"] == counts["fp"]
+    assert counts["basis"] >= 5
+    assert counts["solve"] == counts["basis"]
+
+
+def test_draw_returns_the_verified_basis():
+    for kind in (KIND_NORMAL_PAIR, KIND_INVERTIBLE_FP):
+        A, B, cb = draw(kind, 4, np.random.default_rng(3))
+        ref = commutant_basis(A, B)
+        assert cb.nullity == ref.nullity >= 1
+        for X, Y in zip(cb.basis, ref.basis):
+            np.testing.assert_array_equal(X, Y)
 
 
 def test_invertible_fp_pair_can_be_nonnormal():
@@ -118,9 +104,3 @@ def test_invertible_fp_pair_can_be_nonnormal():
         if op_norm(A @ A.conj().T - A.conj().T @ A) > 1e-6:
             hits += 1
     assert hits > 0
-
-
-def test_hyponormal_kind():
-    for seed in range(5):
-        A = generate(KIND_HYPONORMAL, 3, seed=seed)
-        assert hyponormal_class(A, 1.0) == BOTH_HYPONORMAL

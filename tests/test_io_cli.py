@@ -263,6 +263,28 @@ class TestCli:
         assert main(["polar", str(bad)]) == 2
         assert "data" in capsys.readouterr().err
 
+    def test_deeply_nested_input_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        assert main(["polar", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert any(line.startswith("error: ") for line in captured.err.splitlines())
+
+    def test_every_named_entry_is_validated(self, tmp_path, capsys):
+        # Without the extra entry this pair passes with exit 0.
+        doc = {"A": matrix_to_doc(np.eye(2)), "B": matrix_to_doc(np.eye(2)), "Z": 5}
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fp-check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_valid_extra_entry_is_accepted(self, tmp_path, capsys):
+        write_matrices(tmp_path / "extra.json", {"A": np.eye(2), "B": np.eye(2), "X": np.ones((3, 1))})
+        assert main(["commutant", str(tmp_path / "extra.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["nullity"] == 4
+
     def test_env_tolerance_override(self, pair_file, monkeypatch, capsys):
         monkeypatch.setenv("ALUTHGE_TOL", "not-a-number")
         assert main(["fp-check", pair_file]) == 2

@@ -5,7 +5,6 @@ import pytest
 
 from aluthge.commutant import (
     aluthge_intertwiner_map,
-    com_delta_membership,
     intertwiner_polar_identities,
     power_intertwining_check,
 )
@@ -17,14 +16,11 @@ from aluthge.linalg import (
     hermitian_part,
     min_hermitian_eigenvalue,
     op_norm,
-    pd_log,
     psd_power,
     singular_values,
     spectral_radius,
 )
 from aluthge.schatten import aluthge_intertwiner_bound, exact_intertwiner_transfer
-
-E = np.e
 
 
 class TestValidation:
@@ -53,11 +49,10 @@ class TestValidation:
             intertwiner_polar_identities,
             lambda A, B, X: power_intertwining_check(A, B, X, 1.0),
             aluthge_intertwiner_map,
-            lambda A, B, X: com_delta_membership(A, B, X, 0.1),
             lambda A, B, X: aluthge_intertwiner_bound(A, B, X, 2.0),
             exact_intertwiner_transfer,
         ],
-        ids=["polar_identities", "power", "map", "delta_membership", "intertwiner_bound", "transfer"],
+        ids=["polar_identities", "power", "map", "intertwiner_bound", "transfer"],
     )
     def test_intertwiner_shape(self, check):
         with pytest.raises(ValueError, match="X must map the space of B into the space of A"):
@@ -155,37 +150,6 @@ class TestPsdPower:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="semidefinite"):
             psd_power(np.diag([1.0, -1.0]), 0.5)
-
-
-class TestPdLog:
-    def test_diagonal(self):
-        np.testing.assert_allclose(pd_log(np.diag([1.0, E])), np.diag([0.0, 1.0]), atol=1e-14)
-
-    def test_identity(self):
-        np.testing.assert_allclose(pd_log(np.eye(3)), np.zeros((3, 3)), atol=1e-14)
-
-    def test_conjugation_equivariance(self):
-        rng = np.random.default_rng(7)
-        Q = random_unitary(rng, 2)
-        P = Q @ np.diag([1.0, E]) @ Q.conj().T
-        expected = Q @ np.diag([0.0, 1.0]) @ Q.conj().T
-        np.testing.assert_allclose(pd_log(P), expected, atol=1e-12)
-
-    def test_inverts_exponential(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            Q = random_unitary(rng, 4)
-            d = rng.uniform(-1.0, 1.0, size=4)
-            P = Q @ (np.exp(d)[:, None] * Q.conj().T)
-            np.testing.assert_allclose(pd_log(P), Q @ (d[:, None] * Q.conj().T), atol=1e-12)
-
-    def test_rejects_singular(self):
-        with pytest.raises(ValueError, match="definite"):
-            pd_log(np.diag([0.0, 1.0]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="semidefinite|definite"):
-            pd_log(np.diag([-1.0, 1.0]))
 
 
 class TestSingularValues:

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import aluthge.commutant as commutant_module
+from aluthge.linalg import DEFAULT_TOL
 from aluthge.suites import SUITE_IDS, SUITES, run_suite
 
 EXPECTED_IDS = {
@@ -97,3 +99,21 @@ def test_example_fp_fail_solves_each_pair_once(monkeypatch):
     monkeypatch.setattr(commutant_module, "sylvester_matrix", counted)
     assert run_suite("example_fp_fail", seed=0, trials=1).passed
     assert len(calls) == 2
+
+
+# thm24 is left out: its second solve of Com(A, B) happens inside the
+# public squared_angular_criterion(A, B), which solves on its own.
+@pytest.mark.parametrize("suite_id", [s for s in SUITE_IDS if s != "thm24"])
+def test_each_pair_solved_once_per_case(suite_id, monkeypatch):
+    solved = []
+    solve = commutant_module.sylvester_matrix
+
+    def recorded(A, B):
+        solved.append((A.tobytes(), B.tobytes()))
+        return solve(A, B)
+
+    monkeypatch.setattr(commutant_module, "sylvester_matrix", recorded)
+    for case_id in range(8):
+        solved.clear()
+        SUITES[suite_id](np.random.default_rng([1, case_id]), DEFAULT_TOL)
+        assert len(solved) == len(set(solved)), f"case {case_id} solves a pair twice"
