@@ -67,13 +67,15 @@ class FpReport:
     """Verdict for an adjoint-intertwining (or inclusion) query.
 
     ``holds`` is true when every basis element of the tested commutant
-    satisfies the target relation; otherwise ``witness`` is the worst
-    violator. ``com_dim`` is the dimension of the tested commutant.
+    satisfies the target relation, that is when ``max_residual`` is at
+    most ``threshold``; otherwise ``witness`` is the worst violator.
+    ``com_dim`` is the dimension of the tested commutant.
     """
 
     holds: bool
     witness: np.ndarray | None
     max_residual: float
+    threshold: float
     com_dim: int
 
 
@@ -377,6 +379,7 @@ def basis_inclusion(cb: CommutantBasis, A2: np.ndarray, B2: np.ndarray, tol: Tol
         holds=holds,
         witness=None if holds else witness,
         max_residual=worst,
+        threshold=threshold,
         com_dim=cb.nullity,
     )
 
@@ -477,12 +480,22 @@ def squared_angular_criterion(A, B, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     """
     A = as_square(A)
     B = as_square(B)
+    return basis_squared_angular(commutant_basis(A, B, tol), A, B, tol)
+
+
+def basis_squared_angular(
+    cb: CommutantBasis, A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> CheckReport:
+    """The check half of :func:`squared_angular_criterion`, against an already solved basis.
+
+    Lets the solve of Com(A, B) that produced a pair serve this check too.
+    A and B must be the square arrays ``cb`` was solved for.
+    """
     fa, fb = polar_factors(A, tol), polar_factors(B, tol)
     fa.require_invertible("A")
     fb.require_invertible("B")
     U, V = fa.angular(), fb.angular()
     left = fp_property(fa.transform(0.5, 0.5), fb.transform(0.5, 0.5), tol).holds
-    cb = commutant_basis(A, B, tol)
     worst = float(_residual_norms(U @ U, V @ V, cb.basis).max(initial=0.0))
     threshold = 2.0 * tol.residual_rel
     right = bool(worst <= threshold)

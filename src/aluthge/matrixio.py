@@ -12,6 +12,7 @@ documents. Round-trips are bit-exact for finite doubles.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from typing import Any
 
 import numpy as np
@@ -88,52 +89,37 @@ def matrix_from_doc(doc) -> np.ndarray:
     return pairs.view(np.complex128).reshape((rows, cols))
 
 
-def _open_for(path_or_fp, mode: str):
+def _opened(path_or_fp, mode: str):
+    """Context for a path (opened, then closed) or a caller's text stream (left open)."""
     if hasattr(path_or_fp, "read") or hasattr(path_or_fp, "write"):
-        return path_or_fp, False
-    return open(path_or_fp, mode, encoding="utf-8"), True
+        return nullcontext(path_or_fp)
+    return open(path_or_fp, mode, encoding="utf-8")
 
 
 def write_matrix(path_or_fp, M) -> None:
     """Write one matrix document to a path or text stream."""
-    fp, owned = _open_for(path_or_fp, "w")
-    try:
+    with _opened(path_or_fp, "w") as fp:
         json.dump(matrix_to_doc(M), fp)
         fp.write("\n")
-    finally:
-        if owned:
-            fp.close()
 
 
 def read_matrix(path_or_fp) -> np.ndarray:
     """Read one matrix document from a path or text stream."""
-    fp, owned = _open_for(path_or_fp, "r")
-    try:
+    with _opened(path_or_fp, "r") as fp:
         return matrix_from_doc(json.load(fp))
-    finally:
-        if owned:
-            fp.close()
 
 
 def write_matrices(path_or_fp, matrices: dict[str, Any]) -> None:
     """Write named matrices as one JSON object."""
-    fp, owned = _open_for(path_or_fp, "w")
-    try:
+    with _opened(path_or_fp, "w") as fp:
         json.dump({name: matrix_to_doc(M) for name, M in matrices.items()}, fp)
         fp.write("\n")
-    finally:
-        if owned:
-            fp.close()
 
 
 def read_matrices(path_or_fp) -> dict[str, np.ndarray]:
     """Read named matrices from one JSON object."""
-    fp, owned = _open_for(path_or_fp, "r")
-    try:
+    with _opened(path_or_fp, "r") as fp:
         doc = json.load(fp)
-    finally:
-        if owned:
-            fp.close()
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object of named matrix documents")
     return {name: matrix_from_doc(sub) for name, sub in doc.items()}

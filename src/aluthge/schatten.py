@@ -42,15 +42,20 @@ __all__ = [
 ]
 
 
+# Relative slack, against max(1, lhs, rhs), within which a bound counts as met.
+_SLACK_REL = 1e-9
+
+
 @dataclass(frozen=True)
 class InequalityReport:
-    """One evaluated norm inequality.
+    """One evaluated norm inequality, lower bound or (``upper``) upper bound.
 
-    ``slack`` is lhs - rhs as computed. The inequality is only asserted
-    by callers when ``hypotheses_ok`` is true; ``a_value`` is the
-    certified lower bound on the Hermitian part entering the constant.
-    ``details`` carries check-specific diagnostics (block cross-check
-    values, individual hypothesis flags).
+    ``slack`` is lhs - rhs as computed. A lower bound is only asserted
+    when ``hypotheses_ok`` is true; ``a_value`` is the certified lower
+    bound on the Hermitian part entering the constant. ``details``
+    carries check-specific diagnostics (block cross-check values,
+    individual hypothesis flags). ``ok``, ``max_residual`` and
+    ``threshold`` give the verdict in the terms of a ``CheckReport``.
     """
 
     lhs: float
@@ -60,22 +65,24 @@ class InequalityReport:
     a_value: float
     p: float
     details: dict[str, Any] = field(default_factory=dict)
+    upper: bool = False
 
+    @property
+    def threshold(self) -> float:
+        """Allowance for roundoff on the wrong side of the bound."""
+        return _SLACK_REL * max(1.0, self.lhs, self.rhs)
 
-# Relative slack, against max(1, lhs, rhs), within which a bound counts as met.
-_SLACK_REL = 1e-9
+    @property
+    def max_residual(self) -> float:
+        """How far lhs lies on the wrong side of rhs (zero when on the right side)."""
+        return max(0.0, self.slack if self.upper else -self.slack)
 
-
-def slack_verdict(rep: InequalityReport, upper: bool = False) -> tuple[bool, float, float]:
-    """(satisfied, violation, allowance) of the lower (or ``upper``) bound in ``rep``.
-
-    The violation is how far lhs lies on the wrong side of rhs; a lower
-    bound also needs its hypotheses.
-    """
-    allowance = _SLACK_REL * max(1.0, rep.lhs, rep.rhs)
-    if upper:
-        return bool(rep.slack <= allowance), max(0.0, rep.slack), allowance
-    return bool(rep.hypotheses_ok and rep.slack >= -allowance), max(0.0, -rep.slack), allowance
+    @property
+    def ok(self) -> bool:
+        """The bound holds within ``threshold``; a lower bound also needs its hypotheses."""
+        if self.upper:
+            return bool(self.slack <= self.threshold)
+        return bool(self.hypotheses_ok and self.slack >= -self.threshold)
 
 
 def _validate_p(p: float) -> float:
@@ -145,6 +152,11 @@ def block_identity_check(A, B, p: float, tol: Tolerances = DEFAULT_TOL) -> Check
     )
 
 
+def _angular_intertwines(U: np.ndarray, V: np.ndarray, X: np.ndarray, tol: Tolerances) -> bool:
+    """The hypothesis U* X = X V, within residual_rel * max(2 ||X||_F, 1)."""
+    return bool(fro_norm(adjoint(U) @ X - X @ V) <= tol.residual_rel * max(2.0 * fro_norm(X), 1.0))
+
+
 def _polar_root(A: np.ndarray, tol: Tolerances) -> tuple[PolarFactors, np.ndarray, np.ndarray, float]:
     """Factors of A, angular part U, |A|^(1/2) and a = min eig Re(U |A|^(1/2))."""
     f = polar_factors(A, tol)
@@ -170,9 +182,8 @@ def aluthge_commutator_bound(A, X, p: float, tol: Tolerances = DEFAULT_TOL) -> I
         raise ValueError("X must have the same shape as A")
     p = _validate_p(p)
     f, U, root, a = _polar_root(A, tol)
-    xn = fro_norm(X)
-    self_adjoint = fro_norm(X - adjoint(X)) <= tol.residual_rel * max(xn, 1.0)
-    commutes = fro_norm(adjoint(U) @ X - X @ U) <= tol.residual_rel * max(2.0 * xn, 1.0)
+    self_adjoint = fro_norm(X - adjoint(X)) <= tol.residual_rel * max(fro_norm(X), 1.0)
+    commutes = _angular_intertwines(U, U, X, tol)
     hypotheses = bool(a > 0.0 and self_adjoint and commutes)
     T = f.transform(0.5, 0.5)
     lhs = schatten_norm(adjoint(T) @ X - X @ T, p)
@@ -207,8 +218,7 @@ def aluthge_intertwiner_bound(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) 
     fa, U, root_a, a_left = _polar_root(A, tol)
     fb, V, root_b, a_right = _polar_root(B, tol)
     a = min(a_left, a_right)
-    xn = fro_norm(X)
-    commutes = fro_norm(adjoint(U) @ X - X @ V) <= tol.residual_rel * max(2.0 * xn, 1.0)
+    commutes = _angular_intertwines(U, V, X, tol)
     hypotheses = bool(a > 0.0 and commutes)
     Ta = fa.transform(0.5, 0.5)
     Tb = fb.transform(0.5, 0.5)
@@ -260,7 +270,7 @@ def exact_intertwiner_transfer(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckR
     xn = fro_norm(X)
     if a <= 0.0:
         raise ValueError("hypothesis violated: Re(U |A|^(1/2)) and Re(V |B|^(1/2)) must be positive definite")
-    if fro_norm(adjoint(U) @ X - X @ V) > tol.residual_rel * max(2.0 * xn, 1.0):
+    if not _angular_intertwines(U, V, X, tol):
         raise ValueError("hypothesis violated: U* X = X V does not hold within tolerance")
     Ta = fa.transform(0.5, 0.5)
     Tb = fb.transform(0.5, 0.5)
@@ -329,4 +339,5 @@ def approx_commutator_bound(A, X, delta: float, tol: Tolerances = DEFAULT_TOL) -
         a_value=float(a),
         p=inf,
         details=details,
+        upper=True,
     )

@@ -10,7 +10,7 @@ reproducible case by case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from math import inf, sqrt
 from typing import Any, Callable
@@ -18,8 +18,10 @@ from typing import Any, Callable
 import numpy as np
 
 from .commutant import (
+    FpReport,
     aluthge_intertwiner_map,
     basis_inclusion,
+    basis_squared_angular,
     com_inclusion,
     commutant_basis,
     fp_property,
@@ -27,7 +29,6 @@ from .commutant import (
     odd_root_unity_check,
     power_intertwining_check,
     semicircle_check,
-    squared_angular_criterion,
 )
 from .generate import (
     KIND_INVERTIBLE_FP,
@@ -66,7 +67,6 @@ from .schatten import (
     approx_commutator_bound,
     block_identity_check,
     exact_intertwiner_transfer,
-    slack_verdict,
 )
 
 __all__ = ["CaseOutcome", "CaseFailure", "SuiteReport", "SUITE_IDS", "run_suite"]
@@ -107,21 +107,7 @@ class SuiteReport:
         return not self.failures
 
     def to_doc(self) -> dict[str, Any]:
-        return {
-            "suite_id": self.suite_id,
-            "seed": int(self.seed),
-            "cases_run": self.cases_run,
-            "cases_passed": self.cases_passed,
-            "failures": [
-                {
-                    "case_id": f.case_id,
-                    "inputs": f.inputs,
-                    "residual": f.residual,
-                    "expected_threshold": f.expected_threshold,
-                }
-                for f in self.failures
-            ],
-        }
+        return asdict(self)
 
 
 def _combo(rng: np.random.Generator, basis: list[np.ndarray]) -> np.ndarray:
@@ -131,12 +117,16 @@ def _combo(rng: np.random.Generator, basis: list[np.ndarray]) -> np.ndarray:
     return X / fro_norm(X)
 
 
+def _inclusion_outcome(reps: list[FpReport], inputs: dict[str, np.ndarray]) -> CaseOutcome:
+    """Passes iff every inclusion holds; reports the one nearest to, or furthest past, its threshold."""
+    decisive = max(reps, key=lambda r: r.max_residual - r.threshold)
+    return CaseOutcome(all(r.holds for r in reps), decisive.max_residual, decisive.threshold, inputs)
+
+
 def _case_fuglede_putnam(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 7))
     A, B, cb = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
-    rep = basis_inclusion(cb, adjoint(A), adjoint(B), tol)
-    thr = tol.residual_rel * (op_norm(A) + op_norm(B))
-    return CaseOutcome(rep.holds, rep.max_residual, thr, {"A": A, "B": B})
+    return _inclusion_outcome([basis_inclusion(cb, adjoint(A), adjoint(B), tol)], {"A": A, "B": B})
 
 
 def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
@@ -144,8 +134,8 @@ def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     X = _combo(rng, cb.basis)
     rep_in = intertwiner_polar_identities(A, B, X, tol)
-    s = singular_values(B)
-    decisive = 10.0 * tol.residual_rel * (op_norm(A) + op_norm(B)) * (s[0] / s[-1])
+    sa, sb = singular_values(A), singular_values(B)
+    decisive = 10.0 * tol.residual_rel * (sa[0] + sb[0]) * (sb[0] / sb[-1])
     X_out = X
     for _ in range(50):
         E = ginibre(rng, *X.shape)
@@ -196,12 +186,14 @@ def _case_thm24(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
     variant = int(rng.integers(3))
     if variant == 0:
-        A, B, _ = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    elif variant == 1:
-        A, B = similarity_pair(rng, n)
+        A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     else:
-        A, B = well_conditioned(rng, n), well_conditioned(rng, n)
-    rep = squared_angular_criterion(A, B, tol)
+        if variant == 1:
+            A, B = similarity_pair(rng, n)
+        else:
+            A, B = well_conditioned(rng, n), well_conditioned(rng, n)
+        cb = commutant_basis(A, B, tol)
+    rep = basis_squared_angular(cb, A, B, tol)
     return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "B": B})
 
 
@@ -214,8 +206,7 @@ def _case_iterated_fp(rng: np.random.Generator, tol: Tolerances, n_hi: int, step
     for _ in range(steps):
         Ak, Bk = aluthge(Ak, tol), aluthge(Bk, tol)
         reps.append(fp_property(Ak, Bk, tol))
-    thr = tol.residual_rel * (op_norm(A) + op_norm(B))
-    return CaseOutcome(all(r.holds for r in reps), max(r.max_residual for r in reps), thr, {"A": A, "B": B})
+    return _inclusion_outcome(reps, {"A": A, "B": B})
 
 
 def _unit_spectrum_operator(rng: np.random.Generator, units: Callable, normal: bool) -> np.ndarray:
@@ -350,10 +341,7 @@ def _case_thm31(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     fwd = basis_inclusion(cb, aluthge(A, tol), aluthge(B, tol), tol)
     s, t = rng.uniform(0.1, 2.0, size=2)
     fwd_st = basis_inclusion(cb, aluthge_st(A, s, t, tol), aluthge_st(B, s, t, tol), tol)
-    passed = fwd.holds and fwd_st.holds
-    worst = max(fwd.max_residual, fwd_st.max_residual)
-    thr = tol.residual_rel * (op_norm(A) + op_norm(B))
-    return CaseOutcome(bool(passed), worst, thr, {"A": A, "B": B})
+    return _inclusion_outcome([fwd, fwd_st], {"A": A, "B": B})
 
 
 def _case_iterated_commutants(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> CaseOutcome:
@@ -370,8 +358,7 @@ def _case_iterated_commutants(rng: np.random.Generator, tol: Tolerances, n_hi: i
     for _ in range(steps):
         Ak, Bk = aluthge(Ak, tol), aluthge(Bk, tol)
         reps += [basis_inclusion(cb, Ak, Bk, tol), com_inclusion(Ak, Bk, A, B, tol)]
-    thr = tol.residual_rel * (op_norm(A) + op_norm(B))
-    return CaseOutcome(all(r.holds for r in reps), max(r.max_residual for r in reps), thr, {"A": A, "B": B})
+    return _inclusion_outcome(reps, {"A": A, "B": B})
 
 
 _P_CHOICES = (1.0, 2.0, 3.0, inf)
@@ -407,8 +394,7 @@ def _case_lemma41(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         A = pd_min_eig(rng, n, a_target**2)
         X = hermitian_part(ginibre(rng, n))
         rep = aluthge_commutator_bound(A, X, p, tol)
-    passed, violation, allowance = slack_verdict(rep)
-    return CaseOutcome(passed, violation, allowance, {"A": A, "X": X})
+    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "X": X})
 
 
 def _case_thm42(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
@@ -420,12 +406,11 @@ def _case_thm42(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     B = pd_min_eig(rng, nb, floor)
     X = ginibre(rng, na, nb)
     rep = aluthge_intertwiner_bound(A, B, X, p, tol)
-    satisfied, violation, allowance = slack_verdict(rep)
     agree = (
-        abs(rep.lhs - rep.details["block_lhs"]) <= allowance
-        and abs(rep.rhs - rep.details["block_rhs"]) <= allowance
+        abs(rep.lhs - rep.details["block_lhs"]) <= rep.threshold
+        and abs(rep.rhs - rep.details["block_rhs"]) <= rep.threshold
     )
-    return CaseOutcome(bool(satisfied and agree), violation, allowance, {"A": A, "B": B, "X": X})
+    return CaseOutcome(bool(rep.ok and agree), rep.max_residual, rep.threshold, {"A": A, "B": B, "X": X})
 
 
 def _case_cor44(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
@@ -457,8 +442,7 @@ def _case_moore(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     root, U = f.power(0.5), f.angular()
     delta = max(op_norm(root @ X - X @ root), op_norm(adjoint(U) @ X - X @ U))
     rep = approx_commutator_bound(A, X, delta, tol)
-    passed, violation, allowance = slack_verdict(rep, upper=True)
-    return CaseOutcome(passed, violation, allowance, {"A": A, "X": X})
+    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "X": X})
 
 
 _BLOCK_P_CHOICES = (0.5, 1.0, 2.0, 3.0, 4.5, inf)

@@ -1,5 +1,6 @@
 """Tests for matrix document round-trips and the command-line interface."""
 
+import io
 import json
 import os
 import subprocess
@@ -92,6 +93,16 @@ class TestMatrixIO:
         np.testing.assert_array_equal(back["A"], mats["A"])
         np.testing.assert_array_equal(back["B"], mats["B"])
 
+    def test_caller_streams_stay_open(self):
+        stream = io.StringIO()
+        write_matrix(stream, np.eye(2))
+        write_matrices(stream, {"A": np.eye(1)})
+        assert not stream.closed
+        single, named = (io.StringIO(line) for line in stream.getvalue().splitlines())
+        np.testing.assert_array_equal(read_matrix(single), np.eye(2))
+        assert set(read_matrices(named)) == {"A"}
+        assert not single.closed and not named.closed
+
     def test_doc_shape(self):
         doc = matrix_to_doc(np.array([[1.0 + 2.0j]]))
         assert doc == {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}
@@ -160,6 +171,19 @@ class TestCli:
         assert main(["inequality", "thm42", str(tmp_path / "in.json"), "--p", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["lhs"] == pytest.approx(3.0) and doc["rhs"] == pytest.approx(2.0)
+
+    def test_inequality_failed_hypothesis_exits_one(self, tmp_path, capsys):
+        # X = diag(1, 0) does not commute with the rotation that is A's angular part.
+        c, s = np.cos(0.3), np.sin(0.3)
+        A = np.array([[c, -s], [s, c]]) @ np.diag([2.0, 1.0])
+        write_matrices(tmp_path / "in.json", {"A": A, "X": np.diag([1.0, 0.0])})
+        assert main(["inequality", "lemma41", str(tmp_path / "in.json")]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"which", "lhs", "rhs", "slack", "hypotheses_ok", "a_value", "p", "details"}
+        assert doc["which"] == "lemma41" and doc["p"] == 2.0
+        assert doc["hypotheses_ok"] is False and doc["a_value"] > 0.0
+        assert doc["details"] == {"self_adjoint": True, "angular_commutes": False}
+        assert doc["slack"] == doc["lhs"] - doc["rhs"] and doc["slack"] > 0.0
 
     def test_inequality_moore_requires_delta(self, tmp_path, capsys):
         write_matrices(tmp_path / "in.json", {"A": np.eye(2), "X": np.eye(2)})
@@ -301,8 +325,6 @@ class TestCli:
         assert doc["cases_passed"] == 0 and len(doc["failures"]) == 1
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix_to_doc(np.eye(2)))))
         assert main(["schatten", "-", "--p", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["norm"] == pytest.approx(2.0)

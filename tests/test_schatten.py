@@ -8,6 +8,7 @@ import pytest
 from aluthge.generate import ginibre, pd_min_eig, random_unitary
 from aluthge.linalg import adjoint, fro_norm, hermitian_part, op_norm
 from aluthge.schatten import (
+    InequalityReport,
     aluthge_commutator_bound,
     aluthge_intertwiner_bound,
     approx_commutator_bound,
@@ -248,3 +249,44 @@ class TestApproxCommutatorBound:
         A, X = ginibre(rng, 3), ginibre(rng, 3)
         with pytest.raises(ValueError, match="within delta"):
             approx_commutator_bound(A, X, 0.0)
+
+
+def _slack_verdict(rep, upper):
+    """Reference verdict (ok, violation, allowance) of a lower or upper bound."""
+    allowance = 1e-9 * max(1.0, rep.lhs, rep.rhs)
+    if upper:
+        return bool(rep.slack <= allowance), max(0.0, rep.slack), allowance
+    return bool(rep.hypotheses_ok and rep.slack >= -allowance), max(0.0, -rep.slack), allowance
+
+
+_AT_ALLOWANCE = 1e-9 * 3.0
+
+
+class TestInequalityVerdict:
+    @pytest.mark.parametrize(
+        "lhs,rhs,slack,hypotheses_ok,upper,expected_ok",
+        [
+            (2.0, 1.0, 1.0, False, False, False),  # lower bound met, hypotheses fail
+            (2.0, 1.0, 1.0, True, False, True),
+            (0.5, 0.25, -0.75, True, False, False),  # lower bound violated
+            (1.0, 2.0, -1.0, False, True, True),  # upper bound, negative slack
+            (2.0, 1.0, 1.0, True, True, False),  # upper bound violated
+            (3.0, 3.0, -_AT_ALLOWANCE, True, False, True),  # exactly at -allowance
+            (3.0, 3.0, np.nextafter(-_AT_ALLOWANCE, -1.0), True, False, False),
+            (3.0, 3.0, _AT_ALLOWANCE, True, True, True),  # exactly at +allowance
+            (3.0, 3.0, np.nextafter(_AT_ALLOWANCE, 1.0), True, True, False),
+            (0.0, 0.0, 0.0, True, False, True),  # allowance floored at max(1, ...)
+        ],
+    )
+    def test_matches_reference_formulas(self, lhs, rhs, slack, hypotheses_ok, upper, expected_ok):
+        rep = InequalityReport(
+            lhs=lhs, rhs=rhs, slack=float(slack), hypotheses_ok=hypotheses_ok, a_value=1.0, p=2.0, upper=upper
+        )
+        assert (rep.ok, rep.max_residual, rep.threshold) == _slack_verdict(rep, upper)
+        assert rep.ok is expected_ok
+
+    def test_only_the_near_commutation_bound_is_upper(self):
+        A, X = np.diag([4.0, 1.0]), np.diag([1.0, 2.0])
+        assert approx_commutator_bound(A, X, 0.0).upper
+        assert not aluthge_commutator_bound(A, X, 2.0).upper
+        assert not aluthge_intertwiner_bound(A, A, X, 2.0).upper

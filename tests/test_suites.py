@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import aluthge.commutant as commutant_module
-from aluthge.linalg import DEFAULT_TOL
+from aluthge.linalg import DEFAULT_TOL, Tolerances, op_norm
+from aluthge.matrixio import matrix_from_doc
+from aluthge.polar import aluthge
 from aluthge.suites import SUITE_IDS, SUITES, run_suite
 
 EXPECTED_IDS = {
@@ -74,8 +76,6 @@ def test_report_counts_consistent():
 def test_failure_entries_are_populated():
     # a residual tolerance of 0.9 accepts the known counterexample's
     # adjoint defect, so the fixed-instance suite must report failures
-    from aluthge.linalg import Tolerances
-
     rep = run_suite("example_fp_fail", seed=0, trials=2, tol=Tolerances(residual_rel=0.9))
     assert not rep.passed
     assert rep.cases_passed == 0
@@ -83,7 +83,23 @@ def test_failure_entries_are_populated():
     entry = rep.failures[0]
     assert entry.inputs["A"]["rows"] == 2
     doc = rep.to_doc()
+    assert list(doc) == ["suite_id", "seed", "cases_run", "cases_passed", "failures"]
+    assert list(doc["failures"][0]) == ["case_id", "inputs", "residual", "expected_threshold"]
     assert doc["failures"][0]["inputs"]["A"]["data"][0] == [2.0, 0.0]
+
+
+def test_failure_carries_the_deciding_threshold():
+    # cor25 checks the FP-property of the transformed pair, so a failure
+    # must report that check's threshold, scaled by the transforms' norms.
+    tol = Tolerances(residual_rel=1e-15)
+    rep = run_suite("cor25", seed=0, trials=5, tol=tol)
+    entry = next(f for f in rep.failures if f.case_id == 4)
+    A, B = (matrix_from_doc(entry.inputs[name]) for name in ("A", "B"))
+    transformed = tol.residual_rel * (op_norm(aluthge(A, tol)) + op_norm(aluthge(B, tol)))
+    original = tol.residual_rel * (op_norm(A) + op_norm(B))
+    assert entry.expected_threshold == pytest.approx(transformed, rel=1e-12, abs=0.0)
+    assert entry.expected_threshold != pytest.approx(original, rel=1e-3, abs=0.0)
+    assert entry.residual > entry.expected_threshold
 
 
 def test_example_fp_fail_solves_each_pair_once(monkeypatch):
@@ -101,9 +117,7 @@ def test_example_fp_fail_solves_each_pair_once(monkeypatch):
     assert len(calls) == 2
 
 
-# thm24 is left out: its second solve of Com(A, B) happens inside the
-# public squared_angular_criterion(A, B), which solves on its own.
-@pytest.mark.parametrize("suite_id", [s for s in SUITE_IDS if s != "thm24"])
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_each_pair_solved_once_per_case(suite_id, monkeypatch):
     solved = []
     solve = commutant_module.sylvester_matrix
@@ -117,3 +131,11 @@ def test_each_pair_solved_once_per_case(suite_id, monkeypatch):
         solved.clear()
         SUITES[suite_id](np.random.default_rng([1, case_id]), DEFAULT_TOL)
         assert len(solved) == len(set(solved)), f"case {case_id} solves a pair twice"
+
+
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
+def test_every_suite_passes_at_seed_one(suite_id):
+    # At seed 1 every suite passes all 200 cases, so its report carries no
+    # failures; a change of verdict on any of these cases shows here.
+    report = run_suite(suite_id, seed=1, trials=200)
+    assert report.cases_passed == 200, [f.case_id for f in report.failures]
