@@ -126,6 +126,7 @@ def _cmd_fp_check(args) -> int:
             "holds": rep.holds,
             "com_dim": rep.com_dim,
             "max_residual": rep.max_residual,
+            "threshold": rep.threshold,
             "witness": None if rep.witness is None else matrix_to_doc(rep.witness),
         },
         args.out,

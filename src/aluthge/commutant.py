@@ -28,7 +28,7 @@ from .linalg import (
     intertwiner_operands,
     op_norm,
 )
-from .polar import polar_factors
+from .polar import PolarFactors, polar_factors
 
 __all__ = [
     "CommutantBasis",
@@ -255,12 +255,14 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     """
     from scipy.linalg import schur
     from scipy.linalg.lapack import ztrsen
+    from scipy.sparse.csgraph import connected_components
 
     T, Q = schur(M, output="complex")
     n = len(T)
     ev = np.diag(T)
     dist = np.abs(ev[:, None] - ev[None, :])
-    clusters = _single_linkage(ev, gap)
+    count, labels = connected_components(dist <= gap, directed=False)
+    clusters = [labels == k for k in range(count)]
     groups = []
     while clusters:
         members = clusters.pop()
@@ -283,24 +285,6 @@ def _centers_radii(groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndar
     centers = np.array([np.trace(T) / len(T) for _, T in groups])
     radii = np.array([fro_norm(T - c * np.eye(len(T))) for (_, T), c in zip(groups, centers)])
     return centers, radii
-
-
-def _single_linkage(points: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Membership masks of the clusters whose members chain within ``gap``."""
-    near = np.abs(points[:, None] - points[None, :]) <= gap
-    free = np.ones(len(points), dtype=bool)
-    clusters = []
-    while free.any():
-        members = np.zeros(len(points), dtype=bool)
-        members[np.argmax(free)] = True
-        while True:
-            grown = near[members].any(axis=0)
-            if (grown == members).all():
-                break
-            members = grown
-        clusters.append(members)
-        free &= ~members
-    return clusters
 
 
 def _basis_of(A: np.ndarray, B: np.ndarray, X: np.ndarray) -> CommutantBasis:
@@ -341,7 +325,12 @@ def fp_property(A, B, tol: Tolerances = DEFAULT_TOL) -> FpReport:
     ``residual_rel * (||A|| + ||B||)``. A trivial commutant makes the
     verdict vacuously true.
     """
-    return com_inclusion(A, B, adjoint(A), adjoint(B), tol)
+    return factored_fp_property(polar_factors(A, tol), polar_factors(B, tol), tol)
+
+
+def factored_fp_property(fa: PolarFactors, fb: PolarFactors, tol: Tolerances = DEFAULT_TOL) -> FpReport:
+    """:func:`fp_property` of the pair that ``fa`` and ``fb`` factor; the adjoints' norms come from the same SVDs."""
+    return basis_inclusion(commutant_basis(fa.matrix, fb.matrix, tol), fa.adjoint(), fb.adjoint(), tol)
 
 
 def com_inclusion(A1, B1, A2, B2, tol: Tolerances = DEFAULT_TOL) -> FpReport:
@@ -353,23 +342,23 @@ def com_inclusion(A1, B1, A2, B2, tol: Tolerances = DEFAULT_TOL) -> FpReport:
     """
     A1 = as_square(A1)
     B1 = as_square(B1)
-    A2 = as_square(A2)
-    B2 = as_square(B2)
-    if A1.shape != A2.shape or B1.shape != B2.shape:
+    f2, g2 = polar_factors(A2, tol), polar_factors(B2, tol)
+    if A1.shape != f2.matrix.shape or B1.shape != g2.matrix.shape:
         raise ValueError("operator pairs act on mismatched spaces")
-    return basis_inclusion(commutant_basis(A1, B1, tol), A2, B2, tol)
+    return basis_inclusion(commutant_basis(A1, B1, tol), f2, g2, tol)
 
 
-def basis_inclusion(cb: CommutantBasis, A2: np.ndarray, B2: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> FpReport:
+def basis_inclusion(cb: CommutantBasis, f2: PolarFactors, g2: PolarFactors, tol: Tolerances = DEFAULT_TOL) -> FpReport:
     """The check half of :func:`com_inclusion`, against an already solved basis.
 
-    Lets one solve of Com(A1, B1) serve several target pairs. A2 and B2
-    must be square arrays acting on the spaces of ``cb``.
+    Lets one solve of Com(A1, B1) serve several target pairs. ``f2`` and
+    ``g2`` factor the target pair (A2, B2), which must act on the spaces
+    of ``cb``; the threshold is ``residual_rel * (||A2|| + ||B2||)``.
     """
-    threshold = tol.residual_rel * (op_norm(A2) + op_norm(B2))
+    threshold = tol.residual_rel * (f2.norm + g2.norm)
     worst = 0.0
     witness = None
-    residuals = _residual_norms(A2, B2, cb.basis)
+    residuals = _residual_norms(f2.matrix, g2.matrix, cb.basis)
     if len(residuals):
         # The last element with the largest residual is the witness.
         k = len(residuals) - 1 - int(np.argmax(residuals[::-1]))
@@ -384,6 +373,14 @@ def basis_inclusion(cb: CommutantBasis, A2: np.ndarray, B2: np.ndarray, tol: Tol
     )
 
 
+def _invertible_factors(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> tuple[PolarFactors, PolarFactors]:
+    """Factor both matrices of a pair, refusing one that is not invertible."""
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    fa.require_invertible("A")
+    fb.require_invertible("B")
+    return fa, fb
+
+
 def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Evaluate |A| X |B|^-1, U* X V and X against each other (invertible A, B).
 
@@ -395,9 +392,7 @@ def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> Chec
     incurred by the right multiplication.
     """
     A, B, X = intertwiner_operands(A, B, X)
-    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
-    fa.require_invertible("A")
-    fb.require_invertible("B")
+    fa, fb = _invertible_factors(A, B, tol)
     m1 = fa.power(1.0) @ X @ fb.power(-1.0)
     m2 = adjoint(fa.angular()) @ X @ fb.angular()
     xn = fro_norm(X)
@@ -438,9 +433,7 @@ def power_intertwining_check(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) -
     A, B, X = intertwiner_operands(A, B, X)
     if p <= 0:
         raise ValueError("power p must be positive")
-    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
-    fa.require_invertible("A")
-    fb.require_invertible("B")
+    fa, fb = _invertible_factors(A, B, tol)
     xn = fro_norm(X)
     thr_member = tol.residual_rel * (fa.norm + fb.norm) * max(xn, 1.0)
     if fro_norm(A @ X - X @ B) > thr_member or fro_norm(adjoint(A) @ X - X @ adjoint(B)) > thr_member:
@@ -462,9 +455,7 @@ def aluthge_intertwiner_map(A, B, X, direction: str = "forward", tol: Tolerances
     The two compose to the identity. Requires invertible A and B.
     """
     A, B, X = intertwiner_operands(A, B, X)
-    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
-    fa.require_invertible("A")
-    fb.require_invertible("B")
+    fa, fb = _invertible_factors(A, B, tol)
     if direction == "forward":
         return fa.power(0.5) @ X @ fb.power(-0.5)
     if direction == "inverse":
@@ -478,24 +469,22 @@ def squared_angular_criterion(A, B, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     For invertible A, B the two sides are equivalent; the report
     records each side and ``ok`` asserts their agreement.
     """
-    A = as_square(A)
-    B = as_square(B)
-    return basis_squared_angular(commutant_basis(A, B, tol), A, B, tol)
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    return basis_squared_angular(commutant_basis(fa.matrix, fb.matrix, tol), fa, fb, tol)
 
 
 def basis_squared_angular(
-    cb: CommutantBasis, A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL
+    cb: CommutantBasis, fa: PolarFactors, fb: PolarFactors, tol: Tolerances = DEFAULT_TOL
 ) -> CheckReport:
     """The check half of :func:`squared_angular_criterion`, against an already solved basis.
 
     Lets the solve of Com(A, B) that produced a pair serve this check too.
-    A and B must be the square arrays ``cb`` was solved for.
+    ``fa`` and ``fb`` factor the pair (A, B) that ``cb`` was solved for.
     """
-    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
     fa.require_invertible("A")
     fb.require_invertible("B")
     U, V = fa.angular(), fb.angular()
-    left = fp_property(fa.transform(0.5, 0.5), fb.transform(0.5, 0.5), tol).holds
+    left = factored_fp_property(fa.aluthge(tol), fb.aluthge(tol), tol).holds
     worst = float(_residual_norms(U @ U, V @ V, cb.basis).max(initial=0.0))
     threshold = 2.0 * tol.residual_rel
     right = bool(worst <= threshold)

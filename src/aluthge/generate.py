@@ -13,14 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .commutant import basis_inclusion, commutant_basis
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    adjoint,
-    hermitian_part,
-    op_norm,
-    singular_values,
-)
+from .linalg import DEFAULT_TOL, Tolerances, hermitian_part, op_norm
+from .polar import PolarFactors, polar_factors
 
 __all__ = [
     "GenerationError",
@@ -182,22 +176,23 @@ def involution(rng: np.random.Generator, n: int) -> np.ndarray:
     return (S * signs) @ np.linalg.inv(S)
 
 
-def _is_normal(M: np.ndarray) -> bool:
-    return op_norm(M @ M.conj().T - M.conj().T @ M) <= 1e-12 * max(1.0, op_norm(M) ** 2)
+def _is_normal(f: PolarFactors) -> bool:
+    M = f.matrix
+    return op_norm(M @ M.conj().T - M.conj().T @ M) <= 1e-12 * max(1.0, f.norm**2)
 
 
-def _is_invertible(M: np.ndarray) -> bool:
-    s = singular_values(M)
-    return bool(s[0] > 0.0 and s[-1] > 1e-6 * s[0])
+def _is_invertible(f: PolarFactors) -> bool:
+    return bool(f.s[0] > 0.0 and f.s[-1] > 1e-6 * f.s[0])
 
 
 def draw(kind: str, n: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL):
     """Verified instance for ``kind`` using the caller's generator stream.
 
-    Pair kinds return (A, B, cb), where ``cb`` is the
-    :class:`~aluthge.commutant.CommutantBasis` of Com(A, B) that the
-    hypothesis check solved, so callers need not solve it again;
-    ``involution`` returns the matrix.
+    Pair kinds return (fa, fb, cb): the
+    :class:`~aluthge.polar.PolarFactors` of A and B that the hypothesis
+    check read, and the :class:`~aluthge.commutant.CommutantBasis` of
+    Com(A, B) that it solved, so callers need neither factor nor solve
+    again (``fa.matrix`` is A). ``involution`` returns the matrix.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -205,17 +200,17 @@ def draw(kind: str, n: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_
         raise ValueError("n must be at least 1")
     for _ in range(_RETRY_BUDGET):
         if kind == KIND_NORMAL_PAIR:
-            A, B = normal_pair(rng, n)
-            if _is_normal(A) and _is_normal(B):
-                cb = commutant_basis(A, B, tol)
+            fa, fb = (polar_factors(M, tol) for M in normal_pair(rng, n))
+            if _is_normal(fa) and _is_normal(fb):
+                cb = commutant_basis(fa.matrix, fb.matrix, tol)
                 if cb.nullity >= 1:
-                    return A, B, cb
+                    return fa, fb, cb
         elif kind == KIND_INVERTIBLE_FP:
-            A, B = invertible_fp_pair(rng, n)
-            if _is_invertible(A) and _is_invertible(B):
-                cb = commutant_basis(A, B, tol)
-                if cb.nullity >= 1 and basis_inclusion(cb, adjoint(A), adjoint(B), tol).holds:
-                    return A, B, cb
+            fa, fb = (polar_factors(M, tol) for M in invertible_fp_pair(rng, n))
+            if _is_invertible(fa) and _is_invertible(fb):
+                cb = commutant_basis(fa.matrix, fb.matrix, tol)
+                if cb.nullity >= 1 and basis_inclusion(cb, fa.adjoint(), fb.adjoint(), tol).holds:
+                    return fa, fb, cb
         else:
             A = involution(rng, n)
             if op_norm(A @ A - np.eye(n)) <= 1e-12:
@@ -229,4 +224,4 @@ def generate(kind: str, n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     Pair kinds return a tuple (A, B); ``involution`` returns the matrix.
     """
     instance = draw(kind, n, np.random.default_rng(seed), tol=tol)
-    return instance if kind == KIND_INVOLUTION else instance[:2]
+    return instance if kind == KIND_INVOLUTION else (instance[0].matrix, instance[1].matrix)

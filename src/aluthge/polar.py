@@ -76,10 +76,12 @@ class AluthgeTrajectory:
 class PolarFactors:
     """One SVD A = W diag(s) Qh of a square matrix; every polar quantity of A derives from it.
 
-    ``rank`` counts singular values above ``rank_rel`` times the largest;
-    the others are the cut values.
+    ``matrix`` is the coerced A that was factored. ``rank`` counts
+    singular values above ``rank_rel`` times the largest; the others are
+    the cut values.
     """
 
+    matrix: np.ndarray
     W: np.ndarray
     s: np.ndarray
     Qh: np.ndarray
@@ -122,12 +124,23 @@ class PolarFactors:
         inner = np.power(cut, s)[:, None] * (self.Qh @ self.W) * np.power(cut, t)
         return self.Qh.conj().T @ inner @ self.Qh
 
+    def adjoint(self) -> PolarFactors:
+        """Factors of A* = Q diag(s) W*, read from the same SVD."""
+        return PolarFactors(
+            matrix=adjoint(self.matrix), W=self.Qh.conj().T, s=self.s, Qh=self.W.conj().T, rank=self.rank
+        )
+
+    def aluthge(self, tol: Tolerances = DEFAULT_TOL) -> PolarFactors:
+        """Factors of the Aluthge transform |A|^(1/2) U |A|^(1/2), with one SVD of the transform."""
+        return polar_factors(self.transform(0.5, 0.5), tol)
+
 
 def polar_factors(A, tol: Tolerances = DEFAULT_TOL) -> PolarFactors:
     """Factor a square matrix once, A = W diag(s) Qh, with the rank cut of ``tol``."""
-    W, s, Qh = np.linalg.svd(as_square(A))
+    A = as_square(A)
+    W, s, Qh = np.linalg.svd(A)
     rank = int(np.count_nonzero(s > tol.rank_rel * s[0]))
-    return PolarFactors(W=W, s=s, Qh=Qh, rank=rank)
+    return PolarFactors(matrix=A, W=W, s=s, Qh=Qh, rank=rank)
 
 
 def polar_decompose(A, mode: str = MODE_UNITARY, tol: Tolerances = DEFAULT_TOL) -> PolarParts:

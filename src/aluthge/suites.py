@@ -22,9 +22,8 @@ from .commutant import (
     aluthge_intertwiner_map,
     basis_inclusion,
     basis_squared_angular,
-    com_inclusion,
     commutant_basis,
-    fp_property,
+    factored_fp_property,
     intertwiner_polar_identities,
     odd_root_unity_check,
     power_intertwining_check,
@@ -42,20 +41,10 @@ from .generate import (
     similarity_pair,
     well_conditioned,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    adjoint,
-    fro_norm,
-    hermitian_part,
-    op_norm,
-    singular_values,
-)
+from .linalg import DEFAULT_TOL, Tolerances, adjoint, fro_norm, hermitian_part, op_norm
 from .matrixio import matrix_to_doc
 from .polar import (
     MODE_UNITARY,
-    aluthge,
-    aluthge_st,
     involution_angular_check,
     polar_decompose,
     polar_factors,
@@ -125,16 +114,17 @@ def _inclusion_outcome(reps: list[FpReport], inputs: dict[str, np.ndarray]) -> C
 
 def _case_fuglede_putnam(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 7))
-    A, B, cb = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
-    return _inclusion_outcome([basis_inclusion(cb, adjoint(A), adjoint(B), tol)], {"A": A, "B": B})
+    fa, fb, cb = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
+    return _inclusion_outcome([basis_inclusion(cb, fa.adjoint(), fb.adjoint(), tol)], {"A": fa.matrix, "B": fb.matrix})
 
 
 def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
-    A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    A, B = fa.matrix, fb.matrix
     X = _combo(rng, cb.basis)
     rep_in = intertwiner_polar_identities(A, B, X, tol)
-    sa, sb = singular_values(A), singular_values(B)
+    sa, sb = fa.s, fb.s
     decisive = 10.0 * tol.residual_rel * (sa[0] + sb[0]) * (sb[0] / sb[-1])
     X_out = X
     for _ in range(50):
@@ -155,7 +145,8 @@ def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 
 def _case_remark22(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
-    A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    A, B = fa.matrix, fb.matrix
     X = _combo(rng, cb.basis)
     p = float(rng.uniform(0.3, 2.5))
     rep = power_intertwining_check(A, B, X, p, tol)
@@ -165,17 +156,18 @@ def _case_remark22(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 def _case_lemma23(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
     if rng.random() < 0.5:
-        A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+        fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     else:
-        A, B = similarity_pair(rng, n)
-        cb = commutant_basis(A, B, tol)
+        fa, fb = (polar_factors(M, tol) for M in similarity_pair(rng, n))
+        cb = commutant_basis(fa.matrix, fb.matrix, tol)
+    A, B = fa.matrix, fb.matrix
     X = _combo(rng, cb.basis)
     Y = aluthge_intertwiner_map(A, B, X, "forward", tol)
-    Ta, Tb = aluthge(A, tol), aluthge(B, tol)
-    r_member = fro_norm(Ta @ Y - Y @ Tb)
-    thr_member = tol.residual_rel * (op_norm(Ta) + op_norm(Tb)) * max(fro_norm(Y), 1.0)
+    ta, tb = fa.aluthge(tol), fb.aluthge(tol)
+    r_member = fro_norm(ta.matrix @ Y - Y @ tb.matrix)
+    thr_member = tol.residual_rel * (ta.norm + tb.norm) * max(fro_norm(Y), 1.0)
     back = aluthge_intertwiner_map(A, B, Y, "inverse", tol)
-    sa, sb = singular_values(A), singular_values(B)
+    sa, sb = fa.s, fb.s
     r_round = fro_norm(back - X)
     thr_round = tol.residual_rel * sqrt((sa[0] / sa[-1]) * (sb[0] / sb[-1]))
     passed = r_member <= thr_member and r_round <= thr_round
@@ -186,27 +178,28 @@ def _case_thm24(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
     variant = int(rng.integers(3))
     if variant == 0:
-        A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+        fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     else:
         if variant == 1:
-            A, B = similarity_pair(rng, n)
+            pair = similarity_pair(rng, n)
         else:
-            A, B = well_conditioned(rng, n), well_conditioned(rng, n)
-        cb = commutant_basis(A, B, tol)
-    rep = basis_squared_angular(cb, A, B, tol)
-    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "B": B})
+            pair = well_conditioned(rng, n), well_conditioned(rng, n)
+        fa, fb = (polar_factors(M, tol) for M in pair)
+        cb = commutant_basis(fa.matrix, fb.matrix, tol)
+    rep = basis_squared_angular(cb, fa, fb, tol)
+    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": fa.matrix, "B": fb.matrix})
 
 
 def _case_iterated_fp(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> CaseOutcome:
     """The FP-property of an invertible pair survives each of ``steps`` iterated transforms."""
     n = int(rng.integers(2, n_hi))
-    A, B, _ = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    Ak, Bk = A, B
+    fa, fb, _ = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    fk, gk = fa, fb
     reps = []
     for _ in range(steps):
-        Ak, Bk = aluthge(Ak, tol), aluthge(Bk, tol)
-        reps.append(fp_property(Ak, Bk, tol))
-    return _inclusion_outcome(reps, {"A": A, "B": B})
+        fk, gk = fk.aluthge(tol), gk.aluthge(tol)
+        reps.append(factored_fp_property(fk, gk, tol))
+    return _inclusion_outcome(reps, {"A": fa.matrix, "B": fb.matrix})
 
 
 def _unit_spectrum_operator(rng: np.random.Generator, units: Callable, normal: bool) -> np.ndarray:
@@ -232,21 +225,25 @@ def _angular_transfer_case(
     variant = int(rng.integers(3))
     for _ in range(50):
         if variant == 2:
-            A = _unit_spectrum_operator(rng, units, normal=bool(rng.integers(2)))
-            B = _unit_spectrum_operator(rng, units, normal=bool(rng.integers(2)))
+            fa = polar_factors(_unit_spectrum_operator(rng, units, normal=bool(rng.integers(2))), tol)
+            fb = polar_factors(_unit_spectrum_operator(rng, units, normal=bool(rng.integers(2))), tol)
         else:
             A = _unit_spectrum_operator(rng, units, normal=variant == 1)
-            B = A.copy()
             if variant == 0 and not _decisively_nonnormal(A):
                 continue
-        if accept(polar_factors(A, tol).angular(), polar_factors(B, tol).angular()):
+            # The pair (A, A): one factorization serves both sides.
+            fa = fb = polar_factors(A, tol)
+        if accept(fa.angular(), fb.angular()):
             break
     else:
         raise GenerationError(f"no {what} pair found")
-    before = fp_property(A, B, tol)
-    after = fp_property(aluthge(A, tol), aluthge(B, tol), tol)
+    before = factored_fp_property(fa, fb, tol)
+    ta = fa.aluthge(tol)
+    tb = ta if fb is fa else fb.aluthge(tol)
+    after = factored_fp_property(ta, tb, tol)
     passed = before.holds == after.holds
-    return CaseOutcome(bool(passed), max(before.max_residual, after.max_residual), 0.0, {"A": A, "B": B})
+    residual = max(before.max_residual, after.max_residual)
+    return CaseOutcome(bool(passed), residual, 0.0, {"A": fa.matrix, "B": fb.matrix})
 
 
 def _case_cor27(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
@@ -313,13 +310,14 @@ def _case_example_a3(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 
 def _case_example_fp_fail(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     A = _EXAMPLE_FP_FAIL
+    f = polar_factors(A, tol)
     cb = commutant_basis(A, A, tol)
-    rep = basis_inclusion(cb, adjoint(A), adjoint(A), tol)
+    rep = basis_inclusion(cb, f.adjoint(), f.adjoint(), tol)
     projection = sum(np.vdot(E, _EXAMPLE_WITNESS) * E for E in cb.basis)
     r_span = fro_norm(projection - _EXAMPLE_WITNESS)
     inv = involution_angular_check(A, tol)
-    transformed = aluthge(A, tol)
-    rep_t = fp_property(transformed, transformed, tol)
+    transformed = f.aluthge(tol)
+    rep_t = factored_fp_property(transformed, transformed, tol)
     passed = (
         not rep.holds
         and rep.max_residual >= 1.0
@@ -334,14 +332,12 @@ def _case_example_fp_fail(rng: np.random.Generator, tol: Tolerances) -> CaseOutc
 
 def _case_thm31(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
-    if rng.random() < 0.5:
-        A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    else:
-        A, B, cb = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
-    fwd = basis_inclusion(cb, aluthge(A, tol), aluthge(B, tol), tol)
+    kind = KIND_INVERTIBLE_FP if rng.random() < 0.5 else KIND_NORMAL_PAIR
+    fa, fb, cb = draw(kind, n, rng, tol=tol)
+    fwd = basis_inclusion(cb, fa.aluthge(tol), fb.aluthge(tol), tol)
     s, t = rng.uniform(0.1, 2.0, size=2)
-    fwd_st = basis_inclusion(cb, aluthge_st(A, s, t, tol), aluthge_st(B, s, t, tol), tol)
-    return _inclusion_outcome([fwd, fwd_st], {"A": A, "B": B})
+    fwd_st = basis_inclusion(cb, polar_factors(fa.transform(s, t), tol), polar_factors(fb.transform(s, t), tol), tol)
+    return _inclusion_outcome([fwd, fwd_st], {"A": fa.matrix, "B": fb.matrix})
 
 
 def _case_iterated_commutants(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> CaseOutcome:
@@ -352,13 +348,14 @@ def _case_iterated_commutants(rng: np.random.Generator, tol: Tolerances, n_hi: i
     iterate.
     """
     n = int(rng.integers(2, n_hi))
-    A, B, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    Ak, Bk = A, B
+    fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
+    fk, gk = fa, fb
     reps = []
     for _ in range(steps):
-        Ak, Bk = aluthge(Ak, tol), aluthge(Bk, tol)
-        reps += [basis_inclusion(cb, Ak, Bk, tol), com_inclusion(Ak, Bk, A, B, tol)]
-    return _inclusion_outcome(reps, {"A": A, "B": B})
+        fk, gk = fk.aluthge(tol), gk.aluthge(tol)
+        cb_k = commutant_basis(fk.matrix, gk.matrix, tol)
+        reps += [basis_inclusion(cb, fk, gk, tol), basis_inclusion(cb_k, fa, fb, tol)]
+    return _inclusion_outcome(reps, {"A": fa.matrix, "B": fb.matrix})
 
 
 _P_CHOICES = (1.0, 2.0, 3.0, inf)

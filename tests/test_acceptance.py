@@ -77,7 +77,7 @@ def test_03_normal_pair_suite():
         for case in range(200):
             rng = np.random.default_rng([SEED, case])
             n = int(rng.integers(2, 7))
-            A, B, _ = draw(KIND_NORMAL_PAIR, n, rng)
+            A, B = (f.matrix for f in draw(KIND_NORMAL_PAIR, n, rng)[:2])
             if commutant_basis(A, B).nullity > 0:
                 nontrivial += 1
         assert nontrivial >= 190

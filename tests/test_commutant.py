@@ -35,7 +35,7 @@ from aluthge.generate import (
     well_conditioned,
 )
 from aluthge.linalg import DEFAULT_TOL, adjoint, fro_norm, op_norm
-from aluthge.polar import aluthge, polar_decompose
+from aluthge.polar import aluthge, polar_decompose, polar_factors
 
 FP_FAIL_A = np.array([[2.0, -3.0], [1.0, -2.0]], dtype=complex)
 FP_FAIL_X = np.array([[0.0, -3.0], [1.0, -4.0]], dtype=complex)
@@ -96,7 +96,7 @@ class TestCommutantBasis:
 
     def test_orthonormal_and_small_residuals(self):
         rng = np.random.default_rng(1)
-        A, B, _ = draw(KIND_NORMAL_PAIR, 4, rng)
+        A, B = (f.matrix for f in draw(KIND_NORMAL_PAIR, 4, rng)[:2])
         cb = commutant_basis(A, B)
         assert cb.dim_domain == (4, 4)
         gram = np.array([[np.vdot(E, F) for F in cb.basis] for E in cb.basis])
@@ -378,7 +378,7 @@ class TestFpProperty:
     def test_normal_pairs_hold(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            A, B, _ = draw(KIND_NORMAL_PAIR, int(rng.integers(2, 6)), rng)
+            A, B = (f.matrix for f in draw(KIND_NORMAL_PAIR, int(rng.integers(2, 6)), rng)[:2])
             rep = fp_property(A, B)
             assert rep.holds and rep.witness is None
 
@@ -412,7 +412,7 @@ class TestFpProperty:
 
     def test_verdict_scale_invariant(self):
         rng = np.random.default_rng(31)
-        A, B, _ = draw(KIND_NORMAL_PAIR, 3, rng)
+        A, B = (f.matrix for f in draw(KIND_NORMAL_PAIR, 3, rng)[:2])
         for M in (FP_FAIL_A, None):
             for c in (1e-3, 1.0, 1e3):
                 if M is None:
@@ -424,12 +424,12 @@ class TestFpProperty:
 class TestComInclusion:
     def test_reflexive(self):
         rng = np.random.default_rng(4)
-        A, B, _ = draw(KIND_NORMAL_PAIR, 3, rng)
+        A, B = (f.matrix for f in draw(KIND_NORMAL_PAIR, 3, rng)[:2])
         assert com_inclusion(A, B, A, B).holds
 
     def test_invertible_fp_pair_equality(self):
         rng = np.random.default_rng(5)
-        A, B, _ = draw(KIND_INVERTIBLE_FP, 4, rng)
+        A, B = (f.matrix for f in draw(KIND_INVERTIBLE_FP, 4, rng)[:2])
         Ta, Tb = aluthge(A), aluthge(B)
         assert com_inclusion(A, B, Ta, Tb).holds
         assert com_inclusion(Ta, Tb, A, B).holds
@@ -461,20 +461,20 @@ class TestComInclusion:
         E = np.eye(2)
         basis = [np.outer(E[1], E[0]), np.outer(E[0], E[0]), np.outer(E[1], E[1])]
         cb = CommutantBasis(dim_domain=(2, 2), basis=basis, residuals=[0.0] * 3, nullity=3)
-        rep = basis_inclusion(cb, np.diag([1.0, 2.0]).astype(complex), np.zeros((2, 2), dtype=complex))
+        rep = basis_inclusion(cb, polar_factors(np.diag([1.0, 2.0])), polar_factors(np.zeros((2, 2))))
         assert not rep.holds and rep.max_residual == 2.0
         assert rep.witness is basis[2]
 
     @pytest.mark.parametrize("holding", [True, False])
     def test_solved_basis_matches_one_shot(self, holding):
         if holding:
-            A, B, _ = draw(KIND_INVERTIBLE_FP, 4, np.random.default_rng(5))
+            A, B = (f.matrix for f in draw(KIND_INVERTIBLE_FP, 4, np.random.default_rng(5))[:2])
             A2, B2 = aluthge(A), aluthge(B)
         else:
             A, B = FP_FAIL_A, FP_FAIL_A
             A2, B2 = adjoint(A), adjoint(A)
         one_shot = com_inclusion(A, B, A2, B2)
-        solved = basis_inclusion(commutant_basis(A, B), A2, B2)
+        solved = basis_inclusion(commutant_basis(A, B), polar_factors(A2), polar_factors(B2))
         assert one_shot.holds is solved.holds is holding
         assert solved.max_residual == one_shot.max_residual
         assert solved.com_dim == one_shot.com_dim >= 1
@@ -494,14 +494,14 @@ class TestIntertwinerPolarIdentities:
 
     def test_normal_member(self):
         rng = np.random.default_rng(6)
-        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B = (f.matrix for f in draw(KIND_INVERTIBLE_FP, 3, rng)[:2])
         X = combo(rng, commutant_basis(A, B).basis)
         rep = intertwiner_polar_identities(A, B, X)
         assert rep.ok and rep.details["in_com"] and rep.details["polar_identity"]
 
     def test_non_member_fails_identity(self):
         rng = np.random.default_rng(7)
-        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B = (f.matrix for f in draw(KIND_INVERTIBLE_FP, 3, rng)[:2])
         X = ginibre(rng, 3)
         rep = intertwiner_polar_identities(A, B, X)
         assert rep.ok  # biconditional still consistent
@@ -515,13 +515,13 @@ class TestIntertwinerPolarIdentities:
 class TestPowerIntertwining:
     def test_power_two_double_intertwiner(self):
         rng = np.random.default_rng(8)
-        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B = (f.matrix for f in draw(KIND_INVERTIBLE_FP, 3, rng)[:2])
         X = combo(rng, commutant_basis(A, B).basis)
         assert power_intertwining_check(A, B, X, 2.0).ok
 
     def test_fractional_power_normal(self):
         rng = np.random.default_rng(9)
-        A, _, _ = draw(KIND_INVERTIBLE_FP, 4, rng)
+        A = draw(KIND_INVERTIBLE_FP, 4, rng)[0].matrix
         X = combo(rng, commutant_basis(A, A).basis)
         assert power_intertwining_check(A, A, X, 0.5).ok
 
@@ -530,7 +530,7 @@ class TestPowerIntertwining:
 
     def test_rejects_non_member(self):
         rng = np.random.default_rng(10)
-        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B = (f.matrix for f in draw(KIND_INVERTIBLE_FP, 3, rng)[:2])
         with pytest.raises(ValueError, match="intertwine"):
             power_intertwining_check(A, B, ginibre(rng, 3), 2.0)
 
@@ -538,7 +538,7 @@ class TestPowerIntertwining:
 class TestAluthgeIntertwinerMap:
     def test_forward_lands_in_transformed_commutant(self):
         rng = np.random.default_rng(11)
-        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B = (f.matrix for f in draw(KIND_INVERTIBLE_FP, 3, rng)[:2])
         X = combo(rng, commutant_basis(A, B).basis)
         Y = aluthge_intertwiner_map(A, B, X, "forward")
         Ta, Tb = aluthge(A), aluthge(B)
@@ -546,7 +546,7 @@ class TestAluthgeIntertwinerMap:
 
     def test_round_trip(self):
         rng = np.random.default_rng(12)
-        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B = (f.matrix for f in draw(KIND_INVERTIBLE_FP, 3, rng)[:2])
         X = ginibre(rng, 3)
         back = aluthge_intertwiner_map(A, B, aluthge_intertwiner_map(A, B, X, "forward"), "inverse")
         assert fro_norm(back - X) <= 1e-10 * fro_norm(X)
@@ -569,7 +569,7 @@ class TestAluthgeIntertwinerMap:
 class TestSquaredAngularCriterion:
     def test_normal_invertible_both_sides(self):
         rng = np.random.default_rng(13)
-        A, B, _ = draw(KIND_INVERTIBLE_FP, 3, rng)
+        A, B = (f.matrix for f in draw(KIND_INVERTIBLE_FP, 3, rng)[:2])
         rep = squared_angular_criterion(A, B)
         assert rep.ok
         assert rep.details["transformed_pair_fp"] and rep.details["squared_intertwine"]
@@ -644,7 +644,7 @@ class TestReducesCheck:
     def test_normal_pair_member_reduces_with_matching_spectra(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
-            A, B, _ = draw(KIND_NORMAL_PAIR, 4, rng)
+            A, B = (f.matrix for f in draw(KIND_NORMAL_PAIR, 4, rng)[:2])
             X = combo(rng, commutant_basis(A, B).basis)
             ra = reduces_check(A, X, "range")
             rb = reduces_check(B, X, "kernel_complement")

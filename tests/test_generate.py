@@ -90,8 +90,8 @@ def test_invertible_fp_draw_solves_once_per_attempt(monkeypatch):
 
 def test_draw_returns_the_verified_basis():
     for kind in (KIND_NORMAL_PAIR, KIND_INVERTIBLE_FP):
-        A, B, cb = draw(kind, 4, np.random.default_rng(3))
-        ref = commutant_basis(A, B)
+        fa, fb, cb = draw(kind, 4, np.random.default_rng(3))
+        ref = commutant_basis(fa.matrix, fb.matrix)
         assert cb.nullity == ref.nullity >= 1
         for X, Y in zip(cb.basis, ref.basis):
             np.testing.assert_array_equal(X, Y)

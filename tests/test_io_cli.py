@@ -158,6 +158,18 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["holds"] is False and doc["witness"] is not None
 
+    def test_fp_check_reports_its_threshold(self, pair_file, tmp_path, capsys):
+        # The verdict is max_residual <= threshold, and the document shows both.
+        assert main(["fp-check", pair_file]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["max_residual"] > doc["threshold"] > 0.0
+        path = tmp_path / "holding.json"
+        write_matrices(path, {"A": np.diag([1.0, 2.0]), "B": np.diag([2.0, 3.0])})
+        assert main(["fp-check", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["holds"] is True and doc["com_dim"] == 1
+        assert doc["max_residual"] <= doc["threshold"] == pytest.approx(1e-8 * (2.0 + 3.0))
+
     def test_schatten(self, cube_root_file, capsys):
         assert main(["schatten", cube_root_file, "--p", "inf"]) == 0
         doc = json.loads(capsys.readouterr().out)

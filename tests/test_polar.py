@@ -143,6 +143,25 @@ class TestPolarFactors:
 
     @pytest.mark.parametrize("kind", ["full", "deficient", "zero"])
     @pytest.mark.parametrize("n", FACTOR_SIZES)
+    def test_adjoint_factors_the_adjoint(self, kind, n):
+        A = factor_case(kind, n)
+        f = polar_factors(A)
+        g = f.adjoint()
+        np.testing.assert_array_equal(g.matrix, A.conj().T)
+        assert op_norm((g.W * g.s) @ g.Qh - A.conj().T) <= 1e-13 * max(f.norm, 1.0)
+        np.testing.assert_array_equal(g.s, f.s)
+        assert g.rank == f.rank
+
+    @pytest.mark.parametrize("kind", ["full", "deficient", "zero"])
+    @pytest.mark.parametrize("n", FACTOR_SIZES)
+    def test_aluthge_factors_the_transform(self, kind, n):
+        A = factor_case(kind, n)
+        g = polar_factors(A).aluthge()
+        np.testing.assert_array_equal(g.matrix, aluthge(A))
+        assert op_norm((g.W * g.s) @ g.Qh - g.matrix) <= 1e-13 * max(g.norm, 1.0)
+
+    @pytest.mark.parametrize("kind", ["full", "deficient", "zero"])
+    @pytest.mark.parametrize("n", FACTOR_SIZES)
     def test_iterate_norms_are_iterate_norms(self, kind, n):
         traj = aluthge_iterate(factor_case(kind, n), 5)
         assert len(traj.norms) == len(traj.iterates) == 6

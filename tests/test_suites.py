@@ -133,6 +133,41 @@ def test_each_pair_solved_once_per_case(suite_id, monkeypatch):
         assert len(solved) == len(set(solved)), f"case {case_id} solves a pair twice"
 
 
+@pytest.mark.parametrize("suite_id", ["fuglede_putnam", "thm24", "cor25", "cor26", "thm31", "thm33", "cor36"])
+def test_each_matrix_factored_once_per_case(suite_id, monkeypatch):
+    # Every SVD and spectral norm a case takes must see a new matrix. A
+    # matrix, or its adjoint, seen twice should have been read from the
+    # PolarFactors the case already holds.
+    factored = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def key(M):
+        return M.shape, np.ascontiguousarray(M).tobytes()
+
+    def record(M):
+        M = np.asarray(M, dtype=complex)
+        factored.append((key(M), key(M.conj().T)))
+
+    def recorded_svd(a, *args, **kwargs):
+        record(a)
+        return svd(a, *args, **kwargs)
+
+    def recorded_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            record(x)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(np.linalg, "norm", recorded_norm)
+    for case_id in range(8):
+        factored.clear()
+        SUITES[suite_id](np.random.default_rng([1, case_id]), DEFAULT_TOL)
+        seen = set()
+        for k, k_adjoint in factored:
+            assert k not in seen, f"case {case_id} factors a matrix, or its adjoint, twice"
+            seen.update((k, k_adjoint))
+
+
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_every_suite_passes_at_seed_one(suite_id):
     # At seed 1 every suite passes all 200 cases, so its report carries no
