@@ -91,9 +91,13 @@ def sylvester_matrix(A, B) -> np.ndarray:
     return np.kron(np.eye(n2), A) - np.kron(B.T, np.eye(n1))
 
 
-# Pairs with n1 * n2 up to this size take the Kronecker SVD, which there
-# costs no more than importing scipy for the Schur route (about 0.3 s).
-_KRONECKER_MAX = 512
+# Pairs with n1 * n2 up to this size take the Kronecker SVD. From 144 on
+# the Schur route is faster in process (one BLAS thread, normal pairs,
+# Kronecker against Schur: 7.3 against 2.1 ms at n = 12, 31 against 2.6 ms
+# at n = 16, 87 against 3.8 ms at n = 20), but it needs scipy, whose import
+# costs a process about 0.24 s once. At or below 144 the SVD stays under
+# about 10 ms, so every suite and CLI inputs up to n = 12 skip that import.
+_KRONECKER_MAX = 144
 # Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
 _BLOCK_MAX = 4096
 # Largest basis (nullity * n1 * n2 complex entries, 512 MiB) the Schur route
@@ -107,7 +111,7 @@ _RESIDUAL_CHUNK = 2**19
 def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     """Orthonormal basis of Com(A, B).
 
-    Pairs with n1 * n2 <= 512 take the SVD of the Kronecker
+    Pairs with n1 * n2 <= 144 take the SVD of the Kronecker
     linearization: singular values at or below ``rank_rel`` times the
     largest count as zero. Larger pairs solve only the pairs of
     eigenvalue groups of A and B that may share a solution, on their
@@ -147,11 +151,13 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     eigenvalues, and the well-conditioned groups keep the pairs
     decoupled, so by Rosenblum's theorem a dropped pair holds no
     solution. Every other pair takes the SVD of its small Kronecker
-    block, which makes the rank decision. The lift is an isometry, so
-    the lifts of one pair are orthonormal. Lifts of different pairs are
-    orthogonal when their groups' invariant subspaces are, as for a
-    normal pair; :func:`_cross_gram_bound` decides that from the small
-    factors, and only otherwise one QR makes the lifts orthonormal.
+    block, which makes the rank decision; blocks of one shape share a
+    stacked SVD call (:func:`_block_null_vectors`). The lift is an
+    isometry, so the lifts of one pair are orthonormal. Lifts of
+    different pairs are orthogonal when their groups' invariant
+    subspaces are, as for a normal pair; :func:`_cross_gram_bound`
+    decides that from the small factors, and only otherwise one QR
+    makes the lifts orthonormal.
     """
     n1, n2 = A.shape[0], B.shape[0]
     # ||A - cI|| + ||B - cI|| bounds ||L|| and is invariant under a shift, a
@@ -160,7 +166,7 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     scale = op_norm(A - c * np.eye(n1)) + op_norm(B - c * np.eye(n2))
     gap = tol.rank_rel**0.25 * scale
     groups_a = _spectral_groups(A, gap, tol.rank_rel**0.25)
-    groups_b = [(K, adjoint(U)) for K, U in _spectral_groups(adjoint(B), gap, tol.rank_rel**0.25)]
+    groups_b = [(K, U.conj().T) for K, U in _spectral_groups(adjoint(B), gap, tol.rank_rel**0.25)]
     ca, ra = _centers_radii(groups_a)
     cb, rb = _centers_radii(groups_b)
     bound = np.abs(np.subtract.outer(ca, cb)) - np.add.outer(ra, rb)
@@ -169,13 +175,9 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     rows = max((len(groups_a[i][1]) * len(groups_b[j][1]) for i, j in pairs), default=0)
     if rows > _BLOCK_MAX:
         raise ValueError(f"commutant group block has {rows} rows, above the {_BLOCK_MAX} the Schur route solves")
-    solved = []
-    for i, j in pairs:
-        T, S = groups_a[i][1], groups_b[j][1]
-        _, s, Vh = np.linalg.svd(sylvester_matrix(T, S))
-        Z = Vh[s <= tol.rank_rel * scale].conj().reshape((-1, len(S), len(T))).transpose(0, 2, 1)
-        if len(Z):
-            solved.append((i, j, Z))
+    blocks = [(groups_a[i][1], groups_b[j][1]) for i, j in pairs]
+    solutions = _block_null_vectors(blocks, tol.rank_rel * scale)
+    solved = [(i, j, Z) for (i, j), Z in zip(pairs, solutions) if len(Z)]
     nullity = sum(len(Z) for _, _, Z in solved)
     # The basis is sized before any lift is built, so a refusal allocates nothing large.
     if nullity * n1 * n2 > _BASIS_MAX:
@@ -186,12 +188,51 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     X = np.empty((nullity, n1, n2), dtype=complex)
     start = 0
     for i, j, Z in solved:
-        np.matmul(groups_a[i][0] @ Z, adjoint(groups_b[j][0]), out=X[start : start + len(Z)])
+        np.matmul(groups_a[i][0] @ Z, groups_b[j][0].conj().T, out=X[start : start + len(Z)])
         start += len(Z)
     if _cross_gram_bound(groups_a, groups_b, solved) > nullity * np.finfo(float).eps:
         Q, _ = np.linalg.qr(X.reshape(nullity, -1).T)
         X = Q.T.reshape(-1, n1, n2)
     return _basis_of(A, B, X)
+
+
+def _block_null_vectors(blocks: list[tuple[np.ndarray, np.ndarray]], cut: float) -> list[np.ndarray]:
+    """Orthonormal solutions Z of T Z = Z S for every block (T, S), in the order given.
+
+    Each is a (count, m, k) stack read from the right singular vectors
+    of sylvester_matrix(T, S) whose singular values are at most ``cut``.
+    Blocks of one shape (m, k) share stacked SVD calls, each of at most
+    ``_BLOCK_MAX**2`` entries, so the peak memory stays that of the
+    largest single block.
+    """
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for p, (T, S) in enumerate(blocks):
+        by_shape.setdefault((len(T), len(S)), []).append(p)
+    out: list[np.ndarray] = [np.empty(0)] * len(blocks)
+    for (m, k), members in by_shape.items():
+        step = max(1, _BLOCK_MAX**2 // (m * k) ** 2)
+        for start in range(0, len(members), step):
+            batch = members[start : start + step]
+            T = np.stack([blocks[p][0] for p in batch])
+            S = np.stack([blocks[p][1] for p in batch])
+            _, s, Vh = np.linalg.svd(_sylvester_blocks(T, S))
+            for p, sv, V in zip(batch, s, Vh):
+                out[p] = V[sv <= cut].conj().reshape((-1, k, m)).transpose(0, 2, 1)
+    return out
+
+
+def _sylvester_blocks(T: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """:func:`sylvester_matrix` of every (T[p], S[p]) of a (p, m, m) and a (p, k, k) stack.
+
+    Entry (b m + a, d m + c) of block p is T[p, a, c] [b = d] - S[p, d, b] [a = c],
+    set by indexed assignment into a (p, k, m, k, m) array.
+    """
+    p, m, k = T.shape[0], T.shape[1], S.shape[1]
+    L = np.zeros((p, k, m, k, m), dtype=complex)
+    b, a = np.arange(k), np.arange(m)
+    L[:, b, :, b, :] = T
+    L[:, :, a, :, a] -= S.transpose(0, 2, 1)
+    return L.reshape(p, k * m, k * m)
 
 
 def _cross_gram_bound(
@@ -255,14 +296,12 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     """
     from scipy.linalg import schur
     from scipy.linalg.lapack import ztrsen
-    from scipy.sparse.csgraph import connected_components
 
     T, Q = schur(M, output="complex")
     n = len(T)
     ev = np.diag(T)
     dist = np.abs(ev[:, None] - ev[None, :])
-    count, labels = connected_components(dist <= gap, directed=False)
-    clusters = [labels == k for k in range(count)]
+    clusters = _linked_clusters(dist <= gap)
     groups = []
     while clusters:
         members = clusters.pop()
@@ -280,10 +319,29 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     return [(R, TR) for _, R, TR in groups]
 
 
+def _linked_clusters(near: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric, reflexive boolean adjacency, as member masks.
+
+    The reachability matrix is squared until it stops changing, which
+    takes about log2 of the longest chain's length steps. The products
+    run in float32 BLAS (path counts stay exact below n = 2**24), since a
+    boolean matmul has no BLAS kernel (0.1 s against 5 ms at n = 512).
+    Components come in the order of their lowest member.
+    """
+    reach = near.astype(np.float32)
+    while True:
+        closed = (reach @ reach > 0).astype(np.float32)
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    linked = reach > 0
+    return list(linked[np.unique(linked.argmax(axis=1))])
+
+
 def _centers_radii(groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Mean eigenvalue c and ||T - cI||_F of each group's compression T."""
     centers = np.array([np.trace(T) / len(T) for _, T in groups])
-    radii = np.array([fro_norm(T - c * np.eye(len(T))) for (_, T), c in zip(groups, centers)])
+    radii = np.array([np.linalg.norm(T - c * np.eye(len(T))) for (_, T), c in zip(groups, centers)])
     return centers, radii
 
 

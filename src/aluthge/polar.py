@@ -210,7 +210,7 @@ def product_polar_check(T, S, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
         raise ValueError(f"shape mismatch: {T.shape} vs {S.shape}")
     fT = polar_factors(T, tol)
     fS = polar_factors(S, tol)
-    abs_s_star = polar_factors(adjoint(S), tol).power(1.0)
+    abs_s_star = fS.adjoint().power(1.0)
     W = polar_factors(fT.power(1.0) @ abs_s_star, tol).angular(MODE_PARTIAL)
     prod = T @ S
     pos_prod = polar_factors(prod, tol).power(1.0)

@@ -8,8 +8,10 @@ from aluthge.commutant import (
     _KRONECKER_MAX,
     CommutantBasis,
     _kronecker_commutant,
+    _linked_clusters,
     _residual_norms,
     _schur_commutant,
+    _sylvester_blocks,
     aluthge_intertwiner_map,
     basis_inclusion,
     com_inclusion,
@@ -70,6 +72,15 @@ class TestSylvesterMatrix:
             lifted = (L @ X.reshape(-1, order="F")).reshape((n1, n2), order="F")
             scale = max(n1, n2) * (fro_norm(A) + fro_norm(B)) * fro_norm(X)
             assert fro_norm(lifted - (A @ X - X @ B)) <= 10 * eps * scale
+
+    def test_stacked_blocks_match_one_at_a_time(self):
+        rng = np.random.default_rng(1)
+        for m, k in [(1, 1), (1, 2), (2, 1), (3, 2), (2, 4)]:
+            T, S = ginibre(rng, 3 * m, m).reshape(3, m, m), ginibre(rng, 3 * k, k).reshape(3, k, k)
+            L = _sylvester_blocks(T, S)
+            assert L.shape == (3, m * k, m * k)
+            for p in range(3):
+                np.testing.assert_array_equal(L[p], sylvester_matrix(T[p], S[p]))
 
 
 def brute_force_nullity(ev_a, ev_b):
@@ -279,7 +290,7 @@ class TestCommutantRoutes:
             else:
                 assert fast.nullity == n
 
-    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("n", [12, 16, 20, 24])
     def test_benchmark_pairs(self, n):
         rng = np.random.default_rng(60 + n)
         for (A, B), nullity in benchmark_pairs(rng, n):
@@ -341,6 +352,47 @@ class TestCommutantRoutes:
         monkeypatch.setattr("aluthge.commutant._BASIS_MAX", 55295)
         with pytest.raises(ValueError, match="96 elements of size 24x24 \\(55296 entries\\)"):
             commutant_basis(A, B)
+
+    def test_route_dispatch_at_the_crossover(self, monkeypatch):
+        routes = []
+        monkeypatch.setattr("aluthge.commutant._kronecker_commutant", lambda A, B, tol: routes.append("kronecker"))
+        monkeypatch.setattr("aluthge.commutant._schur_commutant", lambda A, B, tol: routes.append("schur"))
+        assert _KRONECKER_MAX == 144
+        commutant_basis(np.eye(12), np.eye(12))
+        commutant_basis(np.eye(12), np.eye(13))
+        assert routes == ["kronecker", "schur"]
+
+    def test_jordan_pair_rerouted_to_schur(self):
+        # n1 * n2 = 256 took the Kronecker SVD while the crossover was 512.
+        A, B, nullity = jordan_pair(np.random.default_rng(86), 16, 6, 9)
+        assert assert_routes_agree(A, B).nullity == nullity
+
+    def test_mixed_block_shapes_share_one_solve(self, monkeypatch):
+        # A has 12 distinct eigenvalues. B repeats four of them twice and four
+        # once, plus four of its own, so the groups of B* have sizes 2 and 1
+        # and the kept blocks come in the shapes (1, 2) and (1, 1).
+        rng = np.random.default_rng(87)
+        pool = separated(rng, 16)
+        A = conjugated(rng, np.diag(pool[:12]))[0]
+        B = conjugated(rng, np.diag(np.concatenate([np.repeat(pool[:4], 2), pool[4:8], pool[12:]])))[0]
+        shapes = []
+
+        def spy(T, S):
+            shapes.append((len(T), T.shape[1], S.shape[1]))
+            return _sylvester_blocks(T, S)
+
+        monkeypatch.setattr("aluthge.commutant._sylvester_blocks", spy)
+        assert assert_routes_agree(A, B).nullity == 12
+        assert sorted(shapes) == [(4, 1, 1), (4, 1, 2)]
+
+    def test_chained_eigenvalues_form_one_cluster(self):
+        # Each link is within the gap and the ends are not; the chain
+        # 0, 1, 2, 4 is one cluster, and clusters come by lowest member.
+        z = np.array([0.0, 0.9, 1.8, 5.0, 2.7, 10.0, 4.2])
+        near = np.abs(z[:, None] - z[None, :]) <= 1.0
+        clusters = _linked_clusters(near)
+        expected = [[0, 1, 2, 4], [3, 6], [5]]
+        assert [list(np.flatnonzero(c)) for c in clusters] == expected
 
 
 def count_qr_calls(monkeypatch):

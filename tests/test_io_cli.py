@@ -342,14 +342,23 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["norm"] == pytest.approx(2.0)
 
 
+def run_fresh(script: str) -> None:
+    """Run a script in a new interpreter that imports this checkout's aluthge, and require exit 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-c", textwrap.dedent(script)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_small_work_does_not_import_scipy(tmp_path):
-    # Only the Schur commutant route (n1 * n2 > 512) imports scipy, so the
+    # Only the Schur commutant route (n1 * n2 > 144) imports scipy, so the
     # package import, a small suite, a small CLI call and a pair right at
     # the crossover never pay for it.
     path = tmp_path / "pair.json"
     A, B = normal_pair(np.random.default_rng(0), 12)
     write_matrices(path, {"A": A, "B": B})
-    script = textwrap.dedent(
+    run_fresh(
         f"""
         import sys
         import aluthge
@@ -360,12 +369,24 @@ def test_small_work_does_not_import_scipy(tmp_path):
         main(["fp-check", {str(path)!r}])
         assert "scipy" not in sys.modules, "fp-check"
         import numpy as np
-        cb = aluthge.commutant_basis(np.diag(np.arange(16.0)), np.diag(np.arange(32.0)))
-        assert cb.nullity == 16, cb.nullity
-        assert "scipy" not in sys.modules, "commutant_basis at n1 * n2 = 512"
+        cb = aluthge.commutant_basis(np.diag(np.arange(12.0)), np.diag(np.arange(12.0)))
+        assert cb.nullity == 12, cb.nullity
+        assert "scipy" not in sys.modules, "commutant_basis at n1 * n2 = 144"
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_schur_route_does_not_import_scipy_sparse():
+    # The Schur route labels its eigenvalue clusters with numpy, so it
+    # loads scipy.linalg and nothing of scipy.sparse.
+    run_fresh(
+        """
+        import sys
+        import numpy as np
+        import aluthge
+        cb = aluthge.commutant_basis(np.diag(np.arange(12.0)), np.diag(np.arange(13.0)))
+        assert cb.nullity == 12, cb.nullity
+        assert "scipy.linalg" in sys.modules, "the Schur route ran"
+        assert "scipy.sparse" not in sys.modules, "commutant_basis at n1 * n2 = 156"
+        """
+    )
