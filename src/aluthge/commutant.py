@@ -85,10 +85,7 @@ def sylvester_matrix(A, B) -> np.ndarray:
     vec is column-major, so L = I (x) A - B^T (x) I with shape
     (n1 n2, n1 n2) for A of size n1 and B of size n2.
     """
-    A = as_square(A)
-    B = as_square(B)
-    n1, n2 = A.shape[0], B.shape[0]
-    return np.kron(np.eye(n2), A) - np.kron(B.T, np.eye(n1))
+    return _sylvester_blocks(as_square(A)[None], as_square(B)[None])[0]
 
 
 # Pairs with n1 * n2 up to this size take the Kronecker SVD. From 144 on
@@ -431,14 +428,6 @@ def basis_inclusion(cb: CommutantBasis, f2: PolarFactors, g2: PolarFactors, tol:
     )
 
 
-def _invertible_factors(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> tuple[PolarFactors, PolarFactors]:
-    """Factor both matrices of a pair, refusing one that is not invertible."""
-    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
-    fa.require_invertible("A")
-    fb.require_invertible("B")
-    return fa, fb
-
-
 def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Evaluate |A| X |B|^-1, U* X V and X against each other (invertible A, B).
 
@@ -450,7 +439,16 @@ def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> Chec
     incurred by the right multiplication.
     """
     A, B, X = intertwiner_operands(A, B, X)
-    fa, fb = _invertible_factors(A, B, tol)
+    return factored_polar_identities(polar_factors(A, tol), polar_factors(B, tol), X, tol)
+
+
+def factored_polar_identities(
+    fa: PolarFactors, fb: PolarFactors, X: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> CheckReport:
+    """:func:`intertwiner_polar_identities` of the pair that ``fa`` and ``fb`` factor, for X of matching shape."""
+    fa.require_invertible("A")
+    fb.require_invertible("B")
+    A, B = fa.matrix, fb.matrix
     m1 = fa.power(1.0) @ X @ fb.power(-1.0)
     m2 = adjoint(fa.angular()) @ X @ fb.angular()
     xn = fro_norm(X)
@@ -491,7 +489,16 @@ def power_intertwining_check(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) -
     A, B, X = intertwiner_operands(A, B, X)
     if p <= 0:
         raise ValueError("power p must be positive")
-    fa, fb = _invertible_factors(A, B, tol)
+    return factored_power_intertwining(polar_factors(A, tol), polar_factors(B, tol), X, p, tol)
+
+
+def factored_power_intertwining(
+    fa: PolarFactors, fb: PolarFactors, X: np.ndarray, p: float, tol: Tolerances = DEFAULT_TOL
+) -> CheckReport:
+    """:func:`power_intertwining_check` of the pair that ``fa`` and ``fb`` factor, for X of matching shape and p > 0."""
+    fa.require_invertible("A")
+    fb.require_invertible("B")
+    A, B = fa.matrix, fb.matrix
     xn = fro_norm(X)
     thr_member = tol.residual_rel * (fa.norm + fb.norm) * max(xn, 1.0)
     if fro_norm(A @ X - X @ B) > thr_member or fro_norm(adjoint(A) @ X - X @ adjoint(B)) > thr_member:
@@ -513,7 +520,15 @@ def aluthge_intertwiner_map(A, B, X, direction: str = "forward", tol: Tolerances
     The two compose to the identity. Requires invertible A and B.
     """
     A, B, X = intertwiner_operands(A, B, X)
-    fa, fb = _invertible_factors(A, B, tol)
+    return factored_intertwiner_map(polar_factors(A, tol), polar_factors(B, tol), X, direction)
+
+
+def factored_intertwiner_map(
+    fa: PolarFactors, fb: PolarFactors, X: np.ndarray, direction: str = "forward"
+) -> np.ndarray:
+    """:func:`aluthge_intertwiner_map` of the pair that ``fa`` and ``fb`` factor, for X of matching shape."""
+    fa.require_invertible("A")
+    fb.require_invertible("B")
     if direction == "forward":
         return fa.power(0.5) @ X @ fb.power(-0.5)
     if direction == "inverse":

@@ -73,7 +73,7 @@ def as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix with positive dimensions, got shape {A.shape}")
-    if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return A
 
@@ -114,7 +114,7 @@ def min_hermitian_eigenvalue(M) -> float:
 
 def op_norm(M) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    return float(np.linalg.norm(as_matrix(M), 2))
+    return float(singular_values(M)[0])
 
 
 def fro_norm(M) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from contextlib import nullcontext
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -75,7 +76,14 @@ def matrix_from_doc(doc) -> np.ndarray:
     if len(data) != rows * cols:
         raise ValueError(f"field 'data' has length {len(data)}, expected rows*cols = {rows * cols}")
     # The first faulty entry is reported, whether it is malformed or non-finite.
-    malformed = next((k for k, entry in enumerate(data) if not _is_pair(entry)), len(data))
+    # Entries that are all two-element lists of plain ints and floats skip the
+    # per-entry scan, which is what names a malformed one.
+    well_formed = (
+        set(map(type, data)) <= {list}
+        and set(map(len, data)) <= {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    )
+    malformed = len(data) if well_formed else next((k for k, e in enumerate(data) if not _is_pair(e)), len(data))
     try:
         pairs = np.array(data[:malformed], dtype=np.float64).reshape(-1, 2)
     except OverflowError:

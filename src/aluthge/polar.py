@@ -127,7 +127,7 @@ class PolarFactors:
     def adjoint(self) -> PolarFactors:
         """Factors of A* = Q diag(s) W*, read from the same SVD."""
         return PolarFactors(
-            matrix=adjoint(self.matrix), W=self.Qh.conj().T, s=self.s, Qh=self.W.conj().T, rank=self.rank
+            matrix=self.matrix.conj().T, W=self.Qh.conj().T, s=self.s, Qh=self.W.conj().T, rank=self.rank
         )
 
     def aluthge(self, tol: Tolerances = DEFAULT_TOL) -> PolarFactors:

@@ -19,14 +19,14 @@ import numpy as np
 
 from .commutant import (
     FpReport,
-    aluthge_intertwiner_map,
     basis_inclusion,
     basis_squared_angular,
     commutant_basis,
     factored_fp_property,
-    intertwiner_polar_identities,
+    factored_intertwiner_map,
+    factored_polar_identities,
+    factored_power_intertwining,
     odd_root_unity_check,
-    power_intertwining_check,
     semicircle_check,
 )
 from .generate import (
@@ -123,7 +123,7 @@ def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     A, B = fa.matrix, fb.matrix
     X = _combo(rng, cb.basis)
-    rep_in = intertwiner_polar_identities(A, B, X, tol)
+    rep_in = factored_polar_identities(fa, fb, X, tol)
     sa, sb = fa.s, fb.s
     decisive = 10.0 * tol.residual_rel * (sa[0] + sb[0]) * (sb[0] / sb[-1])
     X_out = X
@@ -132,7 +132,7 @@ def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         X_out = X + 0.5 * E / fro_norm(E)
         if fro_norm(A @ X_out - X_out @ B) > decisive:
             break
-    rep_out = intertwiner_polar_identities(A, B, X_out, tol)
+    rep_out = factored_polar_identities(fa, fb, X_out, tol)
     passed = (
         rep_in.ok
         and rep_in.details["in_com"]
@@ -149,7 +149,7 @@ def _case_remark22(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     A, B = fa.matrix, fb.matrix
     X = _combo(rng, cb.basis)
     p = float(rng.uniform(0.3, 2.5))
-    rep = power_intertwining_check(A, B, X, p, tol)
+    rep = factored_power_intertwining(fa, fb, X, p, tol)
     return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "B": B, "X": X})
 
 
@@ -162,11 +162,11 @@ def _case_lemma23(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         cb = commutant_basis(fa.matrix, fb.matrix, tol)
     A, B = fa.matrix, fb.matrix
     X = _combo(rng, cb.basis)
-    Y = aluthge_intertwiner_map(A, B, X, "forward", tol)
+    Y = factored_intertwiner_map(fa, fb, X, "forward")
     ta, tb = fa.aluthge(tol), fb.aluthge(tol)
     r_member = fro_norm(ta.matrix @ Y - Y @ tb.matrix)
     thr_member = tol.residual_rel * (ta.norm + tb.norm) * max(fro_norm(Y), 1.0)
-    back = aluthge_intertwiner_map(A, B, Y, "inverse", tol)
+    back = factored_intertwiner_map(fa, fb, Y, "inverse")
     sa, sb = fa.s, fb.s
     r_round = fro_norm(back - X)
     thr_round = tol.residual_rel * sqrt((sa[0] / sa[-1]) * (sb[0] / sb[-1]))

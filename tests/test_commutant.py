@@ -73,6 +73,15 @@ class TestSylvesterMatrix:
             scale = max(n1, n2) * (fro_norm(A) + fro_norm(B)) * fro_norm(X)
             assert fro_norm(lifted - (A @ X - X @ B)) <= 10 * eps * scale
 
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 3), (3, 1), (4, 5), (6, 6)])
+    def test_equals_kronecker_formula(self, n1, n2):
+        rng = np.random.default_rng(10 * n1 + n2)
+        A = rng.uniform(-2, 2, (n1, n1)) + 1j * rng.uniform(-2, 2, (n1, n1))
+        B = rng.uniform(-2, 2, (n2, n2)) + 1j * rng.uniform(-2, 2, (n2, n2))
+        A[0, 0], B[-1, -1] = -1.5 - 0.5j, -0.25 - 2.0j
+        oracle = np.kron(np.eye(n2), A) - np.kron(B.T, np.eye(n1))
+        np.testing.assert_array_equal(sylvester_matrix(A, B), oracle)
+
     def test_stacked_blocks_match_one_at_a_time(self):
         rng = np.random.default_rng(1)
         for m, k in [(1, 1), (1, 2), (2, 1), (3, 2), (2, 4)]:
@@ -381,9 +390,13 @@ class TestCommutantRoutes:
             shapes.append((len(T), T.shape[1], S.shape[1]))
             return _sylvester_blocks(T, S)
 
-        monkeypatch.setattr("aluthge.commutant._sylvester_blocks", spy)
-        assert assert_routes_agree(A, B).nullity == 12
+        # Only the Schur route runs under the spy: the Kronecker oracle builds
+        # its matrix with the same function.
+        with monkeypatch.context() as patched:
+            patched.setattr("aluthge.commutant._sylvester_blocks", spy)
+            _schur_commutant(A, B, DEFAULT_TOL)
         assert sorted(shapes) == [(4, 1, 1), (4, 1, 2)]
+        assert assert_routes_agree(A, B).nullity == 12
 
     def test_chained_eigenvalues_form_one_cluster(self):
         # Each link is within the gap and the ends are not; the chain

@@ -83,6 +83,16 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match="entry 0 must be finite"):
             matrix_from_doc({"rows": 2, "cols": 1, "data": [[float("nan"), 0.0], [10**400, 0.0]]})
 
+    def test_faulty_entry_at_end_of_long_list_named(self):
+        data = [[1.0, -2]] * 9999 + [[1.0, "0"]]
+        with pytest.raises(ValueError, match="entry 9999 must be a"):
+            matrix_from_doc({"rows": 100, "cols": 100, "data": data})
+
+    def test_numpy_float_entries_accepted(self):
+        data = [[np.float64(1.5), np.float64(-2.0)], [3, np.float64(0.25)]]
+        M = matrix_from_doc({"rows": 1, "cols": 2, "data": data})
+        np.testing.assert_array_equal(M, [[1.5 - 2.0j, 3.0 + 0.25j]])
+
     def test_named_collection_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         mats = {"A": ginibre(rng, 2), "B": ginibre(rng, 3)}

@@ -12,6 +12,7 @@ from aluthge.generate import ginibre, random_unitary
 from aluthge.linalg import (
     Tolerances,
     adjoint,
+    as_matrix,
     fro_norm,
     hermitian_part,
     min_hermitian_eigenvalue,
@@ -27,6 +28,21 @@ class TestValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             adjoint([[np.nan, 0], [0, 1]])
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_part(self, part, value):
+        M = np.eye(2, dtype=complex)
+        getattr(M, part)[0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix(M)
+
+    def test_rejects_infinite_real_and_nan_imaginary(self):
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix([[1.0, complex(np.inf, np.nan)]])
+
+    def test_accepts_largest_parts(self):
+        np.testing.assert_array_equal(as_matrix([[1e308 + 1e308j]]), [[1e308 + 1e308j]])
 
     def test_rejects_vector(self):
         with pytest.raises(ValueError, match="2-D"):

@@ -44,6 +44,20 @@ class TestPolarDecompose:
         assert op_norm(U3 - np.eye(2)) > 0.1
         np.testing.assert_allclose(U3.conj().T @ U3, np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [complex(v, 0.0) for v in (np.nan, np.inf, -np.inf)]
+        + [complex(0.0, v) for v in (np.nan, np.inf, -np.inf)]
+        + [complex(np.inf, np.nan)],
+    )
+    def test_rejects_non_finite_entry(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            polar_decompose([[1.0, entry], [0.0, 1.0]])
+
+    def test_factoring_accepts_largest_parts(self):
+        f = polar_factors([[1e308 + 1e308j]])
+        np.testing.assert_allclose(f.s, [np.hypot(1e308, 1e308)], rtol=1e-15)
+
     def test_hermitian_pd_input(self):
         rng = np.random.default_rng(1)
         G = ginibre(rng, 3)
