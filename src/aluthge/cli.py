@@ -10,15 +10,14 @@ overrides the residual tolerance; ``--tol`` overrides both.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from math import inf
 
 from .commutant import commutant_basis, fp_property
 from .generate import GenerationError
-from .linalg import DEFAULT_TOL, Tolerances, op_norm
-from .matrixio import matrix_to_doc, read_matrices, read_matrix
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, op_norm
+from .matrixio import dumps_document, read_matrices, read_matrix
 from .polar import MODE_PARTIAL, MODE_UNITARY, aluthge_iterate, aluthge_st, polar_decompose
 from .schatten import (
     aluthge_commutator_bound,
@@ -42,7 +41,7 @@ def _read_named(path: str, names: tuple[str, ...]) -> dict:
 
 
 def _emit(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = dumps_document(doc) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -74,8 +73,8 @@ def _cmd_polar(args) -> int:
         {
             "mode": parts.mode,
             "rank": parts.rank,
-            "angular": matrix_to_doc(parts.angular),
-            "positive": matrix_to_doc(parts.positive),
+            "angular": as_matrix(parts.angular),
+            "positive": as_matrix(parts.positive),
             "reconstruction_residual": residual,
         },
         args.out,
@@ -91,13 +90,13 @@ def _cmd_aluthge(args) -> int:
         doc = {
             "norms": trajectory.norms,
             "radius": trajectory.radius,
-            "final": matrix_to_doc(trajectory.iterates[-1]),
+            "final": as_matrix(trajectory.iterates[-1]),
         }
         if args.full:
-            doc["iterates"] = [matrix_to_doc(it) for it in trajectory.iterates]
+            doc["iterates"] = [as_matrix(it) for it in trajectory.iterates]
         _emit(doc, args.out)
         return 0
-    _emit(matrix_to_doc(aluthge_st(M, args.s, args.t, tol)), args.out)
+    _emit(as_matrix(aluthge_st(M, args.s, args.t, tol)), args.out)
     return 0
 
 
@@ -110,7 +109,7 @@ def _cmd_commutant(args) -> int:
             "dim_domain": list(cb.dim_domain),
             "nullity": cb.nullity,
             "residuals": cb.residuals,
-            "basis": [matrix_to_doc(X) for X in cb.basis],
+            "basis": [as_matrix(X) for X in cb.basis],
         },
         args.out,
     )
@@ -127,7 +126,7 @@ def _cmd_fp_check(args) -> int:
             "com_dim": rep.com_dim,
             "max_residual": rep.max_residual,
             "threshold": rep.threshold,
-            "witness": None if rep.witness is None else matrix_to_doc(rep.witness),
+            "witness": None if rep.witness is None else as_matrix(rep.witness),
         },
         args.out,
     )

@@ -102,9 +102,16 @@ def adjoint(M) -> np.ndarray:
 
 
 def hermitian_part(M) -> np.ndarray:
-    """Hermitian part (M + M*) / 2 of a square matrix."""
+    """Hermitian part (M + M*) / 2 of a square matrix.
+
+    Each term is halved before the sum, so entries above half the largest
+    double do not overflow; halving is exact outside the subnormal range.
+    The sum is taken in place, so no more than two n x n arrays are live.
+    """
     A = as_square(M)
-    return (A + A.conj().T) / 2.0
+    H = A / 2.0
+    H += H.conj().T
+    return H
 
 
 def min_hermitian_eigenvalue(M) -> float:

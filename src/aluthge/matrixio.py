@@ -27,6 +27,7 @@ __all__ = [
     "write_matrix",
     "read_matrices",
     "write_matrices",
+    "dumps_document",
 ]
 
 
@@ -40,6 +41,41 @@ def matrix_to_doc(M) -> dict[str, Any]:
         "cols": int(cols),
         "data": np.stack([flat.real, flat.imag], axis=1).tolist(),
     }
+
+
+# With an indent the stdlib encodes floats in Python, and its refusal of a
+# non-finite one names the value; a scalar's text does not depend on it.
+_encode_leaf = json.JSONEncoder(indent=2, allow_nan=False).encode
+
+
+def dumps_document(doc) -> str:
+    """Pretty-print a result document whose matrices may be ndarrays.
+
+    The text equals ``json.dumps(d, indent=2, sort_keys=True,
+    allow_nan=False)``, where ``d`` is ``doc`` with every ndarray replaced
+    by ``matrix_to_doc`` of it, but ndarrays are written straight from the
+    array instead of through the pure-Python indent encoder. Dict keys must
+    be strings; every other leaf is encoded by the stdlib, so non-finite
+    floats are refused with the same message.
+    """
+    return _dumps(doc, "\n")
+
+
+def _dumps(value, nl: str) -> str:
+    # nl is the newline plus the indent of the line that holds the value.
+    inner = nl + "  "
+    if isinstance(value, np.ndarray):
+        A = as_matrix(value)
+        item = f"{inner}  [{inner}    %r,{inner}    %r{inner}  ]"
+        data = ",".join([item] * A.size) % tuple(np.ascontiguousarray(A).view(np.float64).ravel().tolist())
+        return f'{{{inner}"cols": {A.shape[1]},{inner}"data": [{data}{inner}],{inner}"rows": {A.shape[0]}{nl}}}'
+    if isinstance(value, dict):
+        items = [f"{inner}{_encode_leaf(key)}: {_dumps(value[key], inner)}" for key in sorted(value)]
+        return "{" + ",".join(items) + nl + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _dumps(item, inner) for item in value]
+        return "[" + ",".join(items) + nl + "]" if items else "[]"
+    return _encode_leaf(value)
 
 
 def _is_pair(entry) -> bool:
@@ -85,7 +121,7 @@ def matrix_from_doc(doc) -> np.ndarray:
     )
     malformed = len(data) if well_formed else next((k for k, e in enumerate(data) if not _is_pair(e)), len(data))
     try:
-        pairs = np.array(data[:malformed], dtype=np.float64).reshape(-1, 2)
+        pairs = np.fromiter(chain.from_iterable(data[:malformed]), dtype=np.float64, count=2 * malformed).reshape(-1, 2)
     except OverflowError:
         # An integer beyond the double range; it or an earlier entry is named below.
         pairs = np.array([[_to_double(re), _to_double(im)] for re, im in data[:malformed]]).reshape(-1, 2)

@@ -6,15 +6,18 @@ import os
 import subprocess
 import sys
 import textwrap
-from math import inf
+from math import inf, nan
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from aluthge.cli import main
+from aluthge.commutant import commutant_basis
 from aluthge.generate import ginibre, normal_pair
 from aluthge.matrixio import (
+    dumps_document,
     matrix_from_doc,
     matrix_to_doc,
     read_matrices,
@@ -22,6 +25,7 @@ from aluthge.matrixio import (
     write_matrices,
     write_matrix,
 )
+from aluthge.suites import CaseFailure, SuiteReport
 
 
 class TestMatrixIO:
@@ -116,6 +120,82 @@ class TestMatrixIO:
     def test_doc_shape(self):
         doc = matrix_to_doc(np.array([[1.0 + 2.0j]]))
         assert doc == {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}
+
+
+def stdlib_text(doc) -> str:
+    """The writer's oracle: the stdlib indent encoder, with every ndarray as its matrix document."""
+
+    def as_lists(value):
+        if isinstance(value, np.ndarray):
+            return matrix_to_doc(value)
+        if isinstance(value, dict):
+            return {key: as_lists(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [as_lists(item) for item in value]
+        return value
+
+    return json.dumps(as_lists(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
+EXTREMES = [-0.0, 5e-324, 1e-05, 1e16, 1e22, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def writer_matrices() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(12)
+    wide = ginibre(rng, 3, 5)
+    extremes = np.array(EXTREMES) + 1j * np.array(EXTREMES[::-1])
+    return {
+        "1x1": np.array([[3.0 - 4.0j]]),
+        "square": ginibre(rng, 6),
+        "commutant_element": commutant_basis(np.diag([1.0, 2.0, 2.0]), np.diag([2.0, 1.0])).basis[0],
+        "transposed": wide.T,
+        "strided_column": wide[::2, :1],
+        "real": np.array([[1.0, -2.5], [0.0, 3.0]]),
+        "extremes_row": extremes[None, :],
+        "extremes_column": extremes[:, None].real,
+    }
+
+
+class TestDumpsDocument:
+    @pytest.mark.parametrize("name", list(writer_matrices()))
+    def test_matrix_matches_stdlib(self, name):
+        M = writer_matrices()[name]
+        assert dumps_document(M) == stdlib_text(M)
+        doc = {"outer": {"m": M, "ms": [M, M]}, "m": M}
+        assert dumps_document(doc) == stdlib_text(doc)
+
+    def test_result_documents_match_stdlib(self):
+        mats = writer_matrices()
+        report = SuiteReport(
+            "\u00e9preuve \u2016A\u2016 \"q\"\n",
+            1,
+            3,
+            1,
+            [
+                CaseFailure(k, {"A": matrix_to_doc(mats["square"]), "B": matrix_to_doc(mats["1x1"])}, 0.5 + k, 1e-8)
+                for k in range(2)
+            ],
+        )
+        docs = [
+            {"dim_domain": [3, 2], "nullity": 0, "residuals": [], "basis": []},
+            {"holds": True, "com_dim": 2, "max_residual": 0.0, "threshold": 1e-8, "witness": None},
+            {"norms": [2.0, 1.5, 1.25], "radius": 1.0, "final": mats["square"], "iterates": list(mats.values())},
+            {"p": "inf", "norm": 1e22, "details": {}, "flags": (True, False, None, -0.0, 10**20)},
+            report.to_doc(),
+            mats["extremes_row"],
+            [],
+            {},
+        ]
+        for doc in docs:
+            assert dumps_document(doc) == stdlib_text(doc)
+
+    @pytest.mark.parametrize("doc", [{"norm": nan}, {"a": [1.0, -inf]}, {"m": np.array([[1.0, nan]])}])
+    def test_non_finite_refused_like_stdlib(self, doc):
+        with pytest.raises(ValueError) as expected:
+            stdlib_text(doc)
+        with pytest.raises(ValueError) as raised:
+            dumps_document(doc)
+        assert str(raised.value) == str(expected.value)
 
 
 @pytest.fixture()
@@ -350,6 +430,91 @@ class TestCli:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix_to_doc(np.eye(2)))))
         assert main(["schatten", "-", "--p", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["norm"] == pytest.approx(2.0)
+
+
+@pytest.fixture()
+def cli_inputs(tmp_path):
+    mats = writer_matrices()
+    finite = np.array([[-0.0, 5e-324, 1e-05], [1e16, 1e22, -2.5], [0.0, 1.0, -1e-300]])
+    write_matrix(tmp_path / "one.json", mats["1x1"])
+    write_matrix(tmp_path / "square.json", mats["square"])
+    write_matrix(tmp_path / "extremes.json", finite + 0.5j * finite.T)
+    write_matrices(tmp_path / "rect.json", {"A": np.diag([1.0, 2.0, 2.0]), "B": np.diag([2.0, 1.0])})
+    write_matrices(tmp_path / "null.json", {"A": np.diag([1.0, 2.0]), "B": np.diag([3.0, 4.0, 5.0])})
+    fp_failure = np.array([[2.0, -3.0], [1.0, -2.0]])
+    write_matrices(tmp_path / "fail.json", {"A": fp_failure, "B": fp_failure})
+    write_matrices(tmp_path / "ax.json", {"A": mats["square"], "X": np.eye(6)})
+    return tmp_path
+
+
+CLI_CALLS = [
+    ["polar", "one.json"],
+    ["polar", "square.json", "--mode", "partial"],
+    ["polar", "extremes.json"],
+    ["aluthge", "square.json", "--s", "0.25", "--t", "0.5"],
+    ["aluthge", "extremes.json", "--iterate", "2", "--full"],
+    ["aluthge", "one.json", "--iterate", "1"],
+    ["commutant", "rect.json"],
+    ["commutant", "null.json"],
+    ["fp-check", "rect.json"],
+    ["fp-check", "fail.json"],
+    ["fp-check", "null.json"],
+    ["schatten", "square.json", "--p", "inf"],
+    ["inequality", "lemma41", "ax.json", "--p", "3"],
+    ["suite", "example_fp_fail", "--trials", "4", "--seed", "2"],
+]
+
+
+def run_cli(argv, capsys) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCliWriter:
+    """CLI output is the text the stdlib indent encoder gives for the same document."""
+
+    @pytest.mark.parametrize("argv", CLI_CALLS, ids=lambda argv: "-".join(argv[:2]))
+    def test_stdout_and_out_file_match_stdlib(self, cli_inputs, monkeypatch, capsys, argv):
+        argv = [str(cli_inputs / arg) if arg.endswith(".json") else arg for arg in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 1) and out.endswith("}\n") and err == ""
+        path = cli_inputs / "out.json"
+        assert run_cli([*argv, "--out", str(path)], capsys) == (code, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+        monkeypatch.setattr("aluthge.cli.dumps_document", stdlib_text)
+        assert run_cli(argv, capsys) == (code, out, "")
+
+    @pytest.mark.parametrize(
+        "argv, target, result",
+        [
+            (["schatten", "square.json", "--p", "2"], "schatten_norm", nan),
+            (["aluthge", "square.json"], "aluthge_st", np.array([[1.0, nan]])),
+            (
+                ["fp-check", "fail.json"],
+                "fp_property",
+                SimpleNamespace(holds=False, com_dim=1, max_residual=inf, threshold=1.0, witness=np.array([[nan]])),
+            ),
+        ],
+    )
+    def test_non_finite_output_refused_like_stdlib(self, cli_inputs, monkeypatch, capsys, argv, target, result):
+        argv = [str(cli_inputs / arg) if arg.endswith(".json") else arg for arg in argv]
+        path = cli_inputs / "out.json"
+        monkeypatch.setattr(f"aluthge.cli.{target}", lambda *args, **kwargs: result)
+        code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+        assert run_cli(argv, capsys) == (2, "", err)
+        monkeypatch.setattr("aluthge.cli.dumps_document", stdlib_text)
+        assert run_cli(argv, capsys) == (2, "", err)
+
+    def test_polar_of_entries_above_half_the_largest_double(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        write_matrix(path, np.diag([9e307, 1.0]))
+        code, out, err = run_cli(["polar", str(path)], capsys)
+        assert (code, err) == (0, "")
+        positive = matrix_from_doc(json.loads(out)["positive"])
+        np.testing.assert_array_equal(positive, np.diag([9e307, 1.0]))
 
 
 def run_fresh(script: str) -> None:

@@ -103,6 +103,12 @@ class TestHermitianPart:
     def test_diagonal(self):
         np.testing.assert_array_equal(hermitian_part(np.diag([2.0, 1.0])), np.diag([2.0, 1.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_above_half_the_largest_double(self):
+        np.testing.assert_array_equal(hermitian_part(np.diag([9e307, 1.0])), np.diag([9e307, 1.0]))
+        np.testing.assert_array_equal(hermitian_part([[1e308 + 1e308j]]), [[1e308]])
+        np.testing.assert_array_equal(hermitian_part([[0.0, 1.7e308], [1.7e308, 0.0]]), [[0.0, 1.7e308], [1.7e308, 0.0]])
+
 
 class TestMinHermitianEigenvalue:
     def test_diagonal(self):

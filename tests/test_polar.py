@@ -58,6 +58,16 @@ class TestPolarDecompose:
         f = polar_factors([[1e308 + 1e308j]])
         np.testing.assert_allclose(f.s, [np.hypot(1e308, 1e308)], rtol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "M, positive",
+        [(np.diag([9e307, 1.0]), np.diag([9e307, 1.0])), ([[1e308 + 1e308j]], [[np.hypot(1e308, 1e308)]])],
+    )
+    def test_positive_part_of_entries_above_half_the_largest_double(self, M, positive):
+        parts = polar_decompose(M)
+        assert np.isfinite(parts.positive).all()
+        np.testing.assert_allclose(parts.positive, positive, rtol=1e-15)
+
     def test_hermitian_pd_input(self):
         rng = np.random.default_rng(1)
         G = ginibre(rng, 3)

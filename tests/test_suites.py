@@ -1,11 +1,13 @@
 """Tests for the suite registry and runner."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import aluthge.commutant as commutant_module
+from aluthge.cli import main
 from aluthge.linalg import DEFAULT_TOL, Tolerances, op_norm
 from aluthge.matrixio import matrix_from_doc
 from aluthge.polar import aluthge
@@ -174,3 +176,46 @@ def test_every_suite_passes_at_seed_one(suite_id):
     # failures; a change of verdict on any of these cases shows here.
     report = run_suite(suite_id, seed=1, trials=200)
     assert report.cases_passed == 200, [f.case_id for f in report.failures]
+
+
+# SHA-256 of the bytes `aluthge suite <id> --trials 200 --seed 1` writes, in SUITE_IDS order.
+REPORT_SHA256 = {
+    "block_identity": "b8c4c2ae141ba19c555f601a2fc1bf9aae95c18f317603f0ab99b72038d0c9c8",
+    "cor25": "67058d41abb20857ceaa3bed5dc8161e0631b549f6b9679748c4211f097d3146",
+    "cor26": "a0458deed8ed9df1346f82219c1e1fe46b130c4e8cf44215f44dfb67212c1780",
+    "cor27": "6110350b17476a9ed1976b562106a83316aaaaa8e99333b7fa105699e08a8cd1",
+    "cor36": "32f846af037cead0b590048aa5571bc400342139f983199447589a82d1acb5e6",
+    "cor44": "f91e092a5e873ed2952cb500cf8737a7f8643cce13575c05025018fa2c4de2c4",
+    "example_a3": "738552e672f74a55bb2af49ace52e667dbb691c363cf82f6e471ec8c1b55550e",
+    "example_fp_fail": "6c28af0df923c67d205a6f14b32afa74219ca27e732b2e71ae1abba64c53b43b",
+    "fuglede_putnam": "b520826f8023264ca6afda1bf6af66c55c042878e1551af70802bcd01913eb7b",
+    "lemma21": "c530177946f10c37c03e54b8b6d9c48519778b997b0480100a425e5b95ac3709",
+    "lemma23": "71d432ab794e3570b493775debd901693be958e2704cb6e6f338d022e004f912",
+    "lemma41": "bdc8ccc03a5338d449070f6fce53acc01c283a546b721016f322237fb636e86e",
+    "moore": "05f14e73f77e645f8861d137b9db0b5596a85c8884790cb3f1e945cb036fdc15",
+    "product_polar": "54607a04b9940afbddddc88fdabd0cd3f94b3d6f8857d1f0d568015afcefb4dd",
+    "prop29": "0bada1a6610af661ed627179ff6672c54ccea5737bca4c9aa6d06317bb58eaeb",
+    "rem28": "e9f5ce06ea7b446f382590cbf3281be282fa9f29f06a1607844715aaa20ec158",
+    "remark22": "dd21758f9615b970aabe438d82dc3ce85174afccca9321c8c3a533b51d2cce44",
+    "thm24": "344c4cab444e5e741bb26f8bdce9a1295b427a6af3610b631d0cce0403b89500",
+    "thm31": "ce04f7a54ffceb76b28afe094128f2fd741413a341cc54a43d26524d2bb1be46",
+    "thm33": "d723c8c4e5bfa1a47fd47fe2e5cef7467b4f25526288f32e11f93b2272056588",
+    "thm42": "1f11465b882a0c7ef94a9019e156e2523b5adc30c9c13d828a515bdd3a583ef4",
+}
+
+
+def test_reports_are_byte_stable(tmp_path, monkeypatch):
+    """Every report at --trials 200 --seed 1 keeps its bytes and passes.
+
+    Recorded with numpy 2.4.6 and OpenBLAS 0.3.31, with one BLAS thread and
+    with the default thread count, which gave the same digests. A change
+    that alters a report must say so and list its pass counts.
+    """
+    monkeypatch.delenv("ALUTHGE_TOL", raising=False)
+    assert list(REPORT_SHA256) == list(SUITE_IDS)
+    digests = {}
+    for suite_id in SUITE_IDS:
+        path = tmp_path / f"{suite_id}.json"
+        assert main(["suite", suite_id, "--trials", "200", "--seed", "1", "--out", str(path)]) == 0, suite_id
+        digests[suite_id] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == REPORT_SHA256
