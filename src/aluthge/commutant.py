@@ -14,6 +14,7 @@ reducing subspace check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,19 +48,70 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+class Lifts(NamedTuple):
+    """Commutant elements kept as factors X = R Z K*.
+
+    Block (i, j, Z) holds a (count, m, k) stack Z, whose elements lift to
+    ``left[i] @ Z[e] @ right[j]*``; ``left[i]`` (n1 x m) and ``right[j]``
+    (n2 x k) have orthonormal columns. The elements come in block order.
+    None stands for the identity, so a dense (count, n1, n2) stack X is
+    the one block (0, 0, X).
+    """
+
+    left: list[np.ndarray | None]
+    right: list[np.ndarray | None]
+    blocks: list[tuple[int, int, np.ndarray]]
+
+    @property
+    def factored(self) -> bool:
+        """True when some element is held as factors rather than as a dense matrix."""
+        return bool(self.blocks) and self.left[0] is not None
+
+
+def _dense_lifts(X) -> Lifts:
+    """The elements of a stack or list of (n1, n2) matrices, as the one block with R = I and K = I."""
+    X = np.asarray(X)
+    return Lifts([None], [None], [(0, 0, X)] if len(X) else [])
+
+
 class CommutantBasis:
     """Frobenius-orthonormal basis of {X : AX = XB}.
 
     ``dim_domain`` is (n2, n1): elements map C^n2 into C^n1, i.e. each
     basis matrix has shape (n1, n2). ``residuals`` holds the Frobenius
     norm of AX - XB per element and ``nullity`` the basis length.
+
+    ``lifts`` holds the elements as factors (:class:`Lifts`). The Schur
+    route keeps each as X = R Z K* and checks it in that form; a basis
+    given as matrices is one block with R = I and K = I. ``basis`` lists
+    the elements as (n1, n2) matrices. For a factored basis it is lifted
+    on first access, and there a basis of more than 2**25 complex
+    entries (nullity * n1 * n2, 512 MiB) raises ``ValueError``.
     """
 
-    dim_domain: tuple[int, int]
-    basis: list[np.ndarray]
-    residuals: list[float]
-    nullity: int
+    def __init__(self, dim_domain, basis, residuals, nullity: int, lifts: Lifts | None = None):
+        self.dim_domain = tuple(dim_domain)
+        self.residuals = list(residuals)
+        self.nullity = nullity
+        self.lifts = _dense_lifts(basis) if lifts is None else lifts
+        self._basis = None if basis is None else list(basis)
+
+    @property
+    def basis(self) -> list[np.ndarray]:
+        if self._basis is None:
+            n2, n1 = self.dim_domain
+            self._basis = list(_lift_all(self.lifts, n1, n2, self.nullity))
+        return self._basis
+
+    def element(self, k: int) -> np.ndarray:
+        """Element k as an (n1, n2) matrix, lifting that one element only."""
+        if self._basis is not None:
+            return self._basis[k]
+        for i, j, Z in self.lifts.blocks:
+            if k < len(Z):
+                return _lift(self.lifts.left[i], Z[k : k + 1], self.lifts.right[j])[0]
+            k -= len(Z)
+        raise IndexError("commutant element index out of range")
 
 
 @dataclass(frozen=True)
@@ -97,12 +149,16 @@ def sylvester_matrix(A, B) -> np.ndarray:
 _KRONECKER_MAX = 144
 # Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
 _BLOCK_MAX = 4096
-# Largest basis (nullity * n1 * n2 complex entries, 512 MiB) the Schur route
-# builds. With the QR fallback and the residual checks the peak is a few
-# times that, which stays well inside a machine with a few GB of memory.
+# Largest dense basis (nullity * n1 * n2 complex entries, 512 MiB) lifted from
+# factors, by the QR fallback or on access to CommutantBasis.basis. With the
+# QR the peak is a few times that, which stays well inside a machine with a
+# few GB of memory.
 _BASIS_MAX = 2**25
 # Complex entries per temporary array of the stacked residual check (8 MiB).
 _RESIDUAL_CHUNK = 2**19
+# Seed of the Gaussian coefficients of the dense combination check, fixed so
+# that a verdict is reproducible.
+_COMBINATION_SEED = 0
 
 
 def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
@@ -113,9 +169,10 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     largest count as zero. Larger pairs solve only the pairs of
     eigenvalue groups of A and B that may share a solution, on their
     Schur forms, with the cut ``rank_rel`` times a shift-invariant bound
-    on that largest value; a pair whose block would exceed 4096 rows,
-    or a basis of more than 2**25 complex entries (nullity * n1 * n2),
-    raises ``ValueError``.
+    on that largest value and keep each element as factors; a pair
+    whose block would exceed 4096 rows raises ``ValueError``, and so
+    does lifting a basis of more than 2**25 complex entries
+    (nullity * n1 * n2) to dense matrices.
     """
     A = as_square(A)
     B = as_square(B)
@@ -131,7 +188,8 @@ def _kronecker_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commu
     _, s, Vh = np.linalg.svd(L)
     smax = float(s[0])
     null_rows = Vh[s <= tol.rank_rel * smax]
-    return _basis_of(A, B, null_rows.conj().reshape((-1, n2, n1)).transpose(0, 2, 1))
+    X = null_rows.conj().reshape((-1, n2, n1)).transpose(0, 2, 1)
+    return _basis_of(A, B, _dense_lifts(X), list(X))
 
 
 def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
@@ -153,8 +211,9 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     isometry, so the lifts of one pair are orthonormal. Lifts of
     different pairs are orthogonal when their groups' invariant
     subspaces are, as for a normal pair; :func:`_cross_gram_bound`
-    decides that from the small factors, and only otherwise one QR
-    makes the lifts orthonormal.
+    decides that from the small factors. Then the basis keeps every
+    element as its factors, and only otherwise one QR over the lifted
+    elements makes them orthonormal, as a dense basis.
     """
     n1, n2 = A.shape[0], B.shape[0]
     # ||A - cI|| + ||B - cI|| bounds ||L|| and is invariant under a shift, a
@@ -175,22 +234,20 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     blocks = [(groups_a[i][1], groups_b[j][1]) for i, j in pairs]
     solutions = _block_null_vectors(blocks, tol.rank_rel * scale)
     solved = [(i, j, Z) for (i, j), Z in zip(pairs, solutions) if len(Z)]
+    # Only the groups that hold a solution become factors of the lifts.
+    used_a = {i: p for p, i in enumerate(dict.fromkeys(i for i, _, _ in solved))}
+    used_b = {j: p for p, j in enumerate(dict.fromkeys(j for _, j, _ in solved))}
+    lifts = Lifts(
+        [groups_a[i][0] for i in used_a],
+        [groups_b[j][0] for j in used_b],
+        [(used_a[i], used_b[j], Z) for i, j, Z in solved],
+    )
     nullity = sum(len(Z) for _, _, Z in solved)
-    # The basis is sized before any lift is built, so a refusal allocates nothing large.
-    if nullity * n1 * n2 > _BASIS_MAX:
-        raise ValueError(
-            f"commutant basis has {nullity} elements of size {n1}x{n2} ({nullity * n1 * n2} entries), "
-            f"above the {_BASIS_MAX} the Schur route builds"
-        )
-    X = np.empty((nullity, n1, n2), dtype=complex)
-    start = 0
-    for i, j, Z in solved:
-        np.matmul(groups_a[i][0] @ Z, groups_b[j][0].conj().T, out=X[start : start + len(Z)])
-        start += len(Z)
-    if _cross_gram_bound(groups_a, groups_b, solved) > nullity * np.finfo(float).eps:
-        Q, _ = np.linalg.qr(X.reshape(nullity, -1).T)
+    if _cross_gram_bound(lifts) > nullity * np.finfo(float).eps:
+        Q, _ = np.linalg.qr(_lift_all(lifts, n1, n2, nullity).reshape(nullity, -1).T)
         X = Q.T.reshape(-1, n1, n2)
-    return _basis_of(A, B, X)
+        return _basis_of(A, B, _dense_lifts(X), list(X))
+    return _basis_of(A, B, lifts)
 
 
 def _block_null_vectors(blocks: list[tuple[np.ndarray, np.ndarray]], cut: float) -> list[np.ndarray]:
@@ -232,11 +289,7 @@ def _sylvester_blocks(T: np.ndarray, S: np.ndarray) -> np.ndarray:
     return L.reshape(p, k * m, k * m)
 
 
-def _cross_gram_bound(
-    groups_a: list[tuple[np.ndarray, np.ndarray]],
-    groups_b: list[tuple[np.ndarray, np.ndarray]],
-    solved: list[tuple[int, int, np.ndarray]],
-) -> float:
+def _cross_gram_bound(lifts: Lifts) -> float:
     """Bound the Frobenius norm of the lifts' Gram matrix outside its per-pair blocks.
 
     A lift of group pair (i, j) is R_i Z K_j* with orthonormal Z, so
@@ -244,8 +297,8 @@ def _cross_gram_bound(
     inequality the block of pairs p and q then has Frobenius norm at
     most sqrt(min(k_p, k_q)) ||R_i*R_k|| ||K_l*K_j|| for k_p and k_q
     solutions, with the norm of R_i*R_i taken as 1 and any other factor
-    bounded by its Frobenius norm. One product R*R over the distinct
-    groups of A gives every cross factor, and one K*K those of B*.
+    bounded by its Frobenius norm. One product R*R over the groups of A
+    gives every cross factor, and one K*K those of B*.
 
     The caller skips the QR when this bound is at most nullity * eps.
     Householder QR itself returns a Q whose Q*Q is off the identity by
@@ -257,13 +310,13 @@ def _cross_gram_bound(
     oblique invariant subspaces of a similarity pair put it at 0.25-0.28
     on the n = 24 and n = 32 pairs of the commutant benchmark.
     """
-    if len(solved) < 2:
+    if len(lifts.blocks) < 2:
         return 0.0
-    ua, pa = np.unique([i for i, _, _ in solved], return_inverse=True)
-    ub, pb = np.unique([j for _, j, _ in solved], return_inverse=True)
-    a = _cross_norms([groups_a[i][0] for i in ua])[np.ix_(pa, pa)]
-    b = _cross_norms([groups_b[j][0] for j in ub])[np.ix_(pb, pb)]
-    counts = np.array([len(Z) for _, _, Z in solved])
+    pa = [i for i, _, _ in lifts.blocks]
+    pb = [j for _, j, _ in lifts.blocks]
+    a = _cross_norms(lifts.left)[np.ix_(pa, pa)]
+    b = _cross_norms(lifts.right)[np.ix_(pb, pb)]
+    counts = np.array([len(Z) for _, _, Z in lifts.blocks])
     mass = np.minimum.outer(counts, counts) * (a * b) ** 2
     np.fill_diagonal(mass, 0.0)
     return float(np.sqrt(mass.sum()))
@@ -289,7 +342,10 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     ``s_min`` merges with its nearest group and is tested again. That
     keeps together the eigenvalues a defective eigenvalue splits into,
     however far roundoff scatters them, and keeps the block
-    diagonalization behind the drop rule well conditioned.
+    diagonalization behind the drop rule well conditioned. Single
+    eigenvalues are tested all at once from eigenvectors
+    (:func:`_simple_eigenvectors`); the rest, and any single eigenvalue
+    below ``s_min``, take ``ztrsen`` one group at a time.
     """
     from scipy.linalg import schur
     from scipy.linalg.lapack import ztrsen
@@ -298,8 +354,20 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     n = len(T)
     ev = np.diag(T)
     dist = np.abs(ev[:, None] - ev[None, :])
-    clusters = _linked_clusters(dist <= gap)
+    masks = _linked_clusters(dist <= gap)
+    sizes = masks.sum(axis=1)
+    clusters = list(masks[sizes > 1])
     groups = []
+    singles = masks[sizes == 1]
+    if len(singles):
+        positions = singles.argmax(axis=1)
+        x, s = _simple_eigenvectors(T, positions)
+        R = Q @ x
+        for col, (members, p) in enumerate(zip(singles, positions)):
+            if s[col] >= s_min:
+                groups.append((members, R[:, col : col + 1], T[p : p + 1, p : p + 1].copy()))
+            else:
+                clusters.append(members)
     while clusters:
         members = clusters.pop()
         m = int(members.sum())
@@ -316,8 +384,38 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     return [(R, TR) for _, R, TR in groups]
 
 
-def _linked_clusters(near: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a symmetric, reflexive boolean adjacency, as member masks.
+def _simple_eigenvectors(T: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit right eigenvectors of the upper triangular T for the eigenvalues T[p, p], and their s.
+
+    The right eigenvectors x come from one ``eig`` of T. The left ones
+    y, with y^T T = lambda y^T, come from one ``eig`` of the flipped
+    transpose T^T[::-1, ::-1], which is upper triangular again, so both
+    calls return the diagonal entries exactly, in an order of their
+    own: each is matched to its position by exact value, never by
+    index. s = |y^T x| / (||y|| ||x||) is the reciprocal condition
+    number of a simple eigenvalue, the s that ``ztrsen(job="E")`` gives
+    a one-element group. A position whose value either call does not
+    return exactly gets s = 0, which sends it to ``ztrsen``.
+    """
+    values = np.diag(T)[positions]
+    w, V = np.linalg.eig(T)
+    wl, Vl = np.linalg.eig(T.T[::-1, ::-1])
+    right, left = _exact_positions(w, values), _exact_positions(wl, values)
+    x, y = V[:, right], Vl[::-1, left]
+    x_norm, y_norm = np.linalg.norm(x, axis=0), np.linalg.norm(y, axis=0)
+    s = np.abs(np.einsum("ij,ij->j", y, x)) / (x_norm * y_norm)
+    s[(right < 0) | (left < 0)] = 0.0
+    return x / x_norm, s
+
+
+def _exact_positions(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index in w of each of ``values`` (distinct), compared exactly, or -1 where w lacks it."""
+    index = {v: i for i, v in enumerate(w.tolist())}
+    return np.array([index.get(v, -1) for v in values.tolist()], dtype=int)
+
+
+def _linked_clusters(near: np.ndarray) -> np.ndarray:
+    """Connected components of a symmetric, reflexive boolean adjacency, as the rows of a member mask array.
 
     The reachability matrix is squared until it stops changing, which
     takes about log2 of the longest chain's length steps. The products
@@ -332,7 +430,7 @@ def _linked_clusters(near: np.ndarray) -> list[np.ndarray]:
             break
         reach = closed
     linked = reach > 0
-    return list(linked[np.unique(linked.argmax(axis=1))])
+    return linked[np.unique(linked.argmax(axis=1))]
 
 
 def _centers_radii(groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -342,34 +440,188 @@ def _centers_radii(groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndar
     return centers, radii
 
 
-def _basis_of(A: np.ndarray, B: np.ndarray, X: np.ndarray) -> CommutantBasis:
-    """Package a (nullity, n1, n2) stack of basis elements with their residuals."""
+def _basis_of(A: np.ndarray, B: np.ndarray, lifts: Lifts, basis: list[np.ndarray] | None = None) -> CommutantBasis:
+    """Package the elements of ``lifts`` with their residuals; ``basis`` gives them as matrices when already dense."""
     n1, n2 = A.shape[0], B.shape[0]
     return CommutantBasis(
         dim_domain=(n2, n1),
-        basis=list(X),
-        residuals=_residual_norms(A, B, X).tolist(),
-        nullity=len(X),
+        basis=basis,
+        residuals=_residual_norms(A, B, lifts).tolist(),
+        nullity=sum(len(Z) for _, _, Z in lifts.blocks),
+        lifts=lifts,
     )
 
 
-def _residual_norms(A: np.ndarray, B: np.ndarray, Xs) -> np.ndarray:
-    """Frobenius norm of A X - X B for every X of a stack or list, in bounded chunks.
+def _lift(R: np.ndarray, Z: np.ndarray, K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """R Z[e] K* for every matrix of the stack Z: where a factored element becomes a dense matrix."""
+    return np.matmul(R @ Z, K.conj().T, out=out)
 
-    Each chunk of X takes one batched product on each side, and a
-    temporary holds at most max(``_RESIDUAL_CHUNK``, n1 * n2) entries.
-    Like :func:`fro_norm`, it rejects a residual with a non-finite entry.
+
+def _lift_all(lifts: Lifts, n1: int, n2: int, nullity: int) -> np.ndarray:
+    """The (nullity, n1, n2) stack of the elements of factored ``lifts``.
+
+    The size is checked before anything is allocated: a stack of more
+    than 2**25 complex entries raises ``ValueError``.
     """
-    norms = np.empty(len(Xs))
-    step = max(1, _RESIDUAL_CHUNK // (A.shape[0] * B.shape[0]))
-    for start in range(0, len(Xs), step):
-        chunk = np.asarray(Xs[start : start + step])
-        D = (A @ chunk - chunk @ B).reshape(len(chunk), -1).view(np.float64)
-        part = np.sqrt(np.einsum("ij,ij->i", D, D))
-        if not np.isfinite(part).all() and not np.isfinite(D).all():
-            raise ValueError("matrix entries must be finite (no NaN or Inf)")
-        norms[start : start + len(chunk)] = part
+    if nullity * n1 * n2 > _BASIS_MAX:
+        raise ValueError(
+            f"commutant basis has {nullity} elements of size {n1}x{n2} ({nullity * n1 * n2} entries), "
+            f"above the {_BASIS_MAX} a dense basis may hold"
+        )
+    X = np.empty((nullity, n1, n2), dtype=complex)
+    start = 0
+    for i, j, Z in lifts.blocks:
+        _lift(lifts.left[i], Z, lifts.right[j], out=X[start : start + len(Z)])
+        start += len(Z)
+    return X
+
+
+def _residual_norms(M: np.ndarray, N: np.ndarray, lifts: Lifts) -> np.ndarray:
+    """Frobenius norm of M X - X N for every element X = R Z K* of ``lifts``, in element order.
+
+    With M R = R P1 + Pp (P1 = R*MR) and K*N = S K* + Wp (S = K*NK),
+
+        M X - X N = R (P1 Z - Z S) K* + Pp Z K* - R Z Wp.
+
+    R*Pp = 0 and Wp K = 0 make the three terms orthogonal, and R and K
+    are isometries, so ||M X - X N||^2 = ||P1 Z - Z S||^2 + ||Pp Z||^2 +
+    ||Z Wp||^2 exactly. Each term is the norm of a matrix of its own, not
+    a difference of squares, which would cancel exactly where the
+    residual is small. The parts of a group cost O(n^2 m) once
+    (:func:`_group_parts`), an element O(m k (m + k + n1 + n2)). With
+    R = I and K = I, as for a dense basis, P1 = M and S = N and the
+    other two terms vanish: the one term is M X - X N itself.
+
+    The blocks of one shape (m, k, count) share batched products, with
+    the elements of a block side by side in one product per factor. A
+    dense block keeps one product per element, so its numbers are those
+    of M X - X N element by element. A temporary holds at most about
+    max(``_RESIDUAL_CHUNK``, n1 * n2) entries. Like :func:`fro_norm`, it
+    rejects a residual with a non-finite entry.
+    """
+    n1, n2 = M.shape[0], N.shape[0]
+    if not lifts.factored:
+        X = lifts.blocks[0][2] if lifts.blocks else np.empty((0, n1, n2))
+        norms = np.empty(len(X))
+        step = max(1, _RESIDUAL_CHUNK // (n1 * n2))
+        for start in range(0, len(X), step):
+            chunk = X[start : start + step]
+            norms[start : start + len(chunk)] = _term_norms([M @ chunk - chunk @ N], len(chunk))
+        return norms
+    left, ia = _group_parts(M, lifts.left, right=False)
+    right, jb = _group_parts(N, lifts.right, right=True)
+    starts = [0]
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for b, (_, _, Z) in enumerate(lifts.blocks):
+        by_shape.setdefault(Z.shape, []).append(b)
+        starts.append(starts[-1] + len(Z))
+    norms = np.empty(starts[-1])
+    for (count, m, k), members in by_shape.items():
+        P1, Pp = (part[[ia[lifts.blocks[b][0]] for b in members]] for part in left[m])
+        S, Wp = (part[[jb[lifts.blocks[b][1]] for b in members]] for part in right[k])
+        Z = np.stack([lifts.blocks[b][2] for b in members])
+        step = max(1, _RESIDUAL_CHUNK // (count * (m * k + n1 * k + m * n2)))
+        for start in range(0, len(members), step):
+            sel = slice(start, start + step)
+            g = len(members[sel])
+            Zl = Z[sel].transpose(0, 2, 1, 3).reshape(g, m, count * k)
+            Zr = Z[sel].reshape(g, count * m, k)
+            terms = [
+                (P1[sel] @ Zl).reshape(g, m, count, k).transpose(0, 2, 1, 3) - (Zr @ S[sel]).reshape(g, count, m, k),
+                (Pp[sel] @ Zl).reshape(g, n1, count, k).transpose(0, 2, 1, 3),
+                Zr @ Wp[sel],
+            ]
+            for b, row in zip(members[sel], _term_norms(terms, g * count).reshape(g, count)):
+                norms[starts[b] : starts[b] + count] = row
     return norms
+
+
+def _term_norms(terms: list[np.ndarray], rows: int) -> np.ndarray:
+    """sqrt of the sum over ``terms`` of each one's squared Frobenius norm per element, for ``rows`` elements."""
+    flat = [np.ascontiguousarray(D).reshape(rows, -1).view(np.float64) for D in terms]
+    part = np.sqrt(sum(np.einsum("ij,ij->i", D, D) for D in flat))
+    if not np.isfinite(part).all() and not all(np.isfinite(D).all() for D in terms):
+        raise ValueError("matrix entries must be finite (no NaN or Inf)")
+    return part
+
+
+def _group_parts(M: np.ndarray, bases: list[np.ndarray], right: bool) -> tuple[dict, list[int]]:
+    """The compression of M onto each basis and the part of M outside it, as :func:`_residual_norms` splits them.
+
+    On the left, R gives (R*MR, MR - R R*MR); on the right, K gives
+    (K*MK, K*M - K*MK K*). The bases of one width w share one product
+    with M, and their parts come as the pair of stacks at key w, with
+    each basis at its position in the returned list.
+    """
+    n = M.shape[0]
+    by_width: dict[int, list[np.ndarray]] = {}
+    position = []
+    for R in bases:
+        same = by_width.setdefault(R.shape[1], [])
+        position.append(len(same))
+        same.append(R)
+    parts = {}
+    for w, same in by_width.items():
+        flat = np.concatenate(same, axis=1)
+        R = flat.reshape(n, len(same), w).transpose(1, 0, 2)
+        Rh = R.conj().transpose(0, 2, 1)
+        if right:
+            W = (flat.conj().T @ M).reshape(len(same), w, n)
+            main = W @ R
+            parts[w] = (main, W - main @ Rh)
+        else:
+            P = (M @ flat).reshape(n, len(same), w).transpose(1, 0, 2)
+            main = Rh @ P
+            parts[w] = (main, P - R @ main)
+    return parts, position
+
+
+def _combination_residual(lifts: Lifts, M: np.ndarray, N: np.ndarray) -> tuple[float, np.ndarray]:
+    """||M X_c - X_c N||_F / ||c||_2 and X_c / ||X_c||_F, for X_c = sum_e c_e X_e lifted densely.
+
+    c is complex Gaussian from a fixed seed, so a verdict is
+    reproducible. X_c is one :func:`_lift` of all left and all right
+    factors around a block matrix of the per-block combinations
+    sum_e c_e Z_e, and it is multiplied by M and N as a matrix. That
+    shares no arithmetic with the factored residuals, so it checks the
+    lifted elements themselves: an element whose lift leaves the
+    target commutant moves X_c off it with probability 1. For
+    orthonormal elements ||X_c||_F = ||c||_2.
+    """
+    nullity = sum(len(Z) for _, _, Z in lifts.blocks)
+    rng = np.random.default_rng(_COMBINATION_SEED)
+    c = rng.standard_normal(nullity) + 1j * rng.standard_normal(nullity)
+    rows = np.cumsum([0] + [R.shape[1] for R in lifts.left])
+    cols = np.cumsum([0] + [K.shape[1] for K in lifts.right])
+    Y = np.zeros((rows[-1], cols[-1]), dtype=complex)
+    start = 0
+    for i, j, Z in lifts.blocks:
+        combined = c[start : start + len(Z)] @ Z.reshape(len(Z), -1)
+        Y[rows[i] : rows[i + 1], cols[j] : cols[j + 1]] = combined.reshape(Z.shape[1:])
+        start += len(Z)
+    X = _lift(np.concatenate(lifts.left, axis=1), Y[None], np.concatenate(lifts.right, axis=1))[0]
+    residual = float(_residual_norms(M, N, _dense_lifts(X[None]))[0])
+    return residual / float(np.linalg.norm(c)), X / np.linalg.norm(X)
+
+
+def _worst_element(cb: CommutantBasis, M: np.ndarray, N: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """Largest ||M X - X N||_F over the elements of ``cb``, and the element with it (None for an empty basis).
+
+    The last element with the largest residual wins a tie. A factored
+    basis also takes the dense combination check
+    (:func:`_combination_residual`), whose X_c / ||X_c||_F is the
+    element when its residual is larger than every element's.
+    """
+    residuals = _residual_norms(M, N, cb.lifts)
+    if not len(residuals):
+        return 0.0, None
+    k = len(residuals) - 1 - int(np.argmax(residuals[::-1]))
+    worst, witness = float(residuals[k]), cb.element(k)
+    if cb.lifts.factored:
+        combined, X = _combination_residual(cb.lifts, M, N)
+        if combined > worst:
+            worst, witness = combined, X
+    return worst, witness
 
 
 def fp_property(A, B, tol: Tolerances = DEFAULT_TOL) -> FpReport:
@@ -409,15 +661,11 @@ def basis_inclusion(cb: CommutantBasis, f2: PolarFactors, g2: PolarFactors, tol:
     Lets one solve of Com(A1, B1) serve several target pairs. ``f2`` and
     ``g2`` factor the target pair (A2, B2), which must act on the spaces
     of ``cb``; the threshold is ``residual_rel * (||A2|| + ||B2||)``.
+    A factored basis is checked as its factors, plus one dense random
+    combination of its elements (:func:`_worst_element`).
     """
     threshold = tol.residual_rel * (f2.norm + g2.norm)
-    worst = 0.0
-    witness = None
-    residuals = _residual_norms(f2.matrix, g2.matrix, cb.basis)
-    if len(residuals):
-        # The last element with the largest residual is the witness.
-        k = len(residuals) - 1 - int(np.argmax(residuals[::-1]))
-        worst, witness = float(residuals[k]), cb.basis[k]
+    worst, witness = _worst_element(cb, f2.matrix, g2.matrix)
     holds = bool(worst <= threshold)
     return FpReport(
         holds=holds,
@@ -558,7 +806,7 @@ def basis_squared_angular(
     fb.require_invertible("B")
     U, V = fa.angular(), fb.angular()
     left = factored_fp_property(fa.aluthge(tol), fb.aluthge(tol), tol).holds
-    worst = float(_residual_norms(U @ U, V @ V, cb.basis).max(initial=0.0))
+    worst = _worst_element(cb, U @ U, V @ V)[0]
     threshold = 2.0 * tol.residual_rel
     right = bool(worst <= threshold)
     return CheckReport(

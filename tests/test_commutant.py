@@ -7,10 +7,14 @@ from aluthge.commutant import (
     _BASIS_MAX,
     _KRONECKER_MAX,
     CommutantBasis,
+    Lifts,
+    _combination_residual,
+    _dense_lifts,
     _kronecker_commutant,
     _linked_clusters,
     _residual_norms,
     _schur_commutant,
+    _simple_eigenvectors,
     _sylvester_blocks,
     aluthge_intertwiner_map,
     basis_inclusion,
@@ -211,6 +215,16 @@ def benchmark_pairs(rng, n):
     return (normal, 16 * (n // 4)), (similar, n)
 
 
+def mixed_shape_pair(rng):
+    """A has 12 distinct eigenvalues. B repeats four of them twice and four
+    once, plus four of its own, so the groups of B* have sizes 2 and 1 and
+    the kept blocks come in the shapes (1, 2) and (1, 1)."""
+    pool = separated(rng, 16)
+    A = conjugated(rng, np.diag(pool[:12]))[0]
+    B = conjugated(rng, np.diag(np.concatenate([np.repeat(pool[:4], 2), pool[4:8], pool[12:]])))[0]
+    return A, B
+
+
 class TestCommutantRoutes:
     """The Schur-cluster route reproduces the Kronecker oracle."""
 
@@ -357,10 +371,14 @@ class TestCommutantRoutes:
         ((A, B), nullity), _ = benchmark_pairs(rng, 24)
         assert nullity * 24 * 24 == 55296 <= _BASIS_MAX
         monkeypatch.setattr("aluthge.commutant._BASIS_MAX", 55296)
-        assert commutant_basis(A, B).nullity == nullity
+        assert len(commutant_basis(A, B).basis) == nullity
         monkeypatch.setattr("aluthge.commutant._BASIS_MAX", 55295)
+        # The solve keeps the elements as factors, and the verdict checks them
+        # so; the cap refuses only the dense basis, where it is lifted.
+        cb = commutant_basis(A, B)
+        assert cb.nullity == nullity and fp_property(A, B).holds
         with pytest.raises(ValueError, match="96 elements of size 24x24 \\(55296 entries\\)"):
-            commutant_basis(A, B)
+            cb.basis
 
     def test_route_dispatch_at_the_crossover(self, monkeypatch):
         routes = []
@@ -377,13 +395,7 @@ class TestCommutantRoutes:
         assert assert_routes_agree(A, B).nullity == nullity
 
     def test_mixed_block_shapes_share_one_solve(self, monkeypatch):
-        # A has 12 distinct eigenvalues. B repeats four of them twice and four
-        # once, plus four of its own, so the groups of B* have sizes 2 and 1
-        # and the kept blocks come in the shapes (1, 2) and (1, 1).
-        rng = np.random.default_rng(87)
-        pool = separated(rng, 16)
-        A = conjugated(rng, np.diag(pool[:12]))[0]
-        B = conjugated(rng, np.diag(np.concatenate([np.repeat(pool[:4], 2), pool[4:8], pool[12:]])))[0]
+        A, B = mixed_shape_pair(np.random.default_rng(87))
         shapes = []
 
         def spy(T, S):
@@ -429,14 +441,178 @@ class TestResidualNorms:
         expected = [fro_norm(A @ X - X @ B) for X in Xs]
         for chunk in (15, 30, 2**19):
             monkeypatch.setattr("aluthge.commutant._RESIDUAL_CHUNK", chunk)
-            np.testing.assert_allclose(_residual_norms(A, B, Xs), expected, rtol=1e-13)
-            np.testing.assert_allclose(_residual_norms(A, B, list(Xs)), expected, rtol=1e-13)
-        assert _residual_norms(A, B, []).shape == (0,)
+            np.testing.assert_allclose(_residual_norms(A, B, _dense_lifts(Xs)), expected, rtol=1e-13)
+            np.testing.assert_allclose(_residual_norms(A, B, _dense_lifts(list(Xs))), expected, rtol=1e-13)
+        assert _residual_norms(A, B, _dense_lifts([])).shape == (0,)
 
     def test_rejects_overflowing_residual(self):
         A = np.diag([1e308, 1.0]).astype(complex)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
-            _residual_norms(A, np.eye(2), [10.0 * np.eye(2)])
+            _residual_norms(A, np.eye(2), _dense_lifts([10.0 * np.eye(2)]))
+
+
+def mixed_normal_pair(rng, n):
+    """A normal pair at size n whose blocks come in the shapes (4, 2) and (4, 1).
+
+    A has n/4 eigenvalues of multiplicity 4. B repeats n/8 of them twice,
+    n/8 once, and has 5n/8 of its own, so the nullity is 3n/2.
+    """
+    pool = separated(rng, n)
+    q = n // 8
+    ev_a = np.repeat(pool[: 2 * q], 4)
+    ev_b = np.concatenate([np.repeat(pool[:q], 2), pool[q : 2 * q], pool[2 * q : 7 * q]])
+    Qa, Qb = random_unitary(rng, n), random_unitary(rng, n)
+    return Qa @ (ev_a[:, None] * Qa.conj().T), Qb @ (rng.permutation(ev_b)[:, None] * Qb.conj().T)
+
+
+def jordan_normal_pair(rng, n):
+    """A = Q (J_2(lam) + diag(distinct)) Q* for a unitary Q; Com(A, A) has dimension n.
+
+    The invariant subspaces of its groups are orthogonal, so the Schur
+    route keeps Com(A, A) as factors, and the Jordan group's block has
+    solutions {aI + bN} only: a generic change of its Z leaves the
+    commutant.
+    """
+    pool = separated(rng, n - 1)
+    Q = random_unitary(rng, n)
+    return Q @ jordan_plus(2, pool[0], pool[1:]) @ Q.conj().T
+
+
+def assert_factored_matches_dense(cb, M, N):
+    """The factored residual of every element against (M, N) equals the dense ||M X - X N||_F."""
+    assert cb.lifts.factored
+    fast = _residual_norms(M, N, cb.lifts)
+    dense = [fro_norm(M @ X - X @ N) for X in cb.basis]
+    np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12 * (op_norm(M) + op_norm(N)))
+
+
+class TestFactoredElements:
+    """Schur-route elements X = R Z K* are checked as factors, and the checks are exact."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_factored_residual_equals_dense_on_normal_pairs(self, n, monkeypatch):
+        A, B = mixed_normal_pair(np.random.default_rng(100 + n), n)
+        cb = commutant_basis(A, B)
+        assert cb.nullity == 3 * n // 2
+        assert sorted({Z.shape[1:] for _, _, Z in cb.lifts.blocks}) == [(4, 1), (4, 2)]
+        U, V = polar_factors(A).angular(), polar_factors(B).angular()
+        # A chunk of one entry puts every block in a chunk of its own.
+        for chunk in (2**19, 1):
+            monkeypatch.setattr("aluthge.commutant._RESIDUAL_CHUNK", chunk)
+            for M, N in ((A, B), (adjoint(A), adjoint(B)), (U @ U, V @ V)):
+                assert_factored_matches_dense(cb, M, N)
+
+    def test_factored_residual_equals_dense_on_mixed_shapes(self, monkeypatch):
+        # The lifts of this similarity pair are oblique, so the solve would
+        # make them a dense basis by QR; with the QR skipped they stay as
+        # factors, each a valid element whose residual is far from zero
+        # against the adjoint pair, so every term of the split counts.
+        A, B = mixed_shape_pair(np.random.default_rng(87))
+        monkeypatch.setattr("aluthge.commutant._cross_gram_bound", lambda lifts: 0.0)
+        cb = commutant_basis(A, B)
+        assert cb.nullity == 12
+        U, V = polar_factors(A).angular(), polar_factors(B).angular()
+        for M, N in ((A, B), (adjoint(A), adjoint(B)), (U @ U, V @ V)):
+            assert_factored_matches_dense(cb, M, N)
+        assert max(_residual_norms(adjoint(A), adjoint(B), cb.lifts)) > 1e-3
+
+    def test_perturbed_element_is_caught_by_both_checks(self):
+        A = jordan_normal_pair(np.random.default_rng(88), 16)
+        cb = commutant_basis(A, A)
+        assert cb.lifts.factored and cb.nullity == 16
+        thr = DEFAULT_TOL.residual_rel * 2 * op_norm(A)
+        assert max(_residual_norms(A, A, cb.lifts)) <= thr
+        assert _combination_residual(cb.lifts, A, A)[0] <= thr
+        (b,) = [b for b, (_, _, Z) in enumerate(cb.lifts.blocks) if Z.shape[1] == 2]
+        i, j, Z = cb.lifts.blocks[b]
+        E = ginibre(np.random.default_rng(89), 2, 2)
+        bad_Z = Z.copy()
+        bad_Z[0] += 1e-6 * E / fro_norm(E)
+        blocks = list(cb.lifts.blocks)
+        blocks[b] = (i, j, bad_Z)
+        bad = Lifts(cb.lifts.left, cb.lifts.right, blocks)
+        assert max(_residual_norms(A, A, bad)) > thr
+        assert _combination_residual(bad, A, A)[0] > thr
+        fa = polar_factors(A)
+        rep = basis_inclusion(CommutantBasis(cb.dim_domain, None, cb.residuals, cb.nullity, bad), fa, fa)
+        assert not rep.holds and rep.max_residual > thr
+
+    def test_wrong_lift_is_caught_by_the_combination_alone(self, monkeypatch):
+        ((A, B), nullity), _ = benchmark_pairs(np.random.default_rng(90), 16)
+        assert fp_property(A, B).holds
+        # A lift with the rows of K reversed: the factors stay right, the
+        # matrices they are lifted to do not.
+        monkeypatch.setattr(
+            "aluthge.commutant._lift", lambda R, Z, K, out=None: np.matmul(R @ Z, K[::-1].conj().T, out=out)
+        )
+        cb = commutant_basis(A, B)
+        fa, fb = polar_factors(A), polar_factors(B)
+        rep = basis_inclusion(cb, fa.adjoint(), fb.adjoint())
+        assert max(_residual_norms(adjoint(A), adjoint(B), cb.lifts)) <= rep.threshold
+        assert not rep.holds and rep.com_dim == nullity
+        assert rep.witness.shape == (16, 16) and fro_norm(rep.witness) == pytest.approx(1.0)
+        assert fro_norm(adjoint(A) @ rep.witness - rep.witness @ adjoint(B)) > rep.threshold
+
+    def test_large_distinct_spectrum_never_builds_the_dense_basis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the dense basis was built")
+
+        rng = np.random.default_rng(91)
+        n = 256
+        ev = separated(rng, n)
+        Qa, Qb = random_unitary(rng, n), random_unitary(rng, n)
+        A = Qa @ (ev[:, None] * Qa.conj().T)
+        B = Qb @ (rng.permutation(ev)[:, None] * Qb.conj().T)
+        monkeypatch.setattr("aluthge.commutant._lift_all", refuse)
+        rep = fp_property(A, B)
+        assert rep.holds and rep.com_dim == n and rep.witness is None
+
+    def test_lazy_basis_is_the_eager_lift(self, monkeypatch):
+        ((A, B), nullity), _ = benchmark_pairs(np.random.default_rng(92), 24)
+        cb = commutant_basis(A, B)
+        assert cb.lifts.factored and cb.nullity == nullity
+        eager = np.concatenate(
+            [np.matmul(cb.lifts.left[i] @ Z, cb.lifts.right[j].conj().T) for i, j, Z in cb.lifts.blocks]
+        )
+        np.testing.assert_array_equal(np.stack(cb.basis), eager)
+        for k in (0, nullity // 2, nullity - 1):
+            np.testing.assert_allclose(cb.element(k), eager[k], rtol=0, atol=1e-15)
+        # Built once, on first access.
+        monkeypatch.setattr("aluthge.commutant._lift_all", None)
+        assert cb.basis[0] is cb.basis[0]
+
+    def test_simple_eigenvalue_conditions_match_ztrsen(self):
+        from scipy.linalg import schur
+        from scipy.linalg.lapack import ztrsen
+
+        rng = np.random.default_rng(93)
+        for n in (2, 7, 20):
+            for strength in (0.0, 3.0, 30.0):
+                M = ginibre(rng, n) + strength * np.triu(ginibre(rng, n), 1)
+                T, Q = schur(M, output="complex")
+                x, s = _simple_eigenvectors(T, list(range(n)))
+                for p in range(n):
+                    select = np.zeros(n, dtype=np.int32)
+                    select[p] = 1
+                    _, Qs, _, _, sp, _, _ = ztrsen(select, T, Q, job="E", lwork=max(1, 2 * (n - 1)))
+                    assert s[p] == pytest.approx(sp, rel=1e-12)
+                    assert abs(np.vdot(Qs[:, 0], Q @ x[:, p])) == pytest.approx(1.0, abs=1e-10)
+
+    def test_inexact_eigenvalues_fall_back_to_ztrsen(self, monkeypatch):
+        # If eig ever returns a diagonal entry inexactly, that eigenvalue
+        # gets s = 0 and takes the per-group path, with the same commutant.
+        eig = np.linalg.eig
+
+        def shifted(T):
+            w, V = eig(T)
+            return w * (1 + 4 * np.finfo(float).eps), V
+
+        rng = np.random.default_rng(94)
+        (_, ((A, B), nullity)) = benchmark_pairs(rng, 16)
+        monkeypatch.setattr(np.linalg, "eig", shifted)
+        T = np.triu(ginibre(rng, 5)) + np.diag(np.arange(5.0))
+        assert not _simple_eigenvectors(T, list(range(5)))[1].any()
+        assert assert_routes_agree(A, B).nullity == nullity
 
 
 class TestFpProperty:
