@@ -83,6 +83,10 @@ def _cmd_polar(args) -> int:
 
 
 def _cmd_aluthge(args) -> int:
+    if args.iterate is None and args.full:
+        raise ValueError("--full applies only with --iterate")
+    if args.iterate is not None and (args.s, args.t) != (0.5, 0.5):
+        raise ValueError("--iterate takes (0.5, 0.5) Aluthge iterates; --s and --t apply only without it")
     tol = _tolerances(args)
     M = read_matrix(_source(args.input))
     if args.iterate is not None:

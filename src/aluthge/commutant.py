@@ -8,7 +8,8 @@ only the pairs of eigenvalue groups that the two spectra may share
 nothing). On top of the basis sit the adjoint-intertwining
 (FP-property) verdict, subspace inclusion tests, the polar-part
 intertwining identities, the spectral tests on angular parts and a
-reducing subspace check.
+reducing subspace check. Each check takes an operator that it factors
+either as a matrix or as its :class:`~aluthge.polar.PolarFactors`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .linalg import (
     CheckReport,
     Tolerances,
     adjoint,
+    as_intertwiner,
     as_matrix,
     as_square,
     fro_norm,
-    intertwiner_operands,
     op_norm,
 )
 from .polar import PolarFactors, polar_factors
@@ -630,13 +631,9 @@ def fp_property(A, B, tol: Tolerances = DEFAULT_TOL) -> FpReport:
     Each basis element of Com(A, B) (unit Frobenius norm) is accepted
     when its adjoint-relation residual stays below
     ``residual_rel * (||A|| + ||B||)``. A trivial commutant makes the
-    verdict vacuously true.
+    verdict vacuously true. The adjoints' norms come from the SVDs of A and B.
     """
-    return factored_fp_property(polar_factors(A, tol), polar_factors(B, tol), tol)
-
-
-def factored_fp_property(fa: PolarFactors, fb: PolarFactors, tol: Tolerances = DEFAULT_TOL) -> FpReport:
-    """:func:`fp_property` of the pair that ``fa`` and ``fb`` factor; the adjoints' norms come from the same SVDs."""
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
     return basis_inclusion(commutant_basis(fa.matrix, fb.matrix, tol), fa.adjoint(), fb.adjoint(), tol)
 
 
@@ -676,6 +673,11 @@ def basis_inclusion(cb: CommutantBasis, f2: PolarFactors, g2: PolarFactors, tol:
     )
 
 
+def membership_threshold(fa: PolarFactors, fb: PolarFactors, X: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+    """X counts as a member of Com(A, B) up to ||AX - XB||_F = residual_rel (||A|| + ||B||) max(||X||_F, 1)."""
+    return tol.residual_rel * (fa.norm + fb.norm) * max(fro_norm(X), 1.0)
+
+
 def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Evaluate |A| X |B|^-1, U* X V and X against each other (invertible A, B).
 
@@ -686,21 +688,14 @@ def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> Chec
     verdict. Equality thresholds absorb the ||B^-1|| amplification
     incurred by the right multiplication.
     """
-    A, B, X = intertwiner_operands(A, B, X)
-    return factored_polar_identities(polar_factors(A, tol), polar_factors(B, tol), X, tol)
-
-
-def factored_polar_identities(
-    fa: PolarFactors, fb: PolarFactors, X: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
-    """:func:`intertwiner_polar_identities` of the pair that ``fa`` and ``fb`` factor, for X of matching shape."""
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    A, B = fa.matrix, fb.matrix
+    X = as_intertwiner(X, A, B)
     fa.require_invertible("A")
     fb.require_invertible("B")
-    A, B = fa.matrix, fb.matrix
     m1 = fa.power(1.0) @ X @ fb.power(-1.0)
     m2 = adjoint(fa.angular()) @ X @ fb.angular()
-    xn = fro_norm(X)
-    thr_member = tol.residual_rel * (fa.norm + fb.norm) * max(xn, 1.0)
+    thr_member = membership_threshold(fa, fb, X, tol)
     thr_eq = thr_member / float(fb.s[-1])
     r_com = fro_norm(A @ X - X @ B)
     r_com_star = fro_norm(adjoint(A) @ X - X @ adjoint(B))
@@ -734,25 +729,18 @@ def power_intertwining_check(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) -
     A and B must be invertible and p positive. The double-intertwining
     hypothesis is verified first and raises when violated.
     """
-    A, B, X = intertwiner_operands(A, B, X)
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    A, B = fa.matrix, fb.matrix
+    X = as_intertwiner(X, A, B)
     if p <= 0:
         raise ValueError("power p must be positive")
-    return factored_power_intertwining(polar_factors(A, tol), polar_factors(B, tol), X, p, tol)
-
-
-def factored_power_intertwining(
-    fa: PolarFactors, fb: PolarFactors, X: np.ndarray, p: float, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
-    """:func:`power_intertwining_check` of the pair that ``fa`` and ``fb`` factor, for X of matching shape and p > 0."""
     fa.require_invertible("A")
     fb.require_invertible("B")
-    A, B = fa.matrix, fb.matrix
-    xn = fro_norm(X)
-    thr_member = tol.residual_rel * (fa.norm + fb.norm) * max(xn, 1.0)
+    thr_member = membership_threshold(fa, fb, X, tol)
     if fro_norm(A @ X - X @ B) > thr_member or fro_norm(adjoint(A) @ X - X @ adjoint(B)) > thr_member:
         raise ValueError("X must intertwine both the pair and its adjoints within tolerance")
     residual = fro_norm(fa.power(p) @ X - X @ fb.power(p))
-    threshold = tol.residual_rel * (fa.norm**p + fb.norm**p) * max(xn, 1.0)
+    threshold = tol.residual_rel * (fa.norm**p + fb.norm**p) * max(fro_norm(X), 1.0)
     return CheckReport(
         ok=bool(residual <= threshold),
         max_residual=residual,
@@ -767,14 +755,8 @@ def aluthge_intertwiner_map(A, B, X, direction: str = "forward", tol: Tolerances
     forward: X -> |A|^(1/2) X |B|^(-1/2); inverse: X -> |A|^(-1/2) X |B|^(1/2).
     The two compose to the identity. Requires invertible A and B.
     """
-    A, B, X = intertwiner_operands(A, B, X)
-    return factored_intertwiner_map(polar_factors(A, tol), polar_factors(B, tol), X, direction)
-
-
-def factored_intertwiner_map(
-    fa: PolarFactors, fb: PolarFactors, X: np.ndarray, direction: str = "forward"
-) -> np.ndarray:
-    """:func:`aluthge_intertwiner_map` of the pair that ``fa`` and ``fb`` factor, for X of matching shape."""
+    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    X = as_intertwiner(X, fa.matrix, fb.matrix)
     fa.require_invertible("A")
     fb.require_invertible("B")
     if direction == "forward":
@@ -805,7 +787,7 @@ def basis_squared_angular(
     fa.require_invertible("A")
     fb.require_invertible("B")
     U, V = fa.angular(), fb.angular()
-    left = factored_fp_property(fa.aluthge(tol), fb.aluthge(tol), tol).holds
+    left = fp_property(fa.aluthge(tol), fb.aluthge(tol), tol).holds
     worst = _worst_element(cb, U @ U, V @ V)[0]
     threshold = 2.0 * tol.residual_rel
     right = bool(worst <= threshold)

@@ -66,13 +66,9 @@ def well_conditioned(rng: np.random.Generator, n: int, spread: tuple[float, floa
 
 
 def _distinct_in_sector(
-    rng: np.random.Generator,
-    count: int,
-    sector: tuple[float, float],
-    radii: tuple[float, float],
-    min_sep: float = 0.2,
+    rng: np.random.Generator, count: int, sector: tuple[float, float], radii: tuple[float, float]
 ) -> np.ndarray:
-    """Pairwise-separated complex values r e^{i theta} with theta in ``sector``."""
+    """Complex values r e^{i theta}, pairwise at least 0.2 apart, with theta in ``sector``."""
     values: list[complex] = []
     attempts = 0
     while len(values) < count:
@@ -80,20 +76,19 @@ def _distinct_in_sector(
         if attempts > 500:
             raise GenerationError("could not draw separated spectrum values")
         z = rng.uniform(*radii) * np.exp(1j * rng.uniform(*sector))
-        if all(abs(z - w) >= min_sep for w in values):
+        if all(abs(z - w) >= 0.2 for w in values):
             values.append(complex(z))
     return np.array(values)
 
 
-def normal_pair(rng: np.random.Generator, n: int, invertible: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def normal_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Normal pair sharing at least one eigenvalue, repeats allowed.
 
-    With ``invertible=False`` roughly half the draws place an exact zero
-    in the eigenvalue pool, exercising the singular case.
+    Roughly half the draws place an exact zero in the eigenvalue pool,
+    exercising the singular case.
     """
-    radii = (0.5, 2.0) if invertible else (0.3, 2.0)
-    pool = _distinct_in_sector(rng, max(1, n - 1), (0.0, 2.0 * np.pi), radii)
-    if not invertible and n >= 2 and rng.random() < 0.5:
+    pool = _distinct_in_sector(rng, max(1, n - 1), (0.0, 2.0 * np.pi), (0.3, 2.0))
+    if n >= 2 and rng.random() < 0.5:
         pool = pool.copy()
         pool[0] = 0.0
     ev_a = rng.choice(pool, size=n)

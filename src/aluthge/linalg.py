@@ -86,14 +86,12 @@ def as_square(M) -> np.ndarray:
     return A
 
 
-def intertwiner_operands(A, B, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coerce square A and B and a matrix X that maps the space of B into the space of A."""
-    A = as_square(A)
-    B = as_square(B)
+def as_intertwiner(X, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Coerce a matrix X that maps the space of the square B into the space of the square A."""
     X = as_matrix(X)
     if X.shape != (A.shape[0], B.shape[0]):
         raise ValueError("X must map the space of B into the space of A")
-    return A, B, X
+    return X
 
 
 def adjoint(M) -> np.ndarray:

@@ -4,12 +4,13 @@ A square matrix factors as A = U|A| with |A| = (A*A)^(1/2) positive
 semidefinite. Two conventions for the angular part are supported: a
 full unitary extension, and the canonical partial isometry vanishing on
 ker|A|. The Aluthge transform |A|^(1/2) U |A|^(1/2), its (s,t) variant
-and its iterates are built on top.
+and its iterates are built on top. Where the checks and single transforms
+factor a matrix, they also take its :class:`PolarFactors` and reuse their SVD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf
 
 import numpy as np
@@ -136,7 +137,13 @@ class PolarFactors:
 
 
 def polar_factors(A, tol: Tolerances = DEFAULT_TOL) -> PolarFactors:
-    """Factor a square matrix once, A = W diag(s) Qh, with the rank cut of ``tol``."""
+    """Factor a square matrix once, A = W diag(s) Qh, with the rank cut of ``tol``.
+
+    Given the factors of A, returns them as they are unless ``tol`` cuts their ``s`` at another rank.
+    """
+    if isinstance(A, PolarFactors):
+        rank = int(np.count_nonzero(A.s > tol.rank_rel * A.s[0]))
+        return A if rank == A.rank else replace(A, rank=rank)
     A = as_square(A)
     W, s, Qh = np.linalg.svd(A)
     rank = int(np.count_nonzero(s > tol.rank_rel * s[0]))
@@ -204,12 +211,11 @@ def product_polar_check(T, S, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     (UWV)* TS must reproduce |TS|. Residuals are measured in operator
     norm against ``residual_rel * ||T|| * ||S||``.
     """
-    T = as_square(T)
-    S = as_square(S)
-    if T.shape != S.shape:
-        raise ValueError(f"shape mismatch: {T.shape} vs {S.shape}")
     fT = polar_factors(T, tol)
     fS = polar_factors(S, tol)
+    T, S = fT.matrix, fS.matrix
+    if T.shape != S.shape:
+        raise ValueError(f"shape mismatch: {T.shape} vs {S.shape}")
     abs_s_star = fS.adjoint().power(1.0)
     W = polar_factors(fT.power(1.0) @ abs_s_star, tol).angular(MODE_PARTIAL)
     prod = T @ S
@@ -234,8 +240,8 @@ def involution_angular_check(A, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     Raises ValueError if A does not square to the identity within
     tolerance; the claim is conditional on that hypothesis.
     """
-    A = as_square(A)
     f = polar_factors(A, tol)
+    A = f.matrix
     eye = np.eye(A.shape[0])
     r_involution = op_norm(A @ A - eye)
     if r_involution > tol.residual_rel * max(1.0, f.norm**2):

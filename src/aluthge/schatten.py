@@ -4,7 +4,8 @@ The norm is ||M||_p = (sum of singular values^p)^(1/p) with p = inf
 denoting the operator norm. The off-diagonal block embedding
 [[0, A], [B, 0]] has p-th power norm equal to the sum of the two block
 contributions, which is also the mechanism behind the two-operator
-lower bound below.
+lower bound below. Each check takes an operator that it factors either as
+a matrix or as its :class:`~aluthge.polar.PolarFactors`.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .linalg import (
     CheckReport,
     Tolerances,
     adjoint,
+    as_intertwiner,
     as_matrix,
     as_square,
     fro_norm,
-    intertwiner_operands,
     min_hermitian_eigenvalue,
     op_norm,
     singular_values,
@@ -157,7 +158,7 @@ def _angular_intertwines(U: np.ndarray, V: np.ndarray, X: np.ndarray, tol: Toler
     return bool(fro_norm(adjoint(U) @ X - X @ V) <= tol.residual_rel * max(2.0 * fro_norm(X), 1.0))
 
 
-def _polar_root(A: np.ndarray, tol: Tolerances) -> tuple[PolarFactors, np.ndarray, np.ndarray, float]:
+def _polar_root(A, tol: Tolerances) -> tuple[PolarFactors, np.ndarray, np.ndarray, float]:
     """Factors of A, angular part U, |A|^(1/2) and a = min eig Re(U |A|^(1/2))."""
     f = polar_factors(A, tol)
     U, root = f.angular(), f.power(0.5)
@@ -176,12 +177,11 @@ def aluthge_commutator_bound(A, X, p: float, tol: Tolerances = DEFAULT_TOL) -> I
     Violated hypotheses produce hypotheses_ok = False rather than an
     error; the inequality is then not asserted.
     """
-    A = as_square(A)
+    f, U, root, a = _polar_root(A, tol)
     X = as_square(X)
-    if X.shape != A.shape:
+    if X.shape != f.matrix.shape:
         raise ValueError("X must have the same shape as A")
     p = _validate_p(p)
-    f, U, root, a = _polar_root(A, tol)
     self_adjoint = fro_norm(X - adjoint(X)) <= tol.residual_rel * max(fro_norm(X), 1.0)
     commutes = _angular_intertwines(U, U, X, tol)
     hypotheses = bool(a > 0.0 and self_adjoint and commutes)
@@ -212,11 +212,12 @@ def aluthge_intertwiner_bound(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) 
     diag(A, B) against [[0, X], [X*, 0]] and reported in ``details`` as
     ``block_lhs`` / ``block_rhs``; both routes must agree.
     """
-    A, B, X = intertwiner_operands(A, B, X)
-    n1, n2 = A.shape[0], B.shape[0]
-    p = _validate_p(p)
     fa, U, root_a, a_left = _polar_root(A, tol)
     fb, V, root_b, a_right = _polar_root(B, tol)
+    A, B = fa.matrix, fb.matrix
+    X = as_intertwiner(X, A, B)
+    n1, n2 = A.shape[0], B.shape[0]
+    p = _validate_p(p)
     a = min(a_left, a_right)
     commutes = _angular_intertwines(U, V, X, tol)
     hypotheses = bool(a > 0.0 and commutes)
@@ -263,9 +264,9 @@ def exact_intertwiner_transfer(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckR
     T_A* X = X T_B (within tolerance), it follows that |A| X = X |B| and
     that Y = |A| X satisfies A* Y = Y B. Hypothesis violations raise.
     """
-    A, B, X = intertwiner_operands(A, B, X)
     fa, U, _, a_left = _polar_root(A, tol)
     fb, V, _, a_right = _polar_root(B, tol)
+    X = as_intertwiner(X, fa.matrix, fb.matrix)
     a = min(a_left, a_right)
     xn = fro_norm(X)
     if a <= 0.0:
@@ -282,7 +283,7 @@ def exact_intertwiner_transfer(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckR
     abs_a = fa.power(1.0)
     r_pos = fro_norm(abs_a @ X - X @ fb.power(1.0))
     Y = abs_a @ X
-    r_adj = fro_norm(adjoint(A) @ Y - Y @ B)
+    r_adj = fro_norm(adjoint(fa.matrix) @ Y - Y @ fb.matrix)
     thr_pos = max((sqrt(na) + sqrt(nb)) / (2.0 * a) * pre_thr, tol.residual_rel * max((na + nb) * xn, 1.0))
     thr_adj = na * (thr_pos + tol.residual_rel * max(2.0 * xn, 1.0) * nb) + tol.residual_rel
     ok = bool(r_pos <= thr_pos and r_adj <= thr_adj)
@@ -313,13 +314,12 @@ def approx_commutator_bound(A, X, delta: float, tol: Tolerances = DEFAULT_TOL) -
     carries psi = bound / (2a), the induced commutator bound on
     |A|^(1/2) itself.
     """
-    A = as_square(A)
+    f, U, root, a = _polar_root(A, tol)
     X = as_square(X)
-    if X.shape != A.shape:
+    if X.shape != f.matrix.shape:
         raise ValueError("X must have the same shape as A")
     if not 0.0 <= delta < inf:
         raise ValueError("delta must be finite and nonnegative")
-    f, U, root, a = _polar_root(A, tol)
     d_root = op_norm(root @ X - X @ root)
     d_angular = op_norm(adjoint(U) @ X - X @ U)
     if d_root > delta or d_angular > delta:

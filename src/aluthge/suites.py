@@ -19,14 +19,15 @@ import numpy as np
 
 from .commutant import (
     FpReport,
+    aluthge_intertwiner_map,
     basis_inclusion,
     basis_squared_angular,
     commutant_basis,
-    factored_fp_property,
-    factored_intertwiner_map,
-    factored_polar_identities,
-    factored_power_intertwining,
+    fp_property,
+    intertwiner_polar_identities,
+    membership_threshold,
     odd_root_unity_check,
+    power_intertwining_check,
     semicircle_check,
 )
 from .generate import (
@@ -123,7 +124,7 @@ def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     A, B = fa.matrix, fb.matrix
     X = _combo(rng, cb.basis)
-    rep_in = factored_polar_identities(fa, fb, X, tol)
+    rep_in = intertwiner_polar_identities(fa, fb, X, tol)
     sa, sb = fa.s, fb.s
     decisive = 10.0 * tol.residual_rel * (sa[0] + sb[0]) * (sb[0] / sb[-1])
     X_out = X
@@ -132,7 +133,7 @@ def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         X_out = X + 0.5 * E / fro_norm(E)
         if fro_norm(A @ X_out - X_out @ B) > decisive:
             break
-    rep_out = factored_polar_identities(fa, fb, X_out, tol)
+    rep_out = intertwiner_polar_identities(fa, fb, X_out, tol)
     passed = (
         rep_in.ok
         and rep_in.details["in_com"]
@@ -146,11 +147,10 @@ def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 def _case_remark22(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(2, 6))
     fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
-    A, B = fa.matrix, fb.matrix
     X = _combo(rng, cb.basis)
     p = float(rng.uniform(0.3, 2.5))
-    rep = factored_power_intertwining(fa, fb, X, p, tol)
-    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "B": B, "X": X})
+    rep = power_intertwining_check(fa, fb, X, p, tol)
+    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": fa.matrix, "B": fb.matrix, "X": X})
 
 
 def _case_lemma23(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
@@ -162,11 +162,11 @@ def _case_lemma23(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         cb = commutant_basis(fa.matrix, fb.matrix, tol)
     A, B = fa.matrix, fb.matrix
     X = _combo(rng, cb.basis)
-    Y = factored_intertwiner_map(fa, fb, X, "forward")
+    Y = aluthge_intertwiner_map(fa, fb, X, "forward", tol)
     ta, tb = fa.aluthge(tol), fb.aluthge(tol)
     r_member = fro_norm(ta.matrix @ Y - Y @ tb.matrix)
-    thr_member = tol.residual_rel * (ta.norm + tb.norm) * max(fro_norm(Y), 1.0)
-    back = factored_intertwiner_map(fa, fb, Y, "inverse")
+    thr_member = membership_threshold(ta, tb, Y, tol)
+    back = aluthge_intertwiner_map(fa, fb, Y, "inverse", tol)
     sa, sb = fa.s, fb.s
     r_round = fro_norm(back - X)
     thr_round = tol.residual_rel * sqrt((sa[0] / sa[-1]) * (sb[0] / sb[-1]))
@@ -198,7 +198,7 @@ def _case_iterated_fp(rng: np.random.Generator, tol: Tolerances, n_hi: int, step
     reps = []
     for _ in range(steps):
         fk, gk = fk.aluthge(tol), gk.aluthge(tol)
-        reps.append(factored_fp_property(fk, gk, tol))
+        reps.append(fp_property(fk, gk, tol))
     return _inclusion_outcome(reps, {"A": fa.matrix, "B": fb.matrix})
 
 
@@ -237,10 +237,10 @@ def _angular_transfer_case(
             break
     else:
         raise GenerationError(f"no {what} pair found")
-    before = factored_fp_property(fa, fb, tol)
+    before = fp_property(fa, fb, tol)
     ta = fa.aluthge(tol)
     tb = ta if fb is fa else fb.aluthge(tol)
-    after = factored_fp_property(ta, tb, tol)
+    after = fp_property(ta, tb, tol)
     passed = before.holds == after.holds
     residual = max(before.max_residual, after.max_residual)
     return CaseOutcome(bool(passed), residual, 0.0, {"A": fa.matrix, "B": fb.matrix})
@@ -315,15 +315,15 @@ def _case_example_fp_fail(rng: np.random.Generator, tol: Tolerances) -> CaseOutc
     rep = basis_inclusion(cb, f.adjoint(), f.adjoint(), tol)
     projection = sum(np.vdot(E, _EXAMPLE_WITNESS) * E for E in cb.basis)
     r_span = fro_norm(projection - _EXAMPLE_WITNESS)
-    inv = involution_angular_check(A, tol)
+    inv = involution_angular_check(f, tol)
     transformed = f.aluthge(tol)
-    rep_t = factored_fp_property(transformed, transformed, tol)
+    rep_t = fp_property(transformed, transformed, tol)
     passed = (
         not rep.holds
         and rep.max_residual >= 1.0
         and rep.witness is not None
         and r_span <= 1e-9 * fro_norm(_EXAMPLE_WITNESS)
-        and op_norm(A @ A - np.eye(2)) <= 1e-12
+        and inv.details["involution_residual"] <= 1e-12
         and inv.max_residual <= 1e-10
         and rep_t.holds
     )
@@ -427,7 +427,8 @@ def _case_cor44(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     Q = random_unitary(rng, n)
     A = hermitian_part(Q @ (ev[:, None] * Q.conj().T))
     X = Q @ M @ Q.conj().T
-    rep = exact_intertwiner_transfer(A, A, X, tol)
+    f = polar_factors(A, tol)
+    rep = exact_intertwiner_transfer(f, f, X, tol)
     return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "B": A, "X": X})
 
 

@@ -1,5 +1,7 @@
 """Tests for commutant spaces, FP verdicts and the related classifiers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,13 +37,22 @@ from aluthge.generate import (
     draw,
     ginibre,
     invertible_fp_pair,
+    involution,
     normal_pair,
     random_unitary,
     similarity_pair,
     well_conditioned,
 )
-from aluthge.linalg import DEFAULT_TOL, adjoint, fro_norm, op_norm
-from aluthge.polar import aluthge, polar_decompose, polar_factors
+from aluthge.linalg import DEFAULT_TOL, Tolerances, adjoint, fro_norm, hermitian_part, op_norm
+from aluthge.polar import (
+    MODE_PARTIAL,
+    aluthge,
+    involution_angular_check,
+    polar_decompose,
+    polar_factors,
+    product_polar_check,
+)
+from aluthge.schatten import aluthge_intertwiner_bound, exact_intertwiner_transfer
 
 FP_FAIL_A = np.array([[2.0, -3.0], [1.0, -2.0]], dtype=complex)
 FP_FAIL_X = np.array([[0.0, -3.0], [1.0, -4.0]], dtype=complex)
@@ -899,3 +910,110 @@ class TestReducesCheck:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError, match="side"):
             reduces_check(JORDAN, np.eye(2), "diagonal")
+
+
+def assert_same_bits(a, b):
+    """Reports, dicts, arrays and scalars that agree field by field, to the last bit."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_same_bits(a[key], b[key])
+    else:
+        assert repr(a) == repr(b)
+
+
+# The default, a looser residual cut, and a rank cut that differs from the one the factors were made with.
+PARITY_TOLS = [DEFAULT_TOL, Tolerances(residual_rel=1e-6), Tolerances(rank_rel=1e-3)]
+
+
+def cor44_instance(rng, n):
+    """Positive definite A with repeated eigenvalues and an X that commutes with it blockwise."""
+    Q = random_unitary(rng, n)
+    ev = np.repeat(rng.uniform(0.5, 2.5, size=2), [1, n - 1])
+    M = np.zeros((n, n), dtype=complex)
+    M[:1, :1] = ginibre(rng, 1)
+    M[1:, 1:] = ginibre(rng, n - 1)
+    return hermitian_part(Q @ (ev[:, None] * Q.conj().T)), Q @ M @ Q.conj().T
+
+
+class TestFactorsInPlaceOfMatrices:
+    """A check given the PolarFactors of its operators reports the same bits as given the matrices."""
+
+    @pytest.mark.parametrize("tol", PARITY_TOLS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_intertwiner_checks(self, seed, tol):
+        rng = np.random.default_rng([41, seed])
+        fa, fb, cb = draw(KIND_INVERTIBLE_FP, int(rng.integers(2, 6)), rng)
+        A, B = fa.matrix, fb.matrix
+        member, other = combo(rng, cb.basis), ginibre(rng, *cb.dim_domain[::-1])
+        assert_same_bits(fp_property(fa, fb, tol), fp_property(A, B, tol))
+        for X in (member, other):
+            rep = intertwiner_polar_identities(fa, fb, X, tol)
+            assert_same_bits(rep, intertwiner_polar_identities(A, B, X, tol))
+            for direction in ("forward", "inverse"):
+                Y = aluthge_intertwiner_map(fa, fb, X, direction, tol)
+                assert_same_bits(Y, aluthge_intertwiner_map(A, B, X, direction, tol))
+        for p in (0.5, 2.0):
+            rep = power_intertwining_check(fa, fb, member, p, tol)
+            assert_same_bits(rep, power_intertwining_check(A, B, member, p, tol))
+
+    @pytest.mark.parametrize("tol", PARITY_TOLS)
+    def test_failing_fp_pair(self, tol):
+        f = polar_factors(FP_FAIL_A)
+        rep = fp_property(f, f, tol)
+        assert not rep.holds and rep.witness is not None
+        assert_same_bits(rep, fp_property(FP_FAIL_A, FP_FAIL_A, tol))
+        rng = np.random.default_rng(42)
+        A, B = similarity_pair(rng, 3)
+        assert_same_bits(fp_property(polar_factors(A), polar_factors(B), tol), fp_property(A, B, tol))
+
+    @pytest.mark.parametrize("tol", PARITY_TOLS)
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_exact_intertwiner_transfer(self, n, tol):
+        A, X = cor44_instance(np.random.default_rng([43, n]), n)
+        f = polar_factors(A)
+        rep = exact_intertwiner_transfer(f, f, X, tol)
+        assert rep.ok
+        assert_same_bits(rep, exact_intertwiner_transfer(A, A, X, tol))
+
+    @pytest.mark.parametrize("tol", PARITY_TOLS)
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_involution_angular_check(self, n, tol):
+        A = involution(np.random.default_rng([44, n]), n)
+        rep = involution_angular_check(polar_factors(A), tol)
+        assert rep.ok
+        assert_same_bits(rep, involution_angular_check(A, tol))
+
+    @pytest.mark.parametrize("tol", PARITY_TOLS)
+    def test_factors_cut_again_at_the_callers_rank_rel(self, tol):
+        # T has a singular value that rank_rel=1e-3 cuts and the default keeps.
+        rng = np.random.default_rng(45)
+        T = random_unitary(rng, 3) @ np.diag([1.0, 0.5, 1e-5]) @ random_unitary(rng, 3)
+        S = well_conditioned(rng, 3)
+        fT, fS = polar_factors(T), polar_factors(S)
+        assert polar_factors(fT, tol).rank == polar_factors(T, tol).rank
+        assert_same_bits(product_polar_check(fT, fS, tol), product_polar_check(T, S, tol))
+        assert_same_bits(polar_decompose(fT, MODE_PARTIAL, tol), polar_decompose(T, MODE_PARTIAL, tol))
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            intertwiner_polar_identities,
+            lambda A, B, X: power_intertwining_check(A, B, X, 2.0),
+            aluthge_intertwiner_map,
+            exact_intertwiner_transfer,
+            lambda A, B, X: aluthge_intertwiner_bound(A, B, X, 2.0),
+        ],
+    )
+    def test_wrongly_shaped_x_is_refused(self, check):
+        fa, fb = polar_factors(np.diag([1.0, 2.0, 3.0])), polar_factors(np.diag([1.0, 2.0]))
+        for X in (np.ones((2, 3)), np.ones((3, 3)), np.ones((2, 2))):
+            for A, B in ((fa, fb), (fa.matrix, fb.matrix)):
+                with pytest.raises(ValueError, match="X must map the space of B into the space of A"):
+                    check(A, B, X)

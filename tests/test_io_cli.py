@@ -239,6 +239,20 @@ class TestCli:
         assert len(doc["norms"]) == 5
         assert doc["radius"] == pytest.approx(1.0)
 
+    def test_aluthge_full_needs_iterate(self, cube_root_file, capsys):
+        # Without --iterate there are no iterates for --full to include.
+        assert main(["aluthge", cube_root_file, "--full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --full applies only with --iterate")
+
+    @pytest.mark.parametrize("flags", [["--s", "0.2"], ["--t", "0.7"], ["--s", "1", "--t", "1"]])
+    def test_aluthge_iterate_rejects_exponents(self, cube_root_file, capsys, flags):
+        # The iterates are (0.5, 0.5) transforms; other exponents would be ignored.
+        assert main(["aluthge", cube_root_file, "--iterate", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --iterate takes (0.5, 0.5) Aluthge iterates")
+        assert main(["aluthge", cube_root_file, "--iterate", "1", "--s", "0.5", "--t", "0.5"]) == 0
+
     def test_commutant_and_fp(self, pair_file, capsys):
         assert main(["commutant", pair_file]) == 0
         doc = json.loads(capsys.readouterr().out)

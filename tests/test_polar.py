@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aluthge.generate import ginibre, random_unitary
-from aluthge.linalg import hermitian_part, op_norm, psd_power
+from aluthge.linalg import Tolerances, hermitian_part, op_norm, psd_power
 from aluthge.polar import (
     MODE_PARTIAL,
     MODE_UNITARY,
@@ -191,6 +191,26 @@ class TestPolarFactors:
         assert len(traj.norms) == len(traj.iterates) == 6
         for M, norm in zip(traj.iterates, traj.norms):
             assert norm == pytest.approx(op_norm(M), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["full", "deficient", "zero"])
+    def test_factors_come_back_when_the_rank_stays(self, kind):
+        f = polar_factors(factor_case(kind, 6))
+        assert polar_factors(f) is f
+        assert polar_factors(f, Tolerances(residual_rel=0.5, angle_abs=0.5)) is f
+
+    def test_factors_are_cut_again_at_another_rank_rel(self):
+        A = np.diag([1.0, 1e-3, 1e-7]).astype(complex)
+        f = polar_factors(A)
+        assert f.rank == 3
+        for rank_rel, rank in [(1e-5, 2), (1e-2, 1), (1e-10, 3)]:
+            tol = Tolerances(rank_rel=rank_rel)
+            g = polar_factors(f, tol)
+            fresh = polar_factors(A, tol)
+            assert g.rank == fresh.rank == rank
+            assert g.W is f.W and g.s is f.s and g.Qh is f.Qh and g.matrix is f.matrix
+            np.testing.assert_array_equal(g.transform(0.3, 0.7), fresh.transform(0.3, 0.7))
+            np.testing.assert_array_equal(g.angular(MODE_PARTIAL), fresh.angular(MODE_PARTIAL))
+        assert f.rank == 3
 
 
 class TestAluthge:

@@ -135,11 +135,9 @@ def test_each_pair_solved_once_per_case(suite_id, monkeypatch):
         assert len(solved) == len(set(solved)), f"case {case_id} solves a pair twice"
 
 
-@pytest.mark.parametrize("suite_id", ["fuglede_putnam", "thm24", "cor25", "cor26", "thm31", "thm33", "cor36"])
-def test_each_matrix_factored_once_per_case(suite_id, monkeypatch):
-    # Every SVD and spectral norm a case takes must see a new matrix. A
-    # matrix, or its adjoint, seen twice should have been read from the
-    # PolarFactors the case already holds.
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Records each SVD and spectral norm as (key of the matrix, key of its adjoint)."""
     factored = []
     svd, norm = np.linalg.svd, np.linalg.norm
 
@@ -161,13 +159,76 @@ def test_each_matrix_factored_once_per_case(suite_id, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     monkeypatch.setattr(np.linalg, "norm", recorded_norm)
+    return factored
+
+
+FACTORED_ONCE = [
+    "fuglede_putnam",
+    "lemma21",
+    "remark22",
+    "lemma23",
+    "thm24",
+    "cor25",
+    "cor26",
+    "example_fp_fail",
+    "thm31",
+    "thm33",
+    "cor36",
+    "lemma41",
+    "thm42",
+    "product_polar",
+]
+
+
+@pytest.mark.parametrize("suite_id", FACTORED_ONCE)
+def test_each_matrix_factored_once_per_case(suite_id, factorizations):
+    # Every SVD and spectral norm a case takes must see a new matrix. A
+    # matrix, or its adjoint, seen twice should have been read from the
+    # PolarFactors the case already holds.
     for case_id in range(8):
-        factored.clear()
+        factorizations.clear()
         SUITES[suite_id](np.random.default_rng([1, case_id]), DEFAULT_TOL)
         seen = set()
-        for k, k_adjoint in factored:
+        for k, k_adjoint in factorizations:
             assert k not in seen, f"case {case_id} factors a matrix, or its adjoint, twice"
             seen.update((k, k_adjoint))
+
+
+# SVDs and spectral norms that cases 0-39 of each suite take at seed 1, at most.
+# moore factors A twice on purpose: its hypothesis is recomputed from the matrix.
+SVD_CENSUS = {
+    "block_identity": 120,
+    "cor25": 258,
+    "cor26": 501,
+    "cor27": 303,
+    "cor36": 501,
+    "cor44": 120,
+    "example_a3": 120,
+    "example_fp_fail": 240,
+    "fuglede_putnam": 230,
+    "lemma21": 138,
+    "lemma23": 206,
+    "lemma41": 160,
+    "moore": 280,
+    "product_polar": 240,
+    "prop29": 160,
+    "rem28": 399,
+    "remark22": 138,
+    "thm24": 246,
+    "thm31": 362,
+    "thm33": 258,
+    "thm42": 360,
+}
+
+
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
+def test_svd_census(suite_id, factorizations):
+    # A change that makes a suite factor more shows here; one that makes it
+    # factor less should lower the pinned count.
+    assert list(SVD_CENSUS) == list(SUITE_IDS)
+    for case_id in range(40):
+        SUITES[suite_id](np.random.default_rng([1, case_id]), DEFAULT_TOL)
+    assert len(factorizations) <= SVD_CENSUS[suite_id]
 
 
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
