@@ -76,43 +76,51 @@ def _dense_lifts(X) -> Lifts:
 
 
 class CommutantBasis:
-    """Frobenius-orthonormal basis of {X : AX = XB}.
-
-    ``dim_domain`` is (n2, n1): elements map C^n2 into C^n1, i.e. each
-    basis matrix has shape (n1, n2). ``residuals`` holds the Frobenius
-    norm of AX - XB per element and ``nullity`` the basis length.
+    """Frobenius-orthonormal basis of {X : AX = XB}, solved for the pair (A, B).
 
     ``lifts`` holds the elements as factors (:class:`Lifts`). The Schur
     route keeps each as X = R Z K* and checks it in that form; a basis
-    given as matrices is one block with R = I and K = I. ``basis`` lists
-    the elements as (n1, n2) matrices. For a factored basis it is lifted
-    on first access, and there a basis of more than 2**25 complex
-    entries (nullity * n1 * n2, 512 MiB) raises ``ValueError``.
+    given as matrices is one block with R = I and K = I. Everything else
+    is read from the pair and the lifts. ``dim_domain`` is (n2, n1):
+    elements map C^n2 into C^n1, i.e. each basis matrix has shape
+    (n1, n2), and ``nullity`` is the basis length. ``residuals`` holds
+    the Frobenius norm of AX - XB per element and ``basis`` lists the
+    elements as (n1, n2) matrices; both are computed on first access and
+    kept. Lifting a factored basis of more than 2**25 complex entries
+    (nullity * n1 * n2, 512 MiB) raises ``ValueError``.
     """
 
-    def __init__(self, dim_domain, basis, residuals, nullity: int, lifts: Lifts | None = None):
-        self.dim_domain = tuple(dim_domain)
-        self.residuals = list(residuals)
-        self.nullity = nullity
-        self.lifts = _dense_lifts(basis) if lifts is None else lifts
-        self._basis = None if basis is None else list(basis)
+    def __init__(self, A: np.ndarray, B: np.ndarray, lifts: Lifts):
+        self.A, self.B, self.lifts = A, B, lifts
+        self.dim_domain = (B.shape[0], A.shape[0])
+        self.nullity = sum(len(Z) for _, _, Z in lifts.blocks)
+        self._basis = self._residuals = None
+
+    @property
+    def residuals(self) -> list[float]:
+        if self._residuals is None:
+            self._residuals = _residual_norms(self.A, self.B, self.lifts).tolist()
+        return self._residuals
 
     @property
     def basis(self) -> list[np.ndarray]:
         if self._basis is None:
-            n2, n1 = self.dim_domain
-            self._basis = list(_lift_all(self.lifts, n1, n2, self.nullity))
+            if self.lifts.factored:
+                self._basis = list(_lift_all(self.lifts, self.A.shape[0], self.B.shape[0], self.nullity))
+            else:
+                self._basis = [X for _, _, stack in self.lifts.blocks for X in stack]
         return self._basis
 
     def element(self, k: int) -> np.ndarray:
-        """Element k as an (n1, n2) matrix, lifting that one element only."""
-        if self._basis is not None:
-            return self._basis[k]
+        """Element k as an (n1, n2) matrix, lifting that one element only; a negative k counts from the end."""
+        if not -self.nullity <= k < self.nullity:
+            raise IndexError("commutant element index out of range")
+        k %= self.nullity
         for i, j, Z in self.lifts.blocks:
             if k < len(Z):
-                return _lift(self.lifts.left[i], Z[k : k + 1], self.lifts.right[j])[0]
+                R = self.lifts.left[i]
+                return Z[k] if R is None else _lift(R, Z[k : k + 1], self.lifts.right[j])[0]
             k -= len(Z)
-        raise IndexError("commutant element index out of range")
 
 
 @dataclass(frozen=True)
@@ -189,8 +197,7 @@ def _kronecker_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commu
     _, s, Vh = np.linalg.svd(L)
     smax = float(s[0])
     null_rows = Vh[s <= tol.rank_rel * smax]
-    X = null_rows.conj().reshape((-1, n2, n1)).transpose(0, 2, 1)
-    return _basis_of(A, B, _dense_lifts(X), list(X))
+    return CommutantBasis(A, B, _dense_lifts(null_rows.conj().reshape((-1, n2, n1)).transpose(0, 2, 1)))
 
 
 def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
@@ -246,9 +253,8 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     nullity = sum(len(Z) for _, _, Z in solved)
     if _cross_gram_bound(lifts) > nullity * np.finfo(float).eps:
         Q, _ = np.linalg.qr(_lift_all(lifts, n1, n2, nullity).reshape(nullity, -1).T)
-        X = Q.T.reshape(-1, n1, n2)
-        return _basis_of(A, B, _dense_lifts(X), list(X))
-    return _basis_of(A, B, lifts)
+        return CommutantBasis(A, B, _dense_lifts(Q.T.reshape(-1, n1, n2)))
+    return CommutantBasis(A, B, lifts)
 
 
 def _block_null_vectors(blocks: list[tuple[np.ndarray, np.ndarray]], cut: float) -> list[np.ndarray]:
@@ -388,31 +394,24 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
 def _simple_eigenvectors(T: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit right eigenvectors of the upper triangular T for the eigenvalues T[p, p], and their s.
 
-    The right eigenvectors x come from one ``eig`` of T. The left ones
-    y, with y^T T = lambda y^T, come from one ``eig`` of the flipped
-    transpose T^T[::-1, ::-1], which is upper triangular again, so both
-    calls return the diagonal entries exactly, in an order of their
-    own: each is matched to its position by exact value, never by
-    index. s = |y^T x| / (||y|| ||x||) is the reciprocal condition
-    number of a simple eigenvalue, the s that ``ztrsen(job="E")`` gives
-    a one-element group. A position whose value either call does not
-    return exactly gets s = 0, which sends it to ``ztrsen``.
+    One ``eig`` of T gives unit right vectors x and unit left vectors y,
+    with y* T = lambda y*, and one array of eigenvalues. T is triangular,
+    so these are its diagonal entries exactly, in an order of their own:
+    each is matched to its position by exact value, never by index.
+    s = |y* x| is the reciprocal condition number of a simple
+    eigenvalue, the s that ``ztrsen(job="E")`` gives a one-element
+    group. A position whose value ``eig`` does not return exactly gets
+    s = 0, which sends it to ``ztrsen``.
     """
-    values = np.diag(T)[positions]
-    w, V = np.linalg.eig(T)
-    wl, Vl = np.linalg.eig(T.T[::-1, ::-1])
-    right, left = _exact_positions(w, values), _exact_positions(wl, values)
-    x, y = V[:, right], Vl[::-1, left]
-    x_norm, y_norm = np.linalg.norm(x, axis=0), np.linalg.norm(y, axis=0)
-    s = np.abs(np.einsum("ij,ij->j", y, x)) / (x_norm * y_norm)
-    s[(right < 0) | (left < 0)] = 0.0
-    return x / x_norm, s
+    from scipy.linalg import eig
 
-
-def _exact_positions(w: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index in w of each of ``values`` (distinct), compared exactly, or -1 where w lacks it."""
+    w, vl, vr = eig(T, left=True, right=True)
     index = {v: i for i, v in enumerate(w.tolist())}
-    return np.array([index.get(v, -1) for v in values.tolist()], dtype=int)
+    cols = np.array([index.get(v, -1) for v in np.diag(T)[positions].tolist()], dtype=int)
+    x = vr[:, cols]
+    s = np.abs(np.einsum("ij,ij->j", vl[:, cols].conj(), x))
+    s[cols < 0] = 0.0
+    return x, s
 
 
 def _linked_clusters(near: np.ndarray) -> np.ndarray:
@@ -439,18 +438,6 @@ def _centers_radii(groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndar
     centers = np.array([np.trace(T) / len(T) for _, T in groups])
     radii = np.array([np.linalg.norm(T - c * np.eye(len(T))) for (_, T), c in zip(groups, centers)])
     return centers, radii
-
-
-def _basis_of(A: np.ndarray, B: np.ndarray, lifts: Lifts, basis: list[np.ndarray] | None = None) -> CommutantBasis:
-    """Package the elements of ``lifts`` with their residuals; ``basis`` gives them as matrices when already dense."""
-    n1, n2 = A.shape[0], B.shape[0]
-    return CommutantBasis(
-        dim_domain=(n2, n1),
-        basis=basis,
-        residuals=_residual_norms(A, B, lifts).tolist(),
-        nullity=sum(len(Z) for _, _, Z in lifts.blocks),
-        lifts=lifts,
-    )
 
 
 def _lift(R: np.ndarray, Z: np.ndarray, K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -820,18 +807,15 @@ def semicircle_check(U, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def odd_root_unity_check(U, V, n0: int, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when U^(2 n0 + 1) and V^(2 n0 + 1) are both the identity."""
-    U = as_square(U)
-    V = as_square(V)
+    """True when U^(2 n0 + 1) and V^(2 n0 + 1) are both the identity; V given as U itself is checked once."""
+    pair = [as_square(U)] if V is U else [as_square(U), as_square(V)]
     if n0 < 1:
         raise ValueError("n0 must be a positive integer")
-    _require_unitary(U, tol, "U")
-    _require_unitary(V, tol, "V")
+    for M, name in zip(pair, "UV"):
+        _require_unitary(M, tol, name)
     k = 2 * n0 + 1
     threshold = tol.residual_rel * k
-    ru = op_norm(np.linalg.matrix_power(U, k) - np.eye(U.shape[0]))
-    rv = op_norm(np.linalg.matrix_power(V, k) - np.eye(V.shape[0]))
-    return bool(ru <= threshold and rv <= threshold)
+    return all(op_norm(np.linalg.matrix_power(M, k) - np.eye(M.shape[0])) <= threshold for M in pair)
 
 
 def reduces_check(A, X, side: str = "range", tol: Tolerances = DEFAULT_TOL) -> CheckReport:

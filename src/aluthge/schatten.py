@@ -265,7 +265,8 @@ def exact_intertwiner_transfer(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckR
     that Y = |A| X satisfies A* Y = Y B. Hypothesis violations raise.
     """
     fa, U, _, a_left = _polar_root(A, tol)
-    fb, V, _, a_right = _polar_root(B, tol)
+    # The pair (A, A) reads its one factorization, transform and norm on both sides.
+    fb, V, _, a_right = (fa, U, None, a_left) if B is A else _polar_root(B, tol)
     X = as_intertwiner(X, fa.matrix, fb.matrix)
     a = min(a_left, a_right)
     xn = fro_norm(X)
@@ -274,8 +275,9 @@ def exact_intertwiner_transfer(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckR
     if not _angular_intertwines(U, V, X, tol):
         raise ValueError("hypothesis violated: U* X = X V does not hold within tolerance")
     Ta = fa.transform(0.5, 0.5)
-    Tb = fb.transform(0.5, 0.5)
-    pre_thr = tol.residual_rel * max((op_norm(Ta) + op_norm(Tb)) * xn, 1.0)
+    Tb = Ta if fb is fa else fb.transform(0.5, 0.5)
+    norm_ta = op_norm(Ta)
+    pre_thr = tol.residual_rel * max((norm_ta + (norm_ta if Tb is Ta else op_norm(Tb))) * xn, 1.0)
     r_pre = fro_norm(adjoint(Ta) @ X - X @ Tb)
     if r_pre > pre_thr:
         raise ValueError("hypothesis violated: the transformed intertwining relation does not hold within tolerance")

@@ -32,11 +32,11 @@ from .commutant import (
 )
 from .generate import (
     KIND_INVERTIBLE_FP,
-    KIND_INVOLUTION,
     KIND_NORMAL_PAIR,
     GenerationError,
     draw,
     ginibre,
+    involution,
     pd_min_eig,
     random_unitary,
     similarity_pair,
@@ -233,7 +233,8 @@ def _angular_transfer_case(
                 continue
             # The pair (A, A): one factorization serves both sides.
             fa = fb = polar_factors(A, tol)
-        if accept(fa.angular(), fb.angular()):
+        U = fa.angular()
+        if accept(U, U if fb is fa else fb.angular()):
             break
     else:
         raise GenerationError(f"no {what} pair found")
@@ -254,7 +255,7 @@ def _case_cor27(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         return np.exp(1j * (center + r.uniform(0.15, np.pi - 0.15, size=n)))
 
     def accept(U: np.ndarray, V: np.ndarray) -> bool:
-        return semicircle_check(U, tol) and semicircle_check(V, tol)
+        return semicircle_check(U, tol) and (V is U or semicircle_check(V, tol))
 
     return _angular_transfer_case(rng, tol, units, accept, "semicircle")
 
@@ -273,9 +274,11 @@ def _case_rem28(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
 
 def _case_prop29(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     n = int(rng.integers(1, 6))
-    A = draw(KIND_INVOLUTION, n, rng, tol=tol)
+    A = involution(rng, n)
     rep = involution_angular_check(A, tol)
-    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A})
+    # A passes only when it squares to I within 1e-12, the bar that draw(KIND_INVOLUTION) sets.
+    passed = rep.ok and rep.details["involution_residual"] <= 1e-12
+    return CaseOutcome(passed, rep.max_residual, rep.threshold, {"A": A})
 
 
 _EXAMPLE_CUBE_ROOT = np.array([[0.0, 1.0], [-1.0, -1.0]], dtype=complex)

@@ -139,6 +139,47 @@ class TestCommutantBasis:
         thr = 1e-8 * (op_norm(A) + op_norm(B))
         assert all(r <= thr for r in cb.residuals)
 
+    def test_residuals_are_the_residual_norms_of_the_lifts(self):
+        # Computed on first access from the pair and the lifts, on the
+        # Kronecker route, the factored Schur route and the QR fallback.
+        (normal, _), (similar, _) = benchmark_pairs(np.random.default_rng(96), 16)
+        cases = [(normal, _kronecker_commutant(*normal, DEFAULT_TOL)), (normal, commutant_basis(*normal))]
+        cases.append((similar, commutant_basis(*similar)))
+        assert [cb.lifts.factored for _, cb in cases] == [False, True, False]
+        for (A, B), cb in cases:
+            assert np.array(cb.residuals).tobytes() == _residual_norms(A, B, cb.lifts).tobytes()
+            assert cb.residuals is cb.residuals
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_fp_property_checks_its_basis_against_the_adjoints_only(self, n, monkeypatch):
+        # One pass against (A*, B*), and one more for the combination of a
+        # factored basis; none against (A, B), which the solve satisfies.
+        calls = []
+        residual_norms = _residual_norms
+
+        def spy(M, N, lifts):
+            calls.append((M, N))
+            return residual_norms(M, N, lifts)
+
+        monkeypatch.setattr("aluthge.commutant._residual_norms", spy)
+        ((A, B), nullity), _ = benchmark_pairs(np.random.default_rng(97), n)
+        assert fp_property(A, B).com_dim == nullity
+        assert len(calls) == (1 if n * n <= _KRONECKER_MAX else 2)
+        for M, N in calls:
+            np.testing.assert_array_equal(M, adjoint(A))
+            np.testing.assert_array_equal(N, adjoint(B))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_element_index_follows_list_indexing(self, n):
+        ((A, B), nullity), _ = benchmark_pairs(np.random.default_rng(98), n)
+        cb = commutant_basis(A, B)
+        assert cb.lifts.factored == (n * n > _KRONECKER_MAX) and cb.nullity == nullity
+        np.testing.assert_array_equal(cb.element(-1), cb.element(nullity - 1))
+        np.testing.assert_array_equal(cb.element(-nullity), cb.element(0))
+        for k in (nullity, -nullity - 1):
+            with pytest.raises(IndexError, match="commutant element index out of range"):
+                cb.element(k)
+
     def test_nullity_matches_eigenvalue_coincidences(self):
         rng = np.random.default_rng(2)
         values = np.array([1.0, 2.0, -1.0, 0.5j, 1.0 + 1.0j])
@@ -545,7 +586,7 @@ class TestFactoredElements:
         assert max(_residual_norms(A, A, bad)) > thr
         assert _combination_residual(bad, A, A)[0] > thr
         fa = polar_factors(A)
-        rep = basis_inclusion(CommutantBasis(cb.dim_domain, None, cb.residuals, cb.nullity, bad), fa, fa)
+        rep = basis_inclusion(CommutantBasis(A, A, bad), fa, fa)
         assert not rep.holds and rep.max_residual > thr
 
     def test_wrong_lift_is_caught_by_the_combination_alone(self, monkeypatch):
@@ -612,15 +653,17 @@ class TestFactoredElements:
     def test_inexact_eigenvalues_fall_back_to_ztrsen(self, monkeypatch):
         # If eig ever returns a diagonal entry inexactly, that eigenvalue
         # gets s = 0 and takes the per-group path, with the same commutant.
-        eig = np.linalg.eig
+        import scipy.linalg
 
-        def shifted(T):
-            w, V = eig(T)
-            return w * (1 + 4 * np.finfo(float).eps), V
+        eig = scipy.linalg.eig
+
+        def shifted(T, **kwargs):
+            w, *vectors = eig(T, **kwargs)
+            return w * (1 + 4 * np.finfo(float).eps), *vectors
 
         rng = np.random.default_rng(94)
         (_, ((A, B), nullity)) = benchmark_pairs(rng, 16)
-        monkeypatch.setattr(np.linalg, "eig", shifted)
+        monkeypatch.setattr(scipy.linalg, "eig", shifted)
         T = np.triu(ginibre(rng, 5)) + np.diag(np.arange(5.0))
         assert not _simple_eigenvectors(T, list(range(5)))[1].any()
         assert assert_routes_agree(A, B).nullity == nullity
@@ -712,10 +755,11 @@ class TestComInclusion:
         # entry: 2, 1, 2 here, so the first and last elements tie.
         E = np.eye(2)
         basis = [np.outer(E[1], E[0]), np.outer(E[0], E[0]), np.outer(E[1], E[1])]
-        cb = CommutantBasis(dim_domain=(2, 2), basis=basis, residuals=[0.0] * 3, nullity=3)
-        rep = basis_inclusion(cb, polar_factors(np.diag([1.0, 2.0])), polar_factors(np.zeros((2, 2))))
+        zero = np.zeros((2, 2))
+        cb = CommutantBasis(zero, zero, _dense_lifts(basis))
+        rep = basis_inclusion(cb, polar_factors(np.diag([1.0, 2.0])), polar_factors(zero))
         assert not rep.holds and rep.max_residual == 2.0
-        assert rep.witness is basis[2]
+        np.testing.assert_array_equal(rep.witness, basis[2])
 
     @pytest.mark.parametrize("holding", [True, False])
     def test_solved_basis_matches_one_shot(self, holding):
@@ -877,6 +921,13 @@ class TestOddRootUnity:
         with pytest.raises(ValueError, match="positive"):
             odd_root_unity_check(np.eye(2), np.eye(2), 0)
 
+    def test_one_operator_passed_twice(self):
+        # U passed as both operators gives the verdict of U and a copy of it.
+        w = np.exp(2j * np.pi / 3)
+        failing = polar_decompose(np.array([[0.0, 1.0], [-1.0, -1.0]])).angular
+        for U, holds in ((np.diag([w, w**2]), True), (failing, False)):
+            assert odd_root_unity_check(U, U, 1) is odd_root_unity_check(U, U.copy(), 1) is holds
+
 
 class TestReducesCheck:
     def test_full_space_reflects_normality(self):
@@ -981,6 +1032,8 @@ class TestFactorsInPlaceOfMatrices:
         rep = exact_intertwiner_transfer(f, f, X, tol)
         assert rep.ok
         assert_same_bits(rep, exact_intertwiner_transfer(A, A, X, tol))
+        # The pair (f, f) reads one factorization; two of A report the same.
+        assert_same_bits(rep, exact_intertwiner_transfer(f, polar_factors(A), X, tol))
 
     @pytest.mark.parametrize("tol", PARITY_TOLS)
     @pytest.mark.parametrize("n", [1, 2, 4])

@@ -170,12 +170,16 @@ FACTORED_ONCE = [
     "thm24",
     "cor25",
     "cor26",
+    "cor27",
+    "rem28",
+    "prop29",
     "example_fp_fail",
     "thm31",
     "thm33",
     "cor36",
     "lemma41",
     "thm42",
+    "cor44",
     "product_polar",
 ]
 
@@ -200,9 +204,9 @@ SVD_CENSUS = {
     "block_identity": 120,
     "cor25": 258,
     "cor26": 501,
-    "cor27": 303,
+    "cor27": 276,
     "cor36": 501,
-    "cor44": 120,
+    "cor44": 80,
     "example_a3": 120,
     "example_fp_fail": 240,
     "fuglede_putnam": 230,
@@ -211,8 +215,8 @@ SVD_CENSUS = {
     "lemma41": 160,
     "moore": 280,
     "product_polar": 240,
-    "prop29": 160,
-    "rem28": 399,
+    "prop29": 120,
+    "rem28": 357,
     "remark22": 138,
     "thm24": 246,
     "thm31": 362,
