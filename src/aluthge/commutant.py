@@ -54,19 +54,28 @@ class Lifts(NamedTuple):
 
     Block (i, j, Z) holds a (count, m, k) stack Z, whose elements lift to
     ``left[i] @ Z[e] @ right[j]*``; ``left[i]`` (n1 x m) and ``right[j]``
-    (n2 x k) have orthonormal columns. The elements come in block order.
-    None stands for the identity, so a dense (count, n1, n2) stack X is
-    the one block (0, 0, X).
+    (n2 x k) have orthonormal columns. Z = None marks a full block, whose
+    m * k elements are the rank-one r_a k_b* of column a of ``left[i]``
+    and column b of ``right[j]``, element a * k + b: the block of an
+    identity stack, held without the stack. The elements come in block
+    order. A basis given as None stands for the identity, so a dense
+    (count, n1, n2) stack X is the one block (0, 0, X).
     """
 
     left: list[np.ndarray | None]
     right: list[np.ndarray | None]
-    blocks: list[tuple[int, int, np.ndarray]]
+    blocks: list[tuple[int, int, np.ndarray | None]]
 
     @property
     def factored(self) -> bool:
         """True when some element is held as factors rather than as a dense matrix."""
         return bool(self.blocks) and self.left[0] is not None
+
+    def counts(self) -> list[int]:
+        """The number of elements of each block, m * k for a full one."""
+        return [
+            len(Z) if Z is not None else self.left[i].shape[1] * self.right[j].shape[1] for i, j, Z in self.blocks
+        ]
 
 
 def _dense_lifts(X) -> Lifts:
@@ -79,12 +88,13 @@ class CommutantBasis:
     """Frobenius-orthonormal basis of {X : AX = XB}, solved for the pair (A, B).
 
     ``lifts`` holds the elements as factors (:class:`Lifts`). The Schur
-    route keeps each as X = R Z K* and checks it in that form; a basis
-    given as matrices is one block with R = I and K = I. Everything else
-    is read from the pair and the lifts. ``dim_domain`` is (n2, n1):
-    elements map C^n2 into C^n1, i.e. each basis matrix has shape
-    (n1, n2), and ``nullity`` is the basis length. ``residuals`` holds
-    the Frobenius norm of AX - XB per element and ``basis`` lists the
+    route keeps each as X = R Z K*, or as r_a k_b* in a full block, and
+    checks it in that form; a basis given as matrices is one block with
+    R = I and K = I. Everything else is read from the pair and the
+    lifts. ``dim_domain`` is (n2, n1): elements map C^n2 into C^n1,
+    i.e. each basis matrix has shape (n1, n2), and ``nullity`` is the
+    basis length, m * k for each full block. ``residuals`` holds the
+    Frobenius norm of AX - XB per element and ``basis`` lists the
     elements as (n1, n2) matrices; both are computed on first access and
     kept. Lifting a factored basis of more than 2**25 complex entries
     (nullity * n1 * n2, 512 MiB) raises ``ValueError``.
@@ -93,7 +103,7 @@ class CommutantBasis:
     def __init__(self, A: np.ndarray, B: np.ndarray, lifts: Lifts):
         self.A, self.B, self.lifts = A, B, lifts
         self.dim_domain = (B.shape[0], A.shape[0])
-        self.nullity = sum(len(Z) for _, _, Z in lifts.blocks)
+        self.nullity = sum(lifts.counts())
         self._basis = self._residuals = None
 
     @property
@@ -116,11 +126,16 @@ class CommutantBasis:
         if not -self.nullity <= k < self.nullity:
             raise IndexError("commutant element index out of range")
         k %= self.nullity
-        for i, j, Z in self.lifts.blocks:
-            if k < len(Z):
-                R = self.lifts.left[i]
-                return Z[k] if R is None else _lift(R, Z[k : k + 1], self.lifts.right[j])[0]
-            k -= len(Z)
+        for (i, j, Z), count in zip(self.lifts.blocks, self.lifts.counts()):
+            if k < count:
+                R, K = self.lifts.left[i], self.lifts.right[j]
+                if R is None:
+                    return Z[k]
+                if Z is None:
+                    a, b = divmod(k, K.shape[1])
+                    return _lift_full(R[:, a : a + 1], K[:, b : b + 1])[0]
+                return _lift(R, Z[k : k + 1], K)[0]
+            k -= count
 
 
 @dataclass(frozen=True)
@@ -178,9 +193,11 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     largest count as zero. Larger pairs solve only the pairs of
     eigenvalue groups of A and B that may share a solution, on their
     Schur forms, with the cut ``rank_rel`` times a shift-invariant bound
-    on that largest value and keep each element as factors; a pair
-    whose block would exceed 4096 rows raises ``ValueError``, and so
-    does lifting a basis of more than 2**25 complex entries
+    on that largest value and keep each element as factors. A pair of
+    groups that is scalar to within the cut is wholly null and kept as a
+    full block without a solve; a pair that takes a solve and whose
+    block would exceed 4096 rows raises ``ValueError``, and so does
+    lifting a basis of more than 2**25 complex entries
     (nullity * n1 * n2) to dense matrices.
     """
     A = as_square(A)
@@ -213,15 +230,23 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     singular value of Z -> TZ - ZS however roundoff scatters the
     eigenvalues, and the well-conditioned groups keep the pairs
     decoupled, so by Rosenblum's theorem a dropped pair holds no
-    solution. Every other pair takes the SVD of its small Kronecker
+    solution. A kept pair with ``|c - d| + ||T - cI||_F + ||S - dI||_F``
+    at most the cut ``rank_rel * scale`` is wholly null: that sum bounds
+    the norm of Z -> TZ - ZS, so an SVD would keep all m * k singular
+    values. On the invariant subspace of one eigenvalue a diagonalizable
+    matrix is scalar, so the repeated eigenvalues of unitary, Hermitian
+    and involutive pairs land here, at no O((m k)^3) cost. Such a pair
+    is a full block (:class:`Lifts`) whose elements r_a k_b* are never
+    stored. Every other kept pair takes the SVD of its small Kronecker
     block, which makes the rank decision; blocks of one shape share a
-    stacked SVD call (:func:`_block_null_vectors`). The lift is an
-    isometry, so the lifts of one pair are orthonormal. Lifts of
-    different pairs are orthogonal when their groups' invariant
-    subspaces are, as for a normal pair; :func:`_cross_gram_bound`
-    decides that from the small factors. Then the basis keeps every
-    element as its factors, and only otherwise one QR over the lifted
-    elements makes them orthonormal, as a dense basis.
+    stacked SVD call (:func:`_block_null_vectors`), and only these
+    blocks count against the 4096-row cap. The lift is an isometry, so
+    the lifts of one pair are orthonormal. Lifts of different pairs are
+    orthogonal when their groups' invariant subspaces are, as for a
+    normal pair; :func:`_cross_gram_bound` decides that from the small
+    factors. Then the basis keeps every element as its factors, and
+    only otherwise one QR over the lifted elements makes them
+    orthonormal, as a dense basis.
     """
     n1, n2 = A.shape[0], B.shape[0]
     # ||A - cI|| + ||B - cI|| bounds ||L|| and is invariant under a shift, a
@@ -229,19 +254,21 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     c = (np.trace(A) + np.trace(B)) / (n1 + n2)
     scale = op_norm(A - c * np.eye(n1)) + op_norm(B - c * np.eye(n2))
     gap = tol.rank_rel**0.25 * scale
+    cut = tol.rank_rel * scale
     groups_a = _spectral_groups(A, gap, tol.rank_rel**0.25)
     groups_b = [(K, U.conj().T) for K, U in _spectral_groups(adjoint(B), gap, tol.rank_rel**0.25)]
     ca, ra = _centers_radii(groups_a)
     cb, rb = _centers_radii(groups_b)
-    bound = np.abs(np.subtract.outer(ca, cb)) - np.add.outer(ra, rb)
-    pairs = np.argwhere(bound <= gap)
-    # Every kept block is sized before any is solved, so a refusal costs no solve.
-    rows = max((len(groups_a[i][1]) * len(groups_b[j][1]) for i, j in pairs), default=0)
+    distance, spread = np.abs(np.subtract.outer(ca, cb)), np.add.outer(ra, rb)
+    pairs = np.argwhere(distance - spread <= gap)
+    full = (distance + spread <= cut)[pairs[:, 0], pairs[:, 1]]
+    # Every block to solve is sized before any is solved, so a refusal costs no solve.
+    rows = max((len(groups_a[i][1]) * len(groups_b[j][1]) for i, j in pairs[~full]), default=0)
     if rows > _BLOCK_MAX:
         raise ValueError(f"commutant group block has {rows} rows, above the {_BLOCK_MAX} the Schur route solves")
-    blocks = [(groups_a[i][1], groups_b[j][1]) for i, j in pairs]
-    solutions = _block_null_vectors(blocks, tol.rank_rel * scale)
-    solved = [(i, j, Z) for (i, j), Z in zip(pairs, solutions) if len(Z)]
+    solutions = iter(_block_null_vectors([(groups_a[i][1], groups_b[j][1]) for i, j in pairs[~full]], cut))
+    blocks = [(i, j, None if f else next(solutions)) for (i, j), f in zip(pairs, full)]
+    solved = [(i, j, Z) for i, j, Z in blocks if Z is None or len(Z)]
     # Only the groups that hold a solution become factors of the lifts.
     used_a = {i: p for p, i in enumerate(dict.fromkeys(i for i, _, _ in solved))}
     used_b = {j: p for p, j in enumerate(dict.fromkeys(j for _, j, _ in solved))}
@@ -250,7 +277,7 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
         [groups_b[j][0] for j in used_b],
         [(used_a[i], used_b[j], Z) for i, j, Z in solved],
     )
-    nullity = sum(len(Z) for _, _, Z in solved)
+    nullity = sum(lifts.counts())
     if _cross_gram_bound(lifts) > nullity * np.finfo(float).eps:
         Q, _ = np.linalg.qr(_lift_all(lifts, n1, n2, nullity).reshape(nullity, -1).T)
         return CommutantBasis(A, B, _dense_lifts(Q.T.reshape(-1, n1, n2)))
@@ -323,7 +350,7 @@ def _cross_gram_bound(lifts: Lifts) -> float:
     pb = [j for _, j, _ in lifts.blocks]
     a = _cross_norms(lifts.left)[np.ix_(pa, pa)]
     b = _cross_norms(lifts.right)[np.ix_(pb, pb)]
-    counts = np.array([len(Z) for _, _, Z in lifts.blocks])
+    counts = np.array(lifts.counts())
     mass = np.minimum.outer(counts, counts) * (a * b) ** 2
     np.fill_diagonal(mass, 0.0)
     return float(np.sqrt(mass.sum()))
@@ -357,7 +384,7 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     from scipy.linalg import schur
     from scipy.linalg.lapack import ztrsen
 
-    T, Q = schur(M, output="complex")
+    T, Q = schur(M, output="complex", check_finite=False)
     n = len(T)
     ev = np.diag(T)
     dist = np.abs(ev[:, None] - ev[None, :])
@@ -405,7 +432,7 @@ def _simple_eigenvectors(T: np.ndarray, positions: np.ndarray) -> tuple[np.ndarr
     """
     from scipy.linalg import eig
 
-    w, vl, vr = eig(T, left=True, right=True)
+    w, vl, vr = eig(T, left=True, right=True, check_finite=False)
     index = {v: i for i, v in enumerate(w.tolist())}
     cols = np.array([index.get(v, -1) for v in np.diag(T)[positions].tolist()], dtype=int)
     x = vr[:, cols]
@@ -434,15 +461,36 @@ def _linked_clusters(near: np.ndarray) -> np.ndarray:
 
 
 def _centers_radii(groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean eigenvalue c and ||T - cI||_F of each group's compression T."""
-    centers = np.array([np.trace(T) / len(T) for _, T in groups])
-    radii = np.array([np.linalg.norm(T - c * np.eye(len(T))) for (_, T), c in zip(groups, centers)])
+    """Mean eigenvalue c and ||T - cI||_F of each group's compression T, with the compressions of one size stacked."""
+    by_size: dict[int, list[int]] = {}
+    for g, (_, T) in enumerate(groups):
+        by_size.setdefault(len(T), []).append(g)
+    centers = np.empty(len(groups), dtype=complex)
+    radii = np.empty(len(groups))
+    for m, members in by_size.items():
+        T = np.stack([groups[g][1] for g in members])
+        c = np.trace(T, axis1=1, axis2=2) / m
+        T[:, np.arange(m), np.arange(m)] -= c[:, None]
+        centers[members] = c
+        radii[members] = np.sqrt(_squares(T.reshape(len(members), -1), axis=1))
     return centers, radii
+
+
+def _squares(X: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of |x|^2 over one axis of the complex X: a sum of squares, which no cancellation can reach."""
+    return np.square(X.real).sum(axis) + np.square(X.imag).sum(axis)
 
 
 def _lift(R: np.ndarray, Z: np.ndarray, K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """R Z[e] K* for every matrix of the stack Z: where a factored element becomes a dense matrix."""
     return np.matmul(R @ Z, K.conj().T, out=out)
+
+
+def _lift_full(R: np.ndarray, K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (m k, n1, n2) stack of every r_a k_b* of a full block, element a * k + b: its lift, entry by entry."""
+    m, k, n1, n2 = R.shape[1], K.shape[1], R.shape[0], K.shape[0]
+    grid = None if out is None else out.reshape(m, k, n1, n2)
+    return np.multiply(R.T[:, None, :, None], K.conj().T[None, :, None, :], out=grid).reshape(m * k, n1, n2)
 
 
 def _lift_all(lifts: Lifts, n1: int, n2: int, nullity: int) -> np.ndarray:
@@ -458,9 +506,13 @@ def _lift_all(lifts: Lifts, n1: int, n2: int, nullity: int) -> np.ndarray:
         )
     X = np.empty((nullity, n1, n2), dtype=complex)
     start = 0
-    for i, j, Z in lifts.blocks:
-        _lift(lifts.left[i], Z, lifts.right[j], out=X[start : start + len(Z)])
-        start += len(Z)
+    for (i, j, Z), count in zip(lifts.blocks, lifts.counts()):
+        out = X[start : start + count]
+        if Z is None:
+            _lift_full(lifts.left[i], lifts.right[j], out=out)
+        else:
+            _lift(lifts.left[i], Z, lifts.right[j], out=out)
+        start += count
     return X
 
 
@@ -476,7 +528,8 @@ def _residual_norms(M: np.ndarray, N: np.ndarray, lifts: Lifts) -> np.ndarray:
     ||Z Wp||^2 exactly. Each term is the norm of a matrix of its own, not
     a difference of squares, which would cancel exactly where the
     residual is small. The parts of a group cost O(n^2 m) once
-    (:func:`_group_parts`), an element O(m k (m + k + n1 + n2)). With
+    (:func:`_group_parts`), an element O(m k (m + k + n1 + n2)), and an
+    element of a full block O(1) (:func:`_full_block_norms`). With
     R = I and K = I, as for a dense basis, P1 = M and S = N and the
     other two terms vanish: the one term is M X - X N itself.
 
@@ -498,12 +551,20 @@ def _residual_norms(M: np.ndarray, N: np.ndarray, lifts: Lifts) -> np.ndarray:
         return norms
     left, ia = _group_parts(M, lifts.left, right=False)
     right, jb = _group_parts(N, lifts.right, right=True)
-    starts = [0]
+    starts = np.cumsum([0] + lifts.counts())
     by_shape: dict[tuple[int, ...], list[int]] = {}
-    for b, (_, _, Z) in enumerate(lifts.blocks):
-        by_shape.setdefault(Z.shape, []).append(b)
-        starts.append(starts[-1] + len(Z))
+    full: dict[tuple[int, int], list[int]] = {}
+    for b, (i, j, Z) in enumerate(lifts.blocks):
+        if Z is None:
+            full.setdefault((lifts.left[i].shape[1], lifts.right[j].shape[1]), []).append(b)
+        else:
+            by_shape.setdefault(Z.shape, []).append(b)
     norms = np.empty(starts[-1])
+    for (m, k), members in full.items():
+        P1, Pp = (part[[ia[lifts.blocks[b][0]] for b in members]] for part in left[m])
+        S, Wp = (part[[jb[lifts.blocks[b][1]] for b in members]] for part in right[k])
+        for b, grid in zip(members, _full_block_norms(P1, Pp, S, Wp)):
+            norms[starts[b] : starts[b] + m * k] = grid.reshape(-1)
     for (count, m, k), members in by_shape.items():
         P1, Pp = (part[[ia[lifts.blocks[b][0]] for b in members]] for part in left[m])
         S, Wp = (part[[jb[lifts.blocks[b][1]] for b in members]] for part in right[k])
@@ -521,6 +582,32 @@ def _residual_norms(M: np.ndarray, N: np.ndarray, lifts: Lifts) -> np.ndarray:
             ]
             for b, row in zip(members[sel], _term_norms(terms, g * count).reshape(g, count)):
                 norms[starts[b] : starts[b] + count] = row
+    return norms
+
+
+def _full_block_norms(P1: np.ndarray, Pp: np.ndarray, S: np.ndarray, Wp: np.ndarray) -> np.ndarray:
+    """||M X - X N||_F for every element X = r_a k_b* of g full blocks, as a (g, m, k) array.
+
+    P1 (g, m, m), Pp (g, n1, m), S (g, k, k) and Wp (g, k, n2) are the
+    blocks' parts as :func:`_residual_norms` splits them. With
+    Z = e_a e_b^T the split's three terms come to five: the squares of
+    column a of P1 off its diagonal, of Pp e_a, of row b of S off its
+    diagonal, of e_b^T Wp, and |P1[a, a] - S[b, b]|^2. They are sums of
+    squares of distinct entries, so nothing cancels. A block costs
+    O(m k) once its parts are formed. Like :func:`fro_norm`, it rejects
+    a residual with a non-finite entry.
+    """
+    m, k = P1.shape[1], S.shape[1]
+    a, b = np.arange(m), np.arange(k)
+    gap = P1[:, a, a][:, :, None] - S[:, b, b][:, None, :]
+    off_t, off_s = P1.copy(), S.copy()
+    off_t[:, a, a] = 0.0
+    off_s[:, b, b] = 0.0
+    columns = _squares(off_t, axis=1) + _squares(Pp, axis=1)
+    rows = _squares(off_s, axis=2) + _squares(Wp, axis=2)
+    norms = np.sqrt(columns[:, :, None] + rows[:, None, :] + (np.square(gap.real) + np.square(gap.imag)))
+    if not np.isfinite(norms).all() and not all(np.isfinite(D).all() for D in (P1, Pp, S, Wp)):
+        raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return norms
 
 
@@ -570,23 +657,26 @@ def _combination_residual(lifts: Lifts, M: np.ndarray, N: np.ndarray) -> tuple[f
     c is complex Gaussian from a fixed seed, so a verdict is
     reproducible. X_c is one :func:`_lift` of all left and all right
     factors around a block matrix of the per-block combinations
-    sum_e c_e Z_e, and it is multiplied by M and N as a matrix. That
+    sum_e c_e Z_e (for a full block, the coefficients themselves as an
+    m x k matrix), and it is multiplied by M and N as a matrix. That
     shares no arithmetic with the factored residuals, so it checks the
     lifted elements themselves: an element whose lift leaves the
     target commutant moves X_c off it with probability 1. For
     orthonormal elements ||X_c||_F = ||c||_2.
     """
-    nullity = sum(len(Z) for _, _, Z in lifts.blocks)
+    counts = lifts.counts()
+    nullity = sum(counts)
     rng = np.random.default_rng(_COMBINATION_SEED)
     c = rng.standard_normal(nullity) + 1j * rng.standard_normal(nullity)
     rows = np.cumsum([0] + [R.shape[1] for R in lifts.left])
     cols = np.cumsum([0] + [K.shape[1] for K in lifts.right])
     Y = np.zeros((rows[-1], cols[-1]), dtype=complex)
     start = 0
-    for i, j, Z in lifts.blocks:
-        combined = c[start : start + len(Z)] @ Z.reshape(len(Z), -1)
-        Y[rows[i] : rows[i + 1], cols[j] : cols[j + 1]] = combined.reshape(Z.shape[1:])
-        start += len(Z)
+    for (i, j, Z), count in zip(lifts.blocks, counts):
+        coefficients = c[start : start + count]
+        combined = coefficients if Z is None else coefficients @ Z.reshape(count, -1)
+        Y[rows[i] : rows[i + 1], cols[j] : cols[j + 1]] = combined.reshape(rows[i + 1] - rows[i], -1)
+        start += count
     X = _lift(np.concatenate(lifts.left, axis=1), Y[None], np.concatenate(lifts.right, axis=1))[0]
     residual = float(_residual_norms(M, N, _dense_lifts(X[None]))[0])
     return residual / float(np.linalg.norm(c)), X / np.linalg.norm(X)
@@ -846,7 +936,8 @@ def reduces_check(A, X, side: str = "range", tol: Tolerances = DEFAULT_TOL) -> C
     proj_out = np.eye(n) - Q @ Q.conj().T
     r_a = op_norm(proj_out @ (A @ Q)) if rank else 0.0
     r_astar = op_norm(proj_out @ (adjoint(A) @ Q)) if rank else 0.0
-    threshold = tol.residual_rel * max(1.0, op_norm(A))
+    norm = op_norm(A)
+    threshold = tol.residual_rel * max(1.0, norm)
     reduces = bool(max(r_a, r_astar) <= threshold)
     if rank:
         restriction = Q.conj().T @ A @ Q
@@ -855,7 +946,7 @@ def reduces_check(A, X, side: str = "range", tol: Tolerances = DEFAULT_TOL) -> C
     else:
         r_normal = 0.0
         spectrum = np.zeros(0, dtype=complex)
-    thr_normal = tol.residual_rel * max(1.0, op_norm(A) ** 2)
+    thr_normal = tol.residual_rel * max(1.0, norm**2)
     return CheckReport(
         ok=reduces,
         max_residual=max(r_a, r_astar),

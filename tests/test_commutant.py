@@ -277,6 +277,31 @@ def mixed_shape_pair(rng):
     return A, B
 
 
+def mixed_solve_pair(rng):
+    """A has 12 distinct eigenvalues. B holds a defective 2 x 2 block of
+    each of four of them, four more moved by 1e-4 and four more exactly,
+    so the blocks that take an SVD come in the shapes (1, 2) and (1, 1),
+    beside four full (1, 1) blocks; dim Com is 4 + 0 + 4. The defective
+    blocks' coupling is 0.05, small enough that no other pair is kept."""
+    pool = separated(rng, 12)
+    J = np.diag(np.concatenate([np.repeat(pool[:4], 2), pool[4:8] + 1e-4, pool[8:12]]))
+    J[[0, 2, 4, 6], [1, 3, 5, 7]] = 0.05
+    return conjugated(rng, np.diag(pool))[0], conjugated(rng, J)[0]
+
+
+def oversized_pair():
+    """A = 2I + E_{1,65} and B = 2I: one group each, A's not scalar, so one block of 65 * 65 rows to solve."""
+    A = 2.0 * np.eye(65)
+    A[0, 64] = 1.0
+    return A, 2.0 * np.eye(65)
+
+
+def block_shape(lifts, b):
+    """(m, k) of block b: the widths of its left and right bases."""
+    i, j, _ = lifts.blocks[b]
+    return lifts.left[i].shape[1], lifts.right[j].shape[1]
+
+
 class TestCommutantRoutes:
     """The Schur-cluster route reproduces the Kronecker oracle."""
 
@@ -382,8 +407,15 @@ class TestCommutantRoutes:
             assert commutant_basis(A, conjugated(rng, B)[0]).nullity == nullity
 
     def test_refuses_oversized_cluster(self):
+        # One group of 65 on each side, and A's is not scalar, so the block
+        # takes an SVD of 65 * 65 rows.
         with pytest.raises(ValueError, match="4225 rows"):
-            commutant_basis(2.0 * np.eye(65), 2.0 * np.eye(65))
+            commutant_basis(*oversized_pair())
+
+    def test_scalar_pair_above_the_block_cap_is_answered(self):
+        # The same 4225 unknowns, but both groups are scalar: a full block.
+        rep = fp_property(2.0 * np.eye(65), 2.0 * np.eye(65))
+        assert rep.holds and rep.com_dim == 4225
 
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("multiplicity", [1, 4])
@@ -447,7 +479,7 @@ class TestCommutantRoutes:
         assert assert_routes_agree(A, B).nullity == nullity
 
     def test_mixed_block_shapes_share_one_solve(self, monkeypatch):
-        A, B = mixed_shape_pair(np.random.default_rng(87))
+        A, B = mixed_solve_pair(np.random.default_rng(87))
         shapes = []
 
         def spy(T, S):
@@ -459,8 +491,9 @@ class TestCommutantRoutes:
         with monkeypatch.context() as patched:
             patched.setattr("aluthge.commutant._sylvester_blocks", spy)
             _schur_commutant(A, B, DEFAULT_TOL)
+        # The SVD blocks only: the four shared eigenvalues are full blocks.
         assert sorted(shapes) == [(4, 1, 1), (4, 1, 2)]
-        assert assert_routes_agree(A, B).nullity == 12
+        assert assert_routes_agree(A, B).nullity == 8
 
     def test_chained_eigenvalues_form_one_cluster(self):
         # Each link is within the gap and the ends are not; the chain
@@ -474,14 +507,23 @@ class TestCommutantRoutes:
 
 def count_qr_calls(monkeypatch):
     """Record every ``np.linalg.qr`` call from here on."""
+    return count_calls(monkeypatch, "qr")
+
+
+def count_svd_calls(monkeypatch):
+    """Record the shape of every ``np.linalg.svd`` call from here on, spectral norms included."""
+    return count_calls(monkeypatch, "svd")
+
+
+def count_calls(monkeypatch, name):
     calls = []
-    qr = np.linalg.qr
+    factor = getattr(np.linalg, name)
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape)
-        return qr(*args, **kwargs)
+        return factor(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return calls
 
 
@@ -546,7 +588,9 @@ class TestFactoredElements:
         A, B = mixed_normal_pair(np.random.default_rng(100 + n), n)
         cb = commutant_basis(A, B)
         assert cb.nullity == 3 * n // 2
-        assert sorted({Z.shape[1:] for _, _, Z in cb.lifts.blocks}) == [(4, 1), (4, 2)]
+        # Every group of a normal pair is scalar, so every block is full.
+        assert all(Z is None for _, _, Z in cb.lifts.blocks)
+        assert sorted({block_shape(cb.lifts, b) for b in range(len(cb.lifts.blocks))}) == [(4, 1), (4, 2)]
         U, V = polar_factors(A).angular(), polar_factors(B).angular()
         # A chunk of one entry puts every block in a chunk of its own.
         for chunk in (2**19, 1):
@@ -575,7 +619,7 @@ class TestFactoredElements:
         thr = DEFAULT_TOL.residual_rel * 2 * op_norm(A)
         assert max(_residual_norms(A, A, cb.lifts)) <= thr
         assert _combination_residual(cb.lifts, A, A)[0] <= thr
-        (b,) = [b for b, (_, _, Z) in enumerate(cb.lifts.blocks) if Z.shape[1] == 2]
+        (b,) = [b for b, (_, _, Z) in enumerate(cb.lifts.blocks) if Z is not None and Z.shape[1] == 2]
         i, j, Z = cb.lifts.blocks[b]
         E = ginibre(np.random.default_rng(89), 2, 2)
         bad_Z = Z.copy()
@@ -623,8 +667,15 @@ class TestFactoredElements:
         ((A, B), nullity), _ = benchmark_pairs(np.random.default_rng(92), 24)
         cb = commutant_basis(A, B)
         assert cb.lifts.factored and cb.nullity == nullity
-        eager = np.concatenate(
-            [np.matmul(cb.lifts.left[i] @ Z, cb.lifts.right[j].conj().T) for i, j, Z in cb.lifts.blocks]
+        assert all(Z is None for _, _, Z in cb.lifts.blocks)
+        # A full block's element a * k + b is the outer product of column a of R and column b of K.
+        eager = np.stack(
+            [
+                np.outer(cb.lifts.left[i][:, a], cb.lifts.right[j][:, b].conj())
+                for i, j, _ in cb.lifts.blocks
+                for a in range(cb.lifts.left[i].shape[1])
+                for b in range(cb.lifts.right[j].shape[1])
+            ]
         )
         np.testing.assert_array_equal(np.stack(cb.basis), eager)
         for k in (0, nullity // 2, nullity - 1):
@@ -667,6 +718,126 @@ class TestFactoredElements:
         T = np.triu(ginibre(rng, 5)) + np.diag(np.arange(5.0))
         assert not _simple_eigenvectors(T, list(range(5)))[1].any()
         assert assert_routes_agree(A, B).nullity == nullity
+
+
+def identity_stacks(lifts):
+    """The same lifts with every full block held as its explicit identity stack."""
+    blocks = []
+    for b, (i, j, Z) in enumerate(lifts.blocks):
+        m, k = block_shape(lifts, b)
+        blocks.append((i, j, np.eye(m * k, dtype=complex).reshape(m * k, m, k) if Z is None else Z))
+    return Lifts(lifts.left, lifts.right, blocks)
+
+
+def involution_pair(n, seed=1):
+    """generate.involution at size n (non-normal, A^2 = I), its unitary transform and k^2 + (n - k)^2."""
+    A = involution(np.random.default_rng(seed), n)
+    k = int(round((n + np.trace(A).real) / 2))
+    return A, aluthge(A), k * k + (n - k) ** 2
+
+
+def full_block_pair(name, rng):
+    """A pair at n = 16 whose groups are all scalar: normal, a non-normal
+    involution with itself, or a similarity pair with mixed shapes."""
+    if name == "normal":
+        return mixed_normal_pair(rng, 16)
+    if name == "involution":
+        A = involution_pair(16)[0]
+        return A, A
+    return mixed_shape_pair(rng)
+
+
+def factored_lifts(monkeypatch, A, B):
+    """The Schur-route lifts of Com(A, B), kept as factors even where the solve would take the QR."""
+    with monkeypatch.context() as patched:
+        patched.setattr("aluthge.commutant._cross_gram_bound", lambda lifts: 0.0)
+        cb = _schur_commutant(A, B, DEFAULT_TOL)
+    assert cb.lifts.factored and any(Z is None for _, _, Z in cb.lifts.blocks)
+    return cb.lifts
+
+
+class TestFullBlocks:
+    """A pair of scalar groups is a full block: all r_a k_b*, read in closed form, with no SVD."""
+
+    @pytest.mark.parametrize("pair", ["normal", "involution", "mixed"])
+    def test_closed_form_residuals_match(self, pair, monkeypatch):
+        rng = np.random.default_rng(110)
+        A, B = full_block_pair(pair, rng)
+        lifts = factored_lifts(monkeypatch, A, B)
+        explicit = identity_stacks(lifts)
+        targets = [(A, B), (adjoint(A), adjoint(B)), (ginibre(rng, len(A)), ginibre(rng, len(B)))]
+        for t, (M, N) in enumerate(targets):
+            fast = _residual_norms(M, N, lifts)
+            # The same entries as the identity stack's split, summed in another order.
+            np.testing.assert_allclose(fast, _residual_norms(M, N, explicit), rtol=1e-12, atol=0)
+            dense = np.array([fro_norm(M @ X - X @ N) for X in CommutantBasis(A, B, lifts).basis])
+            scale = op_norm(M) + op_norm(N)
+            np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=1e-12 * scale)
+            if t == 0:
+                assert fast.max() <= 1e-12 * scale
+            if t == 2:
+                # Large residuals, where only the relative bound applies.
+                assert dense.min() > 1e-3 * scale
+
+    @pytest.mark.parametrize("pair", ["normal", "involution"])
+    def test_elements_basis_and_combination_match_the_identity_stack(self, pair, monkeypatch):
+        rng = np.random.default_rng(111)
+        A, B = full_block_pair(pair, rng)
+        lifts = factored_lifts(monkeypatch, A, B)
+        cb, ref = CommutantBasis(A, B, lifts), CommutantBasis(A, B, identity_stacks(lifts))
+        assert cb.nullity == ref.nullity
+        for k in (0, 1, cb.nullity // 2, cb.nullity - 1, -1, -2, -cb.nullity):
+            np.testing.assert_allclose(cb.element(k), ref.element(k), rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(cb.element(k), cb.basis[k])
+        np.testing.assert_allclose(np.stack(cb.basis), np.stack(ref.basis), rtol=0, atol=1e-15)
+        for M, N in ((A, B), (adjoint(A), adjoint(B))):
+            residual, X = _combination_residual(lifts, M, N)
+            ref_residual, ref_X = _combination_residual(ref.lifts, M, N)
+            assert residual == pytest.approx(ref_residual, rel=1e-12)
+            np.testing.assert_allclose(X, ref_X, rtol=0, atol=1e-15)
+
+    def test_nullity_matches_the_oracle_without_a_block_svd(self, monkeypatch):
+        rng = np.random.default_rng(112)
+        ev = np.repeat([1.0, -0.5, 2.0], [5, 4, 4])
+        Q = random_unitary(rng, 13)
+        hermitian = Q @ (ev[:, None] * Q.conj().T)
+        A, transform, _ = involution_pair(14)
+        pairs = [
+            benchmark_pairs(rng, 16)[0][0],
+            (A, A),
+            (transform, transform),
+            mixed_shape_pair(rng),
+            (hermitian, hermitian),
+            (hermitian, np.diag(rng.permutation(ev))),
+            (2.0 * np.eye(13), 2.0 * np.eye(12)),
+        ]
+        for A, B in pairs:
+            with monkeypatch.context() as patched:
+                patched.setattr("aluthge.commutant._sylvester_blocks", None)
+                fast = _schur_commutant(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex), DEFAULT_TOL)
+            assert assert_routes_agree(A, B).nullity == fast.nullity
+
+    @pytest.mark.parametrize("n", [24, 64])
+    def test_involution_transform_takes_no_block_svd(self, n, monkeypatch):
+        # The transform of an involution is unitary with eigenvalues +1 and -1:
+        # two scalar groups on each side, so two full blocks and no QR.
+        _, T, nullity = involution_pair(n)
+        calls = count_svd_calls(monkeypatch)
+        rep = fp_property(T, T)
+        assert rep.holds and rep.com_dim == nullity
+        assert calls and all(len(shape) == 2 for shape in calls)
+
+    def test_multiplicity_above_the_block_cap_never_builds_the_dense_basis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the dense basis was built")
+
+        rng = np.random.default_rng(113)
+        ev = np.concatenate([np.full(100, 0.5 + 0.5j), separated(rng, 28, avoid=0.5 + 0.5j)])
+        Q = random_unitary(rng, 128)
+        A = Q @ (ev[:, None] * Q.conj().T)
+        monkeypatch.setattr("aluthge.commutant._lift_all", refuse)
+        rep = fp_property(A, A)
+        assert rep.holds and rep.com_dim == 100 * 100 + 28 and rep.witness is None
 
 
 class TestFpProperty:
@@ -961,6 +1132,19 @@ class TestReducesCheck:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError, match="side"):
             reduces_check(JORDAN, np.eye(2), "diagonal")
+
+    def test_norm_of_a_is_taken_once(self, monkeypatch):
+        # One SVD of X, one norm per invariance residual and one of A, which
+        # both thresholds read.
+        rng = np.random.default_rng(18)
+        A, X = ginibre(rng, 4), ginibre(rng, 4, 2)
+        calls = count_svd_calls(monkeypatch)
+        rep = reduces_check(A, X)
+        assert len(calls) == 4 and rep.details["rank"] == 2
+        norm = op_norm(A)
+        assert rep.threshold == DEFAULT_TOL.residual_rel * max(1.0, norm)
+        r_normal = rep.details["restriction_normality_residual"]
+        assert rep.details["restriction_normal"] == (r_normal <= DEFAULT_TOL.residual_rel * max(1.0, norm**2))
 
 
 def assert_same_bits(a, b):

@@ -355,11 +355,21 @@ class TestCli:
         assert captured.out == "" and captured.err.startswith("error:")
 
     def test_oversized_commutant_is_usage_error(self, tmp_path, capsys):
-        # A = B = 2I at n = 65 puts all 65 * 65 unknowns in one group block.
-        write_matrices(tmp_path / "pair.json", {"A": 2.0 * np.eye(65), "B": 2.0 * np.eye(65)})
+        # A = 2I + E_{1,65} and B = 2I at n = 65 put all 65 * 65 unknowns in
+        # one group block, and A's group is not scalar, so it takes an SVD.
+        A = 2.0 * np.eye(65)
+        A[0, 64] = 1.0
+        write_matrices(tmp_path / "pair.json", {"A": A, "B": 2.0 * np.eye(65)})
         assert main(["commutant", str(tmp_path / "pair.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "4225 rows" in captured.err
+
+    def test_scalar_pair_above_the_block_cap_is_answered(self, tmp_path, capsys):
+        # A = B = 2I at n = 65: the same 4225 unknowns, in a full block that takes no SVD.
+        write_matrices(tmp_path / "pair.json", {"A": 2.0 * np.eye(65), "B": 2.0 * np.eye(65)})
+        assert main(["fp-check", str(tmp_path / "pair.json")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["holds"] is True and doc["com_dim"] == 4225
 
     def test_oversized_commutant_basis_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # Six eigenvalues of multiplicity 4 at n = 24: 96 elements of 24 x 24.
