@@ -31,7 +31,6 @@ from .linalg import (
     hermitian_part,
     min_hermitian_eigenvalue,
     op_norm,
-    psd_power,
     singular_values,
     spectral_radius,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "polar_decompose",
     "power_intertwining_check",
     "product_polar_check",
-    "psd_power",
     "random_unitary",
     "read_matrices",
     "read_matrix",

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    _DENSE_MAX,
     DEFAULT_TOL,
     CheckReport,
     Tolerances,
@@ -29,6 +30,7 @@ from .linalg import (
     as_square,
     fro_norm,
     op_norm,
+    rank_cut,
 )
 from .polar import PolarFactors, polar_factors
 
@@ -173,11 +175,6 @@ def sylvester_matrix(A, B) -> np.ndarray:
 _KRONECKER_MAX = 144
 # Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
 _BLOCK_MAX = 4096
-# Largest dense basis (nullity * n1 * n2 complex entries, 512 MiB) lifted from
-# factors, by the QR fallback or on access to CommutantBasis.basis. With the
-# QR the peak is a few times that, which stays well inside a machine with a
-# few GB of memory.
-_BASIS_MAX = 2**25
 # Complex entries per temporary array of the stacked residual check (8 MiB).
 _RESIDUAL_CHUNK = 2**19
 # Seed of the Gaussian coefficients of the dense combination check, fixed so
@@ -189,11 +186,13 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     """Orthonormal basis of Com(A, B).
 
     Pairs with n1 * n2 <= 144 take the SVD of the Kronecker
-    linearization: singular values at or below ``rank_rel`` times the
-    largest count as zero. Larger pairs solve only the pairs of
-    eigenvalue groups of A and B that may share a solution, on their
-    Schur forms, with the cut ``rank_rel`` times a shift-invariant bound
-    on that largest value and keep each element as factors. A pair of
+    linearization L as the one block (A, B) of
+    :func:`_block_null_vectors`: singular values at or below
+    ``rank_cut(s, rank_rel)``, ``rank_rel * ||L||_2``, count as zero.
+    Larger pairs solve only the pairs of eigenvalue groups of A and B
+    that may share a solution, on their Schur forms, with the same rule
+    given a shift-invariant bound ``scale`` on ||L||_2, so the cut is
+    ``rank_rel * scale``, and keep each element as factors. A pair of
     groups that is scalar to within the cut is wholly null and kept as a
     full block without a solve; a pair that takes a solve and whose
     block would exceed 4096 rows raises ``ValueError``, and so does
@@ -208,13 +207,8 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
 
 
 def _kronecker_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
-    """Right singular vectors of the Kronecker linearization, reshaped column-major."""
-    n1, n2 = A.shape[0], B.shape[0]
-    L = sylvester_matrix(A, B)
-    _, s, Vh = np.linalg.svd(L)
-    smax = float(s[0])
-    null_rows = Vh[s <= tol.rank_rel * smax]
-    return CommutantBasis(A, B, _dense_lifts(null_rows.conj().reshape((-1, n2, n1)).transpose(0, 2, 1)))
+    """The whole pair as the one block (A, B) of :func:`_block_null_vectors`, with no bound on ||L||_2."""
+    return CommutantBasis(A, B, _dense_lifts(_block_null_vectors([(A, B)], tol.rank_rel)[0]))
 
 
 def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
@@ -238,35 +232,36 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     and involutive pairs land here, at no O((m k)^3) cost. Such a pair
     is a full block (:class:`Lifts`) whose elements r_a k_b* are never
     stored. Every other kept pair takes the SVD of its small Kronecker
-    block, which makes the rank decision; blocks of one shape share a
-    stacked SVD call (:func:`_block_null_vectors`), and only these
-    blocks count against the 4096-row cap. The lift is an isometry, so
-    the lifts of one pair are orthonormal. Lifts of different pairs are
-    orthogonal when their groups' invariant subspaces are, as for a
-    normal pair; :func:`_cross_gram_bound` decides that from the small
-    factors. Then the basis keeps every element as its factors, and
-    only otherwise one QR over the lifted elements makes them
-    orthonormal, as a dense basis.
+    block, which makes the rank decision with ``scale`` as the bound on
+    the block's norm; blocks of one shape share a stacked SVD call
+    (:func:`_block_null_vectors`), and only these blocks count against
+    the 4096-row cap. The lift is an isometry, so the lifts of one pair
+    are orthonormal. Lifts of different pairs are orthogonal when their
+    groups' invariant subspaces are, as for a normal pair;
+    :func:`_cross_gram_bound` decides that from the small factors. Then
+    the basis keeps every element as its factors, and only otherwise one
+    QR over the lifted elements makes them orthonormal, as a dense basis.
     """
     n1, n2 = A.shape[0], B.shape[0]
-    # ||A - cI|| + ||B - cI|| bounds ||L|| and is invariant under a shift, a
-    # positive scaling and a unitary similarity of the pair.
+    # ||A - cI|| + ||B - cI|| bounds ||L|| and the norm of every group-pair
+    # block, and is invariant under a shift, a positive scaling and a unitary
+    # similarity of the pair.
     c = (np.trace(A) + np.trace(B)) / (n1 + n2)
     scale = op_norm(A - c * np.eye(n1)) + op_norm(B - c * np.eye(n2))
     gap = tol.rank_rel**0.25 * scale
-    cut = tol.rank_rel * scale
     groups_a = _spectral_groups(A, gap, tol.rank_rel**0.25)
     groups_b = [(K, U.conj().T) for K, U in _spectral_groups(adjoint(B), gap, tol.rank_rel**0.25)]
     ca, ra = _centers_radii(groups_a)
     cb, rb = _centers_radii(groups_b)
     distance, spread = np.abs(np.subtract.outer(ca, cb)), np.add.outer(ra, rb)
     pairs = np.argwhere(distance - spread <= gap)
-    full = (distance + spread <= cut)[pairs[:, 0], pairs[:, 1]]
+    full = (distance + spread <= tol.rank_rel * scale)[pairs[:, 0], pairs[:, 1]]
     # Every block to solve is sized before any is solved, so a refusal costs no solve.
-    rows = max((len(groups_a[i][1]) * len(groups_b[j][1]) for i, j in pairs[~full]), default=0)
+    solve = [(groups_a[i][1], groups_b[j][1]) for i, j in pairs[~full]]
+    rows = max((len(T) * len(S) for T, S in solve), default=0)
     if rows > _BLOCK_MAX:
         raise ValueError(f"commutant group block has {rows} rows, above the {_BLOCK_MAX} the Schur route solves")
-    solutions = iter(_block_null_vectors([(groups_a[i][1], groups_b[j][1]) for i, j in pairs[~full]], cut))
+    solutions = iter(_block_null_vectors(solve, tol.rank_rel, scale))
     blocks = [(i, j, None if f else next(solutions)) for (i, j), f in zip(pairs, full)]
     solved = [(i, j, Z) for i, j, Z in blocks if Z is None or len(Z)]
     # Only the groups that hold a solution become factors of the lifts.
@@ -284,11 +279,16 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     return CommutantBasis(A, B, lifts)
 
 
-def _block_null_vectors(blocks: list[tuple[np.ndarray, np.ndarray]], cut: float) -> list[np.ndarray]:
+def _block_null_vectors(
+    blocks: list[tuple[np.ndarray, np.ndarray]], rank_rel: float, bound: float = 0.0
+) -> list[np.ndarray]:
     """Orthonormal solutions Z of T Z = Z S for every block (T, S), in the order given.
 
-    Each is a (count, m, k) stack read from the right singular vectors
-    of sylvester_matrix(T, S) whose singular values are at most ``cut``.
+    Each is a (count, m, k) stack read, column-major, from the right
+    singular vectors of L = sylvester_matrix(T, S) whose singular values
+    s are at most ``rank_cut(s, rank_rel, bound)``, that is
+    ``rank_rel * max(||L||_2, bound)``: ``bound`` is a bound on ||L||_2
+    that the caller holds for every block, or 0 for none.
     Blocks of one shape (m, k) share stacked SVD calls, each of at most
     ``_BLOCK_MAX**2`` entries, so the peak memory stays that of the
     largest single block.
@@ -305,7 +305,7 @@ def _block_null_vectors(blocks: list[tuple[np.ndarray, np.ndarray]], cut: float)
             S = np.stack([blocks[p][1] for p in batch])
             _, s, Vh = np.linalg.svd(_sylvester_blocks(T, S))
             for p, sv, V in zip(batch, s, Vh):
-                out[p] = V[sv <= cut].conj().reshape((-1, k, m)).transpose(0, 2, 1)
+                out[p] = V[sv <= rank_cut(sv, rank_rel, bound)].conj().reshape((-1, k, m)).transpose(0, 2, 1)
     return out
 
 
@@ -499,10 +499,10 @@ def _lift_all(lifts: Lifts, n1: int, n2: int, nullity: int) -> np.ndarray:
     The size is checked before anything is allocated: a stack of more
     than 2**25 complex entries raises ``ValueError``.
     """
-    if nullity * n1 * n2 > _BASIS_MAX:
+    if nullity * n1 * n2 > _DENSE_MAX:
         raise ValueError(
             f"commutant basis has {nullity} elements of size {n1}x{n2} ({nullity * n1 * n2} entries), "
-            f"above the {_BASIS_MAX} a dense basis may hold"
+            f"above the {_DENSE_MAX} a dense basis may hold"
         )
     X = np.empty((nullity, n1, n2), dtype=complex)
     start = 0
@@ -929,8 +929,7 @@ def reduces_check(A, X, side: str = "range", tol: Tolerances = DEFAULT_TOL) -> C
     else:
         raise ValueError(f"unknown side {side!r}")
     W, s, Vh = np.linalg.svd(X)
-    smax = float(s[0]) if s.size else 0.0
-    keep = s > tol.rank_rel * smax
+    keep = s > rank_cut(s, tol.rank_rel)
     Q = W[:, : len(s)][:, keep] if side == "range" else Vh[keep].conj().T
     rank = Q.shape[1]
     proj_out = np.eye(n) - Q @ Q.conj().T

@@ -1,9 +1,9 @@
-"""Dense complex-matrix primitives: adjoints, Hermitian calculus, matrix functions, spectra.
+"""Dense complex-matrix primitives: adjoints, Hermitian parts, norms, spectra and the rank cut.
 
 Everything downstream (polar decompositions, commutant solvers, norm
-inequalities) is built on the handful of operations in this module. All
-functions are pure and accept anything `np.asarray` turns into a 2-D
-complex array.
+inequalities) is built on the handful of operations in this module, and
+every rank decision reads the one rule :func:`rank_cut`. All functions
+are pure and accept anything `np.asarray` turns into a 2-D complex array.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "adjoint",
     "hermitian_part",
     "min_hermitian_eigenvalue",
-    "psd_power",
     "singular_values",
     "spectral_radius",
     "op_norm",
@@ -52,6 +51,22 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# Largest dense stack of complex entries (512 MiB) a result may hold: a
+# commutant basis lifted from factors (by the QR fallback, whose peak is a few
+# times that, or on access to CommutantBasis.basis), or the iterates of
+# aluthge_iterate. That stays well inside a machine with a few GB of memory.
+_DENSE_MAX = 2**25
+
+
+def rank_cut(s: np.ndarray, rank_rel: float, bound: float = 0.0) -> float:
+    """The level at or below which a singular value counts as zero: rank_rel * max(s[0], bound).
+
+    ``s`` holds singular values in decreasing order, and ``bound`` is an
+    upper bound on s[0] that the caller already holds (0 when it holds
+    none), so the cut is relative to the larger of the two.
+    """
+    return rank_rel * max(s[0], bound)
 
 
 @dataclass(frozen=True)
@@ -135,29 +150,3 @@ def singular_values(M) -> np.ndarray:
 def spectral_radius(M) -> float:
     """Largest eigenvalue modulus of a square matrix."""
     return float(np.abs(np.linalg.eigvals(as_square(M))).max())
-
-
-def psd_power(P, s: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Real power P^s of a Hermitian positive semidefinite matrix.
-
-    Computed through the eigendecomposition. s must be nonnegative.
-    Convention at s = 0: the orthogonal projection onto range(P), which
-    is the identity exactly when P is definite (consistent with the
-    limit s -> 0+ on the support). Eigenvalues below -residual_rel * ||P||
-    are rejected; small negative dust is clamped to zero first.
-    """
-    if s < 0:
-        raise ValueError("exponent s must be nonnegative")
-    P = as_square(P)
-    if fro_norm(P - P.conj().T) > tol.residual_rel * max(1.0, fro_norm(P)):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, V = np.linalg.eigh(hermitian_part(P))
-    scale = float(np.abs(w).max())
-    if w[0] < -tol.residual_rel * scale:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    w = np.clip(w, 0.0, None)
-    if s == 0.0:
-        f = (w > tol.rank_rel * scale).astype(float)
-    else:
-        f = np.power(w, s)
-    return hermitian_part(V @ (f[:, None] * V.conj().T))

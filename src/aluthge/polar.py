@@ -16,6 +16,7 @@ from math import inf
 import numpy as np
 
 from .linalg import (
+    _DENSE_MAX,
     DEFAULT_TOL,
     CheckReport,
     Tolerances,
@@ -23,6 +24,7 @@ from .linalg import (
     as_square,
     hermitian_part,
     op_norm,
+    rank_cut,
     spectral_radius,
 )
 
@@ -78,8 +80,8 @@ class PolarFactors:
     """One SVD A = W diag(s) Qh of a square matrix; every polar quantity of A derives from it.
 
     ``matrix`` is the coerced A that was factored. ``rank`` counts
-    singular values above ``rank_rel`` times the largest; the others are
-    the cut values.
+    singular values above :func:`~aluthge.linalg.rank_cut`, ``rank_rel``
+    times the largest; the others are the cut values.
     """
 
     matrix: np.ndarray
@@ -137,16 +139,16 @@ class PolarFactors:
 
 
 def polar_factors(A, tol: Tolerances = DEFAULT_TOL) -> PolarFactors:
-    """Factor a square matrix once, A = W diag(s) Qh, with the rank cut of ``tol``.
+    """Factor a square matrix once, A = W diag(s) Qh, keeping the singular values above ``rank_cut(s, rank_rel)``.
 
     Given the factors of A, returns them as they are unless ``tol`` cuts their ``s`` at another rank.
     """
     if isinstance(A, PolarFactors):
-        rank = int(np.count_nonzero(A.s > tol.rank_rel * A.s[0]))
+        rank = int(np.count_nonzero(A.s > rank_cut(A.s, tol.rank_rel)))
         return A if rank == A.rank else replace(A, rank=rank)
     A = as_square(A)
     W, s, Qh = np.linalg.svd(A)
-    rank = int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    rank = int(np.count_nonzero(s > rank_cut(s, tol.rank_rel)))
     return PolarFactors(matrix=A, W=W, s=s, Qh=Qh, rank=rank)
 
 
@@ -187,11 +189,19 @@ def aluthge_iterate(A, n: int, tol: Tolerances = DEFAULT_TOL) -> AluthgeTrajecto
 
     The norm sequence is nonincreasing and bounded below by the
     spectral radius of A. One SVD per step gives both the next iterate
-    and the norm of the current one.
+    and the norm of the current one. All n + 1 iterates are kept, so
+    more than 2**25 complex entries ((n + 1) * m * m for an m x m input)
+    raise ``ValueError`` before the first step.
     """
     A = as_square(A)
     if n < 1:
         raise ValueError("iteration count n must be at least 1")
+    m = A.shape[0]
+    if (n + 1) * m * m > _DENSE_MAX:
+        raise ValueError(
+            f"trajectory has {n + 1} iterates of size {m}x{m} ({(n + 1) * m * m} entries), "
+            f"above the {_DENSE_MAX} a trajectory may hold"
+        )
     iterates = [A]
     norms = []
     for _ in range(n):

@@ -27,6 +27,7 @@ from .linalg import (
     fro_norm,
     min_hermitian_eigenvalue,
     op_norm,
+    rank_cut,
     singular_values,
 )
 from .polar import PolarFactors, polar_factors
@@ -141,7 +142,7 @@ def block_identity_check(A, B, p: float, tol: Tolerances = DEFAULT_TOL) -> Check
         # Zero singular values of the block are pure roundoff dust and would
         # dominate the comparison for p < 1; cut them on both sides alike.
         sz, sa, sb = singular_values(Z), singular_values(A), singular_values(B)
-        cutoff = tol.rank_rel * max(sz[0], sa[0], sb[0])
+        cutoff = rank_cut(sz, tol.rank_rel, max(sa[0], sb[0]))
         lhs = _lp(sz[sz > cutoff], p) ** p
         rhs = _lp(sa[sa > cutoff], p) ** p + _lp(sb[sb > cutoff], p) ** p
     rel = abs(lhs - rhs) / max(lhs, rhs, np.finfo(float).tiny)

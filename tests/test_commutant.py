@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from aluthge.commutant import (
-    _BASIS_MAX,
     _KRONECKER_MAX,
     CommutantBasis,
     Lifts,
+    _block_null_vectors,
     _combination_residual,
     _dense_lifts,
     _kronecker_commutant,
@@ -43,7 +43,7 @@ from aluthge.generate import (
     similarity_pair,
     well_conditioned,
 )
-from aluthge.linalg import DEFAULT_TOL, Tolerances, adjoint, fro_norm, hermitian_part, op_norm
+from aluthge.linalg import _DENSE_MAX, DEFAULT_TOL, Tolerances, adjoint, fro_norm, hermitian_part, op_norm
 from aluthge.polar import (
     MODE_PARTIAL,
     aluthge,
@@ -302,6 +302,62 @@ def block_shape(lifts, b):
     return lifts.left[i].shape[1], lifts.right[j].shape[1]
 
 
+def assert_kronecker_is_textbook(A, B):
+    """commutant_basis(A, B) is, bit for bit, the right singular vectors of
+    sylvester_matrix(A, B) with singular values at most rank_rel * s[0],
+    unvectorized column-major. Returns the nullity."""
+    _, s, Vh = np.linalg.svd(sylvester_matrix(A, B))
+    expected = [v.reshape((B.shape[0], A.shape[0])).T for v in Vh[s <= DEFAULT_TOL.rank_rel * s[0]].conj()]
+    cb = commutant_basis(A, B)
+    assert cb.nullity == len(expected) == len(cb.basis)
+    for X, Y in zip(cb.basis, expected):
+        np.testing.assert_array_equal(X, Y)
+    return cb.nullity
+
+
+class TestKroneckerRoute:
+    """The route the Schur route is checked against is the textbook one."""
+
+    @pytest.mark.parametrize("gen", [normal_pair, invertible_fp_pair, similarity_pair])
+    def test_equals_the_textbook_formula_on_small_ensembles(self, gen):
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            for _ in range(5):
+                assert_kronecker_is_textbook(*gen(rng, n))
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_equals_the_textbook_formula_up_to_the_crossover(self, n):
+        rng = np.random.default_rng(90 + n)
+        pairs = [pair for pair, _ in benchmark_pairs(rng, n)] + [jordan_pair(rng, n, n // 2, n // 4)[:2]]
+        for A, B in pairs:
+            assert A.shape[0] * B.shape[0] <= _KRONECKER_MAX
+            assert assert_kronecker_is_textbook(A, B) >= 1
+
+
+def diagonal_block(t, d):
+    """(diag(0, t), [[d]]), whose L = diag(-d, t - d) has the singular values t - d and d."""
+    return np.diag([0.0, t]).astype(complex), np.array([[d]], dtype=complex)
+
+
+class TestBlockNullVectors:
+    def test_cut_follows_a_block_norm_above_the_bound(self):
+        # With bound 1 the cut is rank_rel * ||L||_2 = 1e-9, which keeps
+        # d = 5e-10 as a null value; rank_rel * bound would be 1e-10.
+        (Z,) = _block_null_vectors([diagonal_block(10.0, 5e-10)], DEFAULT_TOL.rank_rel, 1.0)
+        assert Z.shape == (1, 2, 1)
+        np.testing.assert_allclose(np.abs(Z[0]), [[1.0], [0.0]], atol=1e-12)
+
+    def test_cut_is_taken_per_block(self):
+        # One stacked call, d = 5e-9 in both: null only in the block with ||L||_2 = 1000.
+        blocks = [diagonal_block(10.0, 5e-9), diagonal_block(1000.0, 5e-9)]
+        assert [len(Z) for Z in _block_null_vectors(blocks, DEFAULT_TOL.rank_rel)] == [0, 1]
+
+    def test_bound_above_the_block_norm_raises_the_cut(self):
+        block = diagonal_block(10.0, 5e-9)
+        assert len(_block_null_vectors([block], DEFAULT_TOL.rank_rel)[0]) == 0
+        assert len(_block_null_vectors([block], DEFAULT_TOL.rank_rel, 100.0)[0]) == 1
+
+
 class TestCommutantRoutes:
     """The Schur-cluster route reproduces the Kronecker oracle."""
 
@@ -453,10 +509,10 @@ class TestCommutantRoutes:
         # 24 x 24: 55296 entries, refused only once the cap is below that.
         rng = np.random.default_rng(65)
         ((A, B), nullity), _ = benchmark_pairs(rng, 24)
-        assert nullity * 24 * 24 == 55296 <= _BASIS_MAX
-        monkeypatch.setattr("aluthge.commutant._BASIS_MAX", 55296)
+        assert nullity * 24 * 24 == 55296 <= _DENSE_MAX
+        monkeypatch.setattr("aluthge.commutant._DENSE_MAX", 55296)
         assert len(commutant_basis(A, B).basis) == nullity
-        monkeypatch.setattr("aluthge.commutant._BASIS_MAX", 55295)
+        monkeypatch.setattr("aluthge.commutant._DENSE_MAX", 55295)
         # The solve keeps the elements as factors, and the verdict checks them
         # so; the cap refuses only the dense basis, where it is lifted.
         cb = commutant_basis(A, B)
@@ -911,11 +967,11 @@ class TestComInclusion:
         assert rev.com_dim == 4 and rev.witness is not None
 
     def test_shape_mismatch(self, monkeypatch):
-        def no_solve(A, B):
+        def no_solve(*args):
             raise AssertionError("the commutant was solved")
 
         # the spaces are compared before Com(A1, B1) is solved
-        monkeypatch.setattr("aluthge.commutant.sylvester_matrix", no_solve)
+        monkeypatch.setattr("aluthge.commutant._block_null_vectors", no_solve)
         with pytest.raises(ValueError, match="mismatched"):
             com_inclusion(np.eye(2), np.eye(2), np.eye(3), np.eye(2))
         with pytest.raises(ValueError, match="mismatched"):

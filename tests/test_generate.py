@@ -69,17 +69,17 @@ def test_invertible_fp_draw_solves_once_per_attempt(monkeypatch):
     # checked attempt solves its commutant exactly once.
     generate_module = import_module("aluthge.generate")  # the package attribute is the function
     counts = {"solve": 0, "basis": 0}
-    solve, basis = commutant_module.sylvester_matrix, generate_module.commutant_basis
+    solve, basis = commutant_module._block_null_vectors, generate_module.commutant_basis
 
-    def counted_solve(A, B):
+    def counted_solve(blocks, *args):
         counts["solve"] += 1
-        return solve(A, B)
+        return solve(blocks, *args)
 
     def counted_basis(A, B, tol):
         counts["basis"] += 1
         return basis(A, B, tol)
 
-    monkeypatch.setattr(commutant_module, "sylvester_matrix", counted_solve)
+    monkeypatch.setattr(commutant_module, "_block_null_vectors", counted_solve)
     monkeypatch.setattr(generate_module, "commutant_basis", counted_basis)
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 4, 5):

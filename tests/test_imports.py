@@ -2,7 +2,8 @@
 
 Every name a module exports must resolve, and every module-level import
 must be used or re-exported, so a deletion cannot leave a stale name
-behind.
+behind. Every SVD is taken in one of a few named functions, so a new
+private factorization shows up here.
 """
 
 import ast
@@ -38,3 +39,39 @@ def test_module_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = set(getattr(import_module(_module_name(path)), "__all__", []))
     assert sorted(imported - used - exported) == []
+
+
+# The functions that may call an SVD: the polar factors, the singular values,
+# the commutant block solver and the reducing-subspace check.
+SVD_SITES = [
+    "commutant._block_null_vectors",
+    "commutant.reduces_check",
+    "linalg.singular_values",
+    "polar.polar_factors",
+]
+
+
+def _calls_by_function(tree: ast.AST, name: str) -> list[str]:
+    """The enclosing function of every call to a function called ``name`` (``<module>`` outside any)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == name:
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_svd_is_called_only_in_its_named_sites():
+    sites = [
+        f"{path.stem}.{owner}"
+        for path in SOURCES
+        for owner in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")), "svd")
+    ]
+    assert sorted(sites) == SVD_SITES

@@ -239,6 +239,13 @@ class TestCli:
         assert len(doc["norms"]) == 5
         assert doc["radius"] == pytest.approx(1.0)
 
+    def test_oversized_trajectory_is_usage_error(self, cube_root_file, monkeypatch, capsys):
+        monkeypatch.setattr("aluthge.polar._DENSE_MAX", 19)
+        assert main(["aluthge", cube_root_file, "--iterate", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "5 iterates of size 2x2 (20 entries)" in captured.err
+
     def test_aluthge_full_needs_iterate(self, cube_root_file, capsys):
         # Without --iterate there are no iterates for --full to include.
         assert main(["aluthge", cube_root_file, "--full"]) == 2
@@ -376,7 +383,7 @@ class TestCli:
         Q = np.linalg.qr(ginibre(np.random.default_rng(0), 24))[0]
         A = Q @ (np.repeat(np.arange(1.0, 7.0), 4)[:, None] * Q.conj().T)
         write_matrices(tmp_path / "pair.json", {"A": A, "B": A})
-        monkeypatch.setattr("aluthge.commutant._BASIS_MAX", 55295)
+        monkeypatch.setattr("aluthge.commutant._DENSE_MAX", 55295)
         assert main(["commutant", str(tmp_path / "pair.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")

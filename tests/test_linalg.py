@@ -17,11 +17,12 @@ from aluthge.linalg import (
     hermitian_part,
     min_hermitian_eigenvalue,
     op_norm,
-    psd_power,
+    rank_cut,
     singular_values,
     spectral_radius,
 )
 from aluthge.schatten import aluthge_intertwiner_bound, exact_intertwiner_transfer
+from psd_reference import psd_power
 
 
 class TestValidation:
@@ -172,6 +173,27 @@ class TestPsdPower:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="semidefinite"):
             psd_power(np.diag([1.0, -1.0]), 0.5)
+
+
+class TestRankCut:
+    S = np.array([4.0, 1.0, 0.0])
+
+    def test_bound_below_the_largest_value(self):
+        assert rank_cut(self.S, 0.5, 2.0) == 2.0
+
+    def test_bound_equal_to_the_largest_value(self):
+        assert rank_cut(self.S, 0.5, 4.0) == 2.0
+
+    def test_bound_above_the_largest_value(self):
+        assert rank_cut(self.S, 0.5, 8.0) == 4.0
+
+    def test_default_bound_is_relative_to_the_largest_value(self):
+        assert rank_cut(self.S, 1e-10) == 1e-10 * 4.0
+
+    def test_zero_matrix_keeps_nothing(self):
+        s = singular_values(np.zeros((3, 3)))
+        assert rank_cut(s, 1e-10) == 0.0
+        assert not (s > rank_cut(s, 1e-10)).any()
 
 
 class TestSingularValues:

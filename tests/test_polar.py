@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aluthge.generate import ginibre, random_unitary
-from aluthge.linalg import Tolerances, hermitian_part, op_norm, psd_power
+from aluthge.linalg import Tolerances, hermitian_part, op_norm
 from aluthge.polar import (
     MODE_PARTIAL,
     MODE_UNITARY,
@@ -16,6 +16,7 @@ from aluthge.polar import (
     polar_factors,
     product_polar_check,
 )
+from psd_reference import psd_power
 
 SQRT5 = np.sqrt(5.0)
 CUBE_ROOT_A = np.array([[0.0, 1.0], [-1.0, -1.0]], dtype=complex)
@@ -306,6 +307,22 @@ class TestAluthgeIterate:
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError, match="at least 1"):
             aluthge_iterate(JORDAN, 0)
+
+    def test_refuses_oversized_trajectory(self, monkeypatch):
+        # Five iterates of 2 x 2 hold 20 entries, refused only once the cap
+        # is below that, and before the first step factors anything.
+        monkeypatch.setattr("aluthge.polar._DENSE_MAX", 20)
+        assert len(aluthge_iterate(JORDAN, 4).iterates) == 5
+        monkeypatch.setattr("aluthge.polar._DENSE_MAX", 19)
+        monkeypatch.setattr("aluthge.polar.polar_factors", lambda *args: pytest.fail("the iteration started"))
+        with pytest.raises(ValueError, match="5 iterates of size 2x2 \\(20 entries\\), above the 19"):
+            aluthge_iterate(JORDAN, 4)
+
+    def test_long_trajectory_is_refused_at_the_default_cap(self, monkeypatch):
+        # 100001 iterates of 64 x 64 would hold 6.6 GB; the refusal comes first.
+        monkeypatch.setattr("aluthge.polar.polar_factors", lambda *args: pytest.fail("the iteration started"))
+        with pytest.raises(ValueError, match="100001 iterates of size 64x64 \\(409604096 entries\\)"):
+            aluthge_iterate(np.eye(64), 100000)
 
 
 class TestProductPolar:

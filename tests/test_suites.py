@@ -108,13 +108,13 @@ def test_example_fp_fail_solves_each_pair_once(monkeypatch):
     # One solve of Com(A, A) gives the verdict and the witness projection;
     # the transformed pair needs its own.
     calls = []
-    solve = commutant_module.sylvester_matrix
+    solve = commutant_module._block_null_vectors
 
-    def counted(A, B):
-        calls.append(A.shape)
-        return solve(A, B)
+    def counted(blocks, *args):
+        calls.extend(T.shape for T, _ in blocks)
+        return solve(blocks, *args)
 
-    monkeypatch.setattr(commutant_module, "sylvester_matrix", counted)
+    monkeypatch.setattr(commutant_module, "_block_null_vectors", counted)
     assert run_suite("example_fp_fail", seed=0, trials=1).passed
     assert len(calls) == 2
 
@@ -122,13 +122,13 @@ def test_example_fp_fail_solves_each_pair_once(monkeypatch):
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_each_pair_solved_once_per_case(suite_id, monkeypatch):
     solved = []
-    solve = commutant_module.sylvester_matrix
+    solve = commutant_module._block_null_vectors
 
-    def recorded(A, B):
-        solved.append((A.tobytes(), B.tobytes()))
-        return solve(A, B)
+    def recorded(blocks, *args):
+        solved.extend((T.tobytes(), S.tobytes()) for T, S in blocks)
+        return solve(blocks, *args)
 
-    monkeypatch.setattr(commutant_module, "sylvester_matrix", recorded)
+    monkeypatch.setattr(commutant_module, "_block_null_vectors", recorded)
     for case_id in range(8):
         solved.clear()
         SUITES[suite_id](np.random.default_rng([1, case_id]), DEFAULT_TOL)
