@@ -14,18 +14,11 @@ import os
 import sys
 from math import inf
 
-from .commutant import commutant_basis, fp_property
-from .generate import GenerationError
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, op_norm
+import numpy as np
+
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, op_norm, spectral_radius
 from .matrixio import dumps_document, read_matrices, read_matrix
-from .polar import MODE_PARTIAL, MODE_UNITARY, aluthge_iterate, aluthge_st, polar_decompose
-from .schatten import (
-    aluthge_commutator_bound,
-    aluthge_intertwiner_bound,
-    approx_commutator_bound,
-    schatten_norm,
-)
-from .suites import SUITE_IDS, run_suite
+from .polar import MODE_PARTIAL, MODE_UNITARY, _aluthge_steps, aluthge_iterate, aluthge_st, polar_decompose
 
 
 def _source(path: str):
@@ -41,7 +34,11 @@ def _read_named(path: str, names: tuple[str, ...]) -> dict:
 
 
 def _emit(doc, out: str | None) -> None:
-    text = dumps_document(doc) + "\n"
+    try:
+        text = dumps_document(doc) + "\n"
+    except ValueError as exc:
+        # The writer refuses only non-finite values.
+        raise OverflowError from exc
     if out is None:
         sys.stdout.write(text)
     else:
@@ -89,22 +86,29 @@ def _cmd_aluthge(args) -> int:
         raise ValueError("--iterate takes (0.5, 0.5) Aluthge iterates; --s and --t apply only without it")
     tol = _tolerances(args)
     M = read_matrix(_source(args.input))
-    if args.iterate is not None:
+    if args.iterate is None:
+        _emit(as_matrix(aluthge_st(M, args.s, args.t, tol)), args.out)
+    elif args.full:
         trajectory = aluthge_iterate(M, args.iterate, tol)
         doc = {
             "norms": trajectory.norms,
             "radius": trajectory.radius,
             "final": as_matrix(trajectory.iterates[-1]),
+            "iterates": [as_matrix(it) for it in trajectory.iterates],
         }
-        if args.full:
-            doc["iterates"] = [as_matrix(it) for it in trajectory.iterates]
         _emit(doc, args.out)
-        return 0
-    _emit(as_matrix(aluthge_st(M, args.s, args.t, tol)), args.out)
+    else:
+        # Only the last iterate is printed, so only the current one is held.
+        norms = []
+        for final, norm in _aluthge_steps(M, args.iterate, tol):
+            norms.append(norm)
+        _emit({"norms": norms, "radius": spectral_radius(M), "final": as_matrix(final)}, args.out)
     return 0
 
 
 def _cmd_commutant(args) -> int:
+    from .commutant import commutant_basis
+
     tol = _tolerances(args)
     mats = _read_named(args.input, ("A", "B"))
     cb = commutant_basis(mats["A"], mats["B"], tol)
@@ -121,6 +125,8 @@ def _cmd_commutant(args) -> int:
 
 
 def _cmd_fp_check(args) -> int:
+    from .commutant import fp_property
+
     tol = _tolerances(args)
     mats = _read_named(args.input, ("A", "B"))
     rep = fp_property(mats["A"], mats["B"], tol)
@@ -138,12 +144,16 @@ def _cmd_fp_check(args) -> int:
 
 
 def _cmd_schatten(args) -> int:
+    from .schatten import schatten_norm
+
     M = read_matrix(_source(args.input))
     _emit({"p": "inf" if args.p == inf else args.p, "norm": schatten_norm(M, args.p)}, args.out)
     return 0
 
 
 def _cmd_inequality(args) -> int:
+    from .schatten import aluthge_commutator_bound, aluthge_intertwiner_bound, approx_commutator_bound
+
     tol = _tolerances(args)
     if args.which == "lemma41":
         mats = _read_named(args.input, ("A", "X"))
@@ -173,20 +183,36 @@ def _cmd_inequality(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .generate import GenerationError
+    from .suites import run_suite
+
     tol = _tolerances(args)
-    report = run_suite(args.suite_id, args.seed, args.trials, tol)
+    try:
+        report = run_suite(args.suite_id, args.seed, args.trials, tol)
+    except GenerationError as exc:
+        raise ValueError(str(exc)) from exc
     _emit(report.to_doc(), args.out)
     return 0 if report.passed else 1
+
+
+class _SuiteIds:
+    """The registered suite ids, read from :mod:`aluthge.suites` only when argparse checks (``in``) or lists them."""
+
+    def __iter__(self):
+        from .suites import SUITE_IDS
+
+        return iter(SUITE_IDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aluthge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", nargs="?", default="-", help="input document path, or - for stdin")
-        p.add_argument("--out", default=None, help="write the result document here instead of stdout")
-        p.add_argument("--tol", type=float, default=None, help="residual tolerance override")
+    def add_common(p: argparse.ArgumentParser, default=lambda value: value, with_input: bool = True) -> None:
+        if with_input:
+            p.add_argument("input", nargs="?", default=default("-"), help="input document path, or - for stdin")
+        p.add_argument("--out", default=default(None), help="write the result document here instead of stdout")
+        p.add_argument("--tol", type=float, default=default(None), help="residual tolerance override")
 
     p_polar = sub.add_parser("polar", help="polar decomposition of one matrix")
     add_common(p_polar)
@@ -214,15 +240,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sch.add_argument("--p", type=float, required=True, help="order, 1 <= p <= inf")
     p_sch.set_defaults(func=_cmd_schatten)
 
+    def add_inequality(p: argparse.ArgumentParser, default=lambda value: value, with_input: bool = True) -> None:
+        add_common(p, default, with_input)
+        p.add_argument("--p", type=float, default=default(2.0))
+        p.add_argument("--delta", type=float, default=default(None))
+
+    # One parser per inequality, so that its input may come before or after its
+    # options. Options may also precede the name; they are parsed with their
+    # defaults, and the inequality's parser sets only what it is given.
     p_ineq = sub.add_parser("inequality", help="evaluate one of the norm inequalities")
-    p_ineq.add_argument("which", choices=("lemma41", "thm42", "moore"))
-    add_common(p_ineq)
-    p_ineq.add_argument("--p", type=float, default=2.0)
-    p_ineq.add_argument("--delta", type=float, default=None)
-    p_ineq.set_defaults(func=_cmd_inequality)
+    add_inequality(p_ineq, with_input=False)
+    p_ineq.set_defaults(func=_cmd_inequality, input="-")
+    which = p_ineq.add_subparsers(dest="which", required=True)
+    for name in ("lemma41", "thm42", "moore"):
+        add_inequality(which.add_parser(name), lambda value: argparse.SUPPRESS)
 
     p_suite = sub.add_parser("suite", help="run a registered verification suite")
-    p_suite.add_argument("suite_id", choices=SUITE_IDS, metavar="suite_id", help=", ".join(SUITE_IDS))
+    p_suite.add_argument("suite_id", choices=_SuiteIds(), metavar="suite_id", help="%(choices)s")
     p_suite.add_argument("--trials", type=int, default=100)
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--tol", type=float, default=None)
@@ -235,8 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OverflowError, RecursionError, OSError, GenerationError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (FloatingPointError, OverflowError):
+        # Every input is finite once read, so a value outside the double
+        # range anywhere in a command is a computation that overflowed.
+        print("error: the computation overflowed the double range", file=sys.stderr)
+        return 2
+    except (ValueError, RecursionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -184,6 +184,23 @@ def aluthge(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return aluthge_st(A, 0.5, 0.5, tol)
 
 
+def _aluthge_steps(A, n: int, tol: Tolerances = DEFAULT_TOL):
+    """Yield each iterate T_k of A, k = 0, ..., n, with its operator norm, holding only the current one.
+
+    One SVD per step gives both the next iterate and the norm of the
+    current one; the norm of T_n is its ``op_norm``. The count is checked
+    on the first ``next``.
+    """
+    if n < 1:
+        raise ValueError("iteration count n must be at least 1")
+    T = as_square(A)
+    for _ in range(n):
+        f = polar_factors(T, tol)
+        yield T, f.norm
+        T = f.transform(0.5, 0.5)
+    yield T, op_norm(T)
+
+
 def aluthge_iterate(A, n: int, tol: Tolerances = DEFAULT_TOL) -> AluthgeTrajectory:
     """First n iterated transforms of A with their operator norms.
 
@@ -194,22 +211,15 @@ def aluthge_iterate(A, n: int, tol: Tolerances = DEFAULT_TOL) -> AluthgeTrajecto
     raise ``ValueError`` before the first step.
     """
     A = as_square(A)
-    if n < 1:
-        raise ValueError("iteration count n must be at least 1")
     m = A.shape[0]
-    if (n + 1) * m * m > _DENSE_MAX:
+    # A count below 1 is refused by the first step.
+    if n >= 1 and (n + 1) * m * m > _DENSE_MAX:
         raise ValueError(
             f"trajectory has {n + 1} iterates of size {m}x{m} ({(n + 1) * m * m} entries), "
             f"above the {_DENSE_MAX} a trajectory may hold"
         )
-    iterates = [A]
-    norms = []
-    for _ in range(n):
-        f = polar_factors(iterates[-1], tol)
-        norms.append(f.norm)
-        iterates.append(f.transform(0.5, 0.5))
-    norms.append(op_norm(iterates[-1]))
-    return AluthgeTrajectory(iterates=iterates, norms=norms, radius=spectral_radius(A))
+    iterates, norms = zip(*_aluthge_steps(A, n, tol))
+    return AluthgeTrajectory(iterates=list(iterates), norms=list(norms), radius=spectral_radius(A))
 
 
 def product_polar_check(T, S, tol: Tolerances = DEFAULT_TOL) -> CheckReport:

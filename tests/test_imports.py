@@ -75,3 +75,60 @@ def test_svd_is_called_only_in_its_named_sites():
         for owner in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")), "svd")
     ]
     assert sorted(sites) == SVD_SITES
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The package modules a source file imports outside any function body."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.ImportFrom) and child.level:
+                found.update([child.module] if child.module else [alias.name for alias in child.names])
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").startswith("aluthge"):
+                found.add(child.module)
+            elif isinstance(child, ast.Import):
+                found.update(alias.name for alias in child.names if alias.name.startswith("aluthge"))
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def _source(stem: str) -> ast.AST:
+    return ast.parse(next(path for path in SOURCES if path.stem == stem).read_text(encoding="utf-8"))
+
+
+def test_package_init_imports_no_submodule_and_names_each_export_once():
+    # Each export is written once, as a word of its module's entry in the table.
+    tree = _source("__init__")
+    assert _package_imports(tree) == set()
+    table = next(
+        node.value for node in tree.body if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_EXPORTS"
+    )
+    in_table = {id(node) for node in ast.walk(table)}
+    listed = [
+        word
+        for entry in table.values
+        for node in ast.walk(entry)
+        if isinstance(node, ast.Constant)
+        for word in node.value.split()
+    ]
+    elsewhere = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and id(node) not in in_table}
+    elsewhere |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exports = import_module("aluthge").__all__
+    assert sorted(listed) == sorted(exports)
+    assert elsewhere.isdisjoint(exports)
+
+
+def test_cli_imports_only_parse_and_emit_modules_up_front():
+    # Every other module is imported by the command that runs it.
+    assert _package_imports(_source("cli")) == {"linalg", "matrixio", "polar"}
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from aluthge import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(import_module("aluthge").__all__)

@@ -25,7 +25,8 @@ from aluthge.matrixio import (
     write_matrices,
     write_matrix,
 )
-from aluthge.suites import CaseFailure, SuiteReport
+from aluthge.polar import aluthge_iterate
+from aluthge.suites import SUITE_IDS, CaseFailure, SuiteReport
 
 
 class TestMatrixIO:
@@ -241,10 +242,37 @@ class TestCli:
 
     def test_oversized_trajectory_is_usage_error(self, cube_root_file, monkeypatch, capsys):
         monkeypatch.setattr("aluthge.polar._DENSE_MAX", 19)
-        assert main(["aluthge", cube_root_file, "--iterate", "4"]) == 2
+        assert main(["aluthge", cube_root_file, "--iterate", "4", "--full"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
         assert "5 iterates of size 2x2 (20 entries)" in captured.err
+
+    def test_iterate_without_full_holds_one_iterate(self, cube_root_file, monkeypatch, capsys):
+        # Without --full only the last iterate is printed, so only it is kept
+        # and the trajectory cap does not apply.
+        expected = run_cli(["aluthge", cube_root_file, "--iterate", "4"], capsys)
+        monkeypatch.setattr("aluthge.polar._DENSE_MAX", 19)
+        assert run_cli(["aluthge", cube_root_file, "--iterate", "4"], capsys) == expected
+        assert expected[0] == 0 and len(json.loads(expected[1])["norms"]) == 5
+
+    def test_iterate_zero_is_usage_error(self, cube_root_file, capsys):
+        for flags in ([], ["--full"]):
+            assert run_cli(["aluthge", cube_root_file, "--iterate", "0", *flags], capsys) == (
+                2,
+                "",
+                "error: iteration count n must be at least 1\n",
+            )
+
+    def test_streamed_iterates_equal_the_trajectory(self, cube_root_file, capsys):
+        code, out, err = run_cli(["aluthge", cube_root_file, "--iterate", "6"], capsys)
+        streamed = json.loads(out)
+        code_full, out_full, _ = run_cli(["aluthge", cube_root_file, "--iterate", "6", "--full"], capsys)
+        full = json.loads(out_full)
+        assert (code, code_full, err) == (0, 0, "")
+        assert streamed == {key: full[key] for key in ("norms", "radius", "final")}
+        trajectory = aluthge_iterate(read_matrix(cube_root_file), 6)
+        assert streamed["norms"] == trajectory.norms
+        np.testing.assert_array_equal(matrix_from_doc(streamed["final"]), trajectory.iterates[-1])
 
     def test_aluthge_full_needs_iterate(self, cube_root_file, capsys):
         # Without --iterate there are no iterates for --full to include.
@@ -356,7 +384,7 @@ class TestCli:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("aluthge.cli.fp_property", exhausted)
+        monkeypatch.setattr("aluthge.commutant.fp_property", exhausted)
         assert main(["fp-check", pair_file]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
@@ -407,6 +435,32 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["suite", "nope"])
         assert exc.value.code == 2
+
+    def test_suite_ids_are_listed(self, capsys):
+        # The parser reads the ids from the suites only when it checks or prints them.
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope' (choose from " + ", ".join(map(repr, SUITE_IDS)) in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--help"])
+        assert exc.value.code == 0
+        listed = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(SUITE_IDS) in listed
+
+    @pytest.mark.parametrize("which, options", [("lemma41", []), ("thm42", []), ("moore", ["--delta", "5"])])
+    def test_inequality_input_before_or_after_options(self, tmp_path, capsys, which, options):
+        path = str(tmp_path / "abx.json")
+        X = np.array([[1.0, 0.5], [2.0, 0.0]])
+        write_matrices(path, {"A": np.diag([4.0, 1.0]), "B": np.diag([1.0, 2.0]), "X": X})
+        expected = run_cli(["inequality", which, path, "--p", "3", *options], capsys)
+        assert expected[0] in (0, 1) and expected[2] == ""
+        assert run_cli(["inequality", which, path], capsys) != expected, "the options take effect"
+        for argv in (
+            ["inequality", which, "--p", "3", *options, path],
+            ["inequality", "--p", "3", *options, which, path],
+        ):
+            assert run_cli(argv, capsys) == expected
 
     def test_suite_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -531,13 +585,36 @@ class TestCliWriter:
     def test_non_finite_output_refused_like_stdlib(self, cli_inputs, monkeypatch, capsys, argv, target, result):
         argv = [str(cli_inputs / arg) if arg.endswith(".json") else arg for arg in argv]
         path = cli_inputs / "out.json"
-        monkeypatch.setattr(f"aluthge.cli.{target}", lambda *args, **kwargs: result)
+        # The CLI binds polar's names at import and looks up the others as the command runs.
+        owner = {"schatten_norm": "aluthge.schatten", "aluthge_st": "aluthge.cli", "fp_property": "aluthge.commutant"}
+        monkeypatch.setattr(f"{owner[target]}.{target}", lambda *args, **kwargs: result)
         code, out, err = run_cli([*argv, "--out", str(path)], capsys)
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
         assert not path.exists()
         assert run_cli(argv, capsys) == (2, "", err)
         monkeypatch.setattr("aluthge.cli.dumps_document", stdlib_text)
         assert run_cli(argv, capsys) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv, matrices",
+        [
+            (["polar", "in.json"], {"": np.full((2, 2), 1e308)}),
+            (["schatten", "in.json", "--p", "1"], {"": np.full((2, 2), 1e308)}),
+            (["inequality", "thm42", "in.json", "--p", "3"], {"A": [[1e300]], "B": [[1.0]], "X": [[1.0]]}),
+            (["inequality", "lemma41", "in.json"], {"A": [[1e300]], "B": [[1e300]], "X": [[1e300]]}),
+            (["inequality", "thm42", "in.json"], {"A": [[1e300]], "B": [[1e300]], "X": [[1e300]]}),
+        ],
+        ids=["polar", "schatten", "thm42-p3", "lemma41", "thm42"],
+    )
+    def test_finite_input_whose_result_overflows(self, tmp_path, capsys, argv, matrices):
+        # Every entry is finite; a product or norm of them leaves the double range.
+        path = tmp_path / "in.json"
+        if "" in matrices:
+            write_matrix(path, matrices[""])
+        else:
+            write_matrices(path, {name: np.array(M) for name, M in matrices.items()})
+        argv = [str(path) if arg == "in.json" else arg for arg in argv]
+        assert run_cli(argv, capsys) == (2, "", "error: the computation overflowed the double range\n")
 
     def test_polar_of_entries_above_half_the_largest_double(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -594,5 +671,52 @@ def test_schur_route_does_not_import_scipy_sparse():
         assert cb.nullity == 12, cb.nullity
         assert "scipy.linalg" in sys.modules, "the Schur route ran"
         assert "scipy.sparse" not in sys.modules, "commutant_basis at n1 * n2 = 156"
+        """
+    )
+
+
+def test_import_loads_no_submodule():
+    # A name or submodule of the package loads its module on first access.
+    run_fresh(
+        """
+        import sys
+        from types import ModuleType
+        import aluthge
+        assert [name for name in sys.modules if name.startswith("aluthge.")] == [], "import aluthge"
+        assert aluthge.op_norm is sys.modules["aluthge.linalg"].op_norm
+        assert aluthge.polar is sys.modules["aluthge.polar"]
+        assert aluthge.schatten.schatten_norm is aluthge.schatten_norm
+        import aluthge.suites  # loads aluthge.generate, whose function keeps the package name
+        assert not isinstance(aluthge.generate, ModuleType)
+        assert aluthge.generate is sys.modules["aluthge.generate"].generate
+        """
+    )
+
+
+PARSE_AND_EMIT = {"aluthge", "aluthge.cli", "aluthge.linalg", "aluthge.matrixio", "aluthge.polar"}
+EVERY_MODULE = PARSE_AND_EMIT | {"aluthge.commutant", "aluthge.generate", "aluthge.schatten", "aluthge.suites"}
+
+
+COMMAND_MODULES = [
+    (["polar", "one.json"], PARSE_AND_EMIT),
+    (["aluthge", "one.json", "--iterate", "2"], PARSE_AND_EMIT),
+    (["schatten", "one.json", "--p", "2"], PARSE_AND_EMIT | {"aluthge.schatten"}),
+    (["inequality", "lemma41", "ax.json"], PARSE_AND_EMIT | {"aluthge.schatten"}),
+    (["commutant", "rect.json"], PARSE_AND_EMIT | {"aluthge.commutant"}),
+    (["fp-check", "rect.json"], PARSE_AND_EMIT | {"aluthge.commutant"}),
+    (["suite", "thm33", "--trials", "1"], EVERY_MODULE),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_command_loads_only_its_modules(cli_inputs, argv, modules):
+    argv = [str(cli_inputs / arg) if arg.endswith(".json") else arg for arg in argv]
+    run_fresh(
+        f"""
+        import sys
+        from aluthge.cli import main
+        assert main({argv!r}) in (0, 1)
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "aluthge")
+        assert loaded == {sorted(modules)!r}, loaded
         """
     )
