@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "commutant": (
         "CommutantBasis FpReport aluthge_intertwiner_map com_inclusion commutant_basis fp_property"
-        " intertwiner_polar_identities odd_root_unity_check power_intertwining_check reduces_check"
-        " semicircle_check squared_angular_criterion sylvester_matrix"
+        " intertwiner_polar_identities odd_root_unity_check power_intertwining_check semicircle_check"
+        " squared_angular_criterion"
     ),
     "generate": "KINDS GenerationError generate random_unitary",
     "linalg": (

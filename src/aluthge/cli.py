@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from math import inf
 
@@ -204,8 +205,20 @@ class _SuiteIds:
         return iter(SUITE_IDS)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument that reads as a negative number, as -inf, -nan or -1e+16, is an option's value.
+
+    argparse takes only -1 and -1.5 for numbers, and any other word that
+    starts with a dash for an option name.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)\Z", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="aluthge", description=__doc__)
+    parser = _Parser(prog="aluthge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, default=lambda value: value, with_input: bool = True) -> None:

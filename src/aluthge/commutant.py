@@ -7,9 +7,9 @@ only the pairs of eigenvalue groups that the two spectra may share
 (Bartels-Stewart; by Rosenblum's theorem the other pairs contribute
 nothing). On top of the basis sit the adjoint-intertwining
 (FP-property) verdict, subspace inclusion tests, the polar-part
-intertwining identities, the spectral tests on angular parts and a
-reducing subspace check. Each check takes an operator that it factors
-either as a matrix or as its :class:`~aluthge.polar.PolarFactors`.
+intertwining identities and the spectral tests on angular parts. Each
+check takes an operator that it factors either as a matrix or as its
+:class:`~aluthge.polar.PolarFactors`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .linalg import (
     Tolerances,
     adjoint,
     as_intertwiner,
-    as_matrix,
     as_square,
     fro_norm,
     op_norm,
@@ -37,7 +36,6 @@ from .polar import PolarFactors, polar_factors
 __all__ = [
     "CommutantBasis",
     "FpReport",
-    "sylvester_matrix",
     "commutant_basis",
     "fp_property",
     "com_inclusion",
@@ -47,7 +45,6 @@ __all__ = [
     "squared_angular_criterion",
     "semicircle_check",
     "odd_root_unity_check",
-    "reduces_check",
 ]
 
 
@@ -155,15 +152,6 @@ class FpReport:
     max_residual: float
     threshold: float
     com_dim: int
-
-
-def sylvester_matrix(A, B) -> np.ndarray:
-    """Kronecker linearization L with L vec(X) = vec(AX - XB).
-
-    vec is column-major, so L = I (x) A - B^T (x) I with shape
-    (n1 n2, n1 n2) for A of size n1 and B of size n2.
-    """
-    return _sylvester_blocks(as_square(A)[None], as_square(B)[None])[0]
 
 
 # Pairs with n1 * n2 up to this size take the Kronecker SVD. From 144 on
@@ -285,7 +273,7 @@ def _block_null_vectors(
     """Orthonormal solutions Z of T Z = Z S for every block (T, S), in the order given.
 
     Each is a (count, m, k) stack read, column-major, from the right
-    singular vectors of L = sylvester_matrix(T, S) whose singular values
+    singular vectors of L = I (x) T - S^T (x) I whose singular values
     s are at most ``rank_cut(s, rank_rel, bound)``, that is
     ``rank_rel * max(||L||_2, bound)``: ``bound`` is a bound on ||L||_2
     that the caller holds for every block, or 0 for none.
@@ -310,8 +298,10 @@ def _block_null_vectors(
 
 
 def _sylvester_blocks(T: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """:func:`sylvester_matrix` of every (T[p], S[p]) of a (p, m, m) and a (p, k, k) stack.
+    """Kronecker linearization of every (T[p], S[p]) of a (p, m, m) and a (p, k, k) stack.
 
+    L vec(Z) = vec(T Z - Z S) with vec column-major, so block p is
+    L = I (x) T[p] - S[p]^T (x) I, of shape (m k, m k).
     Entry (b m + a, d m + c) of block p is T[p, a, c] [b = d] - S[p, d, b] [a = c],
     set by indexed assignment into a (p, k, m, k, m) array.
     """
@@ -906,56 +896,3 @@ def odd_root_unity_check(U, V, n0: int, tol: Tolerances = DEFAULT_TOL) -> bool:
     k = 2 * n0 + 1
     threshold = tol.residual_rel * k
     return all(op_norm(np.linalg.matrix_power(M, k) - np.eye(M.shape[0])) <= threshold for M in pair)
-
-
-def reduces_check(A, X, side: str = "range", tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-    """Does range(X) (or the orthogonal complement of ker X) reduce A?
-
-    The subspace comes from a rank-revealing SVD of X. Reduction means
-    invariance under both A and A*; the report additionally carries a
-    normality flag and the spectrum of the compressed restriction, which
-    is the finite-dimensional content available for comparing the two
-    restrictions of an intertwined pair.
-    """
-    A = as_square(A)
-    X = as_matrix(X)
-    n = A.shape[0]
-    if side == "range":
-        if X.shape[0] != n:
-            raise ValueError("range side: X must have as many rows as A")
-    elif side == "kernel_complement":
-        if X.shape[1] != n:
-            raise ValueError("kernel_complement side: X must have as many columns as A")
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    W, s, Vh = np.linalg.svd(X)
-    keep = s > rank_cut(s, tol.rank_rel)
-    Q = W[:, : len(s)][:, keep] if side == "range" else Vh[keep].conj().T
-    rank = Q.shape[1]
-    proj_out = np.eye(n) - Q @ Q.conj().T
-    r_a = op_norm(proj_out @ (A @ Q)) if rank else 0.0
-    r_astar = op_norm(proj_out @ (adjoint(A) @ Q)) if rank else 0.0
-    norm = op_norm(A)
-    threshold = tol.residual_rel * max(1.0, norm)
-    reduces = bool(max(r_a, r_astar) <= threshold)
-    if rank:
-        restriction = Q.conj().T @ A @ Q
-        r_normal = fro_norm(restriction @ adjoint(restriction) - adjoint(restriction) @ restriction)
-        spectrum = np.sort_complex(np.linalg.eigvals(restriction))
-    else:
-        r_normal = 0.0
-        spectrum = np.zeros(0, dtype=complex)
-    thr_normal = tol.residual_rel * max(1.0, norm**2)
-    return CheckReport(
-        ok=reduces,
-        max_residual=max(r_a, r_astar),
-        threshold=threshold,
-        details={
-            "rank": rank,
-            "invariance_residual": r_a,
-            "adjoint_invariance_residual": r_astar,
-            "restriction_normal": bool(r_normal <= thr_normal),
-            "restriction_normality_residual": r_normal,
-            "restriction_spectrum": spectrum,
-        },
-    )

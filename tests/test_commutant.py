@@ -26,10 +26,8 @@ from aluthge.commutant import (
     intertwiner_polar_identities,
     odd_root_unity_check,
     power_intertwining_check,
-    reduces_check,
     semicircle_check,
     squared_angular_criterion,
-    sylvester_matrix,
 )
 from aluthge.generate import (
     KIND_INVERTIBLE_FP,
@@ -65,16 +63,33 @@ def combo(rng, basis):
     return X / fro_norm(X)
 
 
+def kronecker_matrix(A, B) -> np.ndarray:
+    """The textbook linearization of X -> AX - XB, vec column-major: I (x) A - B^T (x) I.
+
+    It shares no code with the solver, which builds its blocks by
+    indexed assignment (``_sylvester_blocks``).
+    """
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    return np.kron(np.eye(len(B)), A) - np.kron(B.T, np.eye(len(A)))
+
+
+def one_block(A, B) -> np.ndarray:
+    """The solver's linearization of the single pair (A, B)."""
+    return _sylvester_blocks(np.asarray(A, dtype=complex)[None], np.asarray(B, dtype=complex)[None])[0]
+
+
 class TestSylvesterMatrix:
+    """The solver's Kronecker blocks against the textbook formula."""
+
     def test_scalar_zero(self):
-        np.testing.assert_array_equal(sylvester_matrix([[0.0]], [[0.0]]), [[0.0]])
+        np.testing.assert_array_equal(one_block([[0.0]], [[0.0]]), [[0.0]])
 
     def test_scalars(self):
-        np.testing.assert_allclose(sylvester_matrix([[5.0]], [[3.0]]), [[2.0]])
+        np.testing.assert_allclose(one_block([[5.0]], [[3.0]]), [[2.0]])
 
     def test_diagonal_formula(self):
         # entrywise action is a_j - b_k
-        L = sylvester_matrix(np.diag([1.0, 2.0]), [[3.0]])
+        L = one_block(np.diag([1.0, 2.0]), [[3.0]])
         np.testing.assert_allclose(L, np.diag([-2.0, -1.0]))
 
     def test_matches_vec_action(self):
@@ -83,7 +98,7 @@ class TestSylvesterMatrix:
         for _ in range(10):
             n1, n2 = rng.integers(1, 5, size=2)
             A, B, X = ginibre(rng, n1), ginibre(rng, n2), ginibre(rng, n1, n2)
-            L = sylvester_matrix(A, B)
+            L = one_block(A, B)
             lifted = (L @ X.reshape(-1, order="F")).reshape((n1, n2), order="F")
             scale = max(n1, n2) * (fro_norm(A) + fro_norm(B)) * fro_norm(X)
             assert fro_norm(lifted - (A @ X - X @ B)) <= 10 * eps * scale
@@ -94,8 +109,7 @@ class TestSylvesterMatrix:
         A = rng.uniform(-2, 2, (n1, n1)) + 1j * rng.uniform(-2, 2, (n1, n1))
         B = rng.uniform(-2, 2, (n2, n2)) + 1j * rng.uniform(-2, 2, (n2, n2))
         A[0, 0], B[-1, -1] = -1.5 - 0.5j, -0.25 - 2.0j
-        oracle = np.kron(np.eye(n2), A) - np.kron(B.T, np.eye(n1))
-        np.testing.assert_array_equal(sylvester_matrix(A, B), oracle)
+        np.testing.assert_array_equal(one_block(A, B), kronecker_matrix(A, B))
 
     def test_stacked_blocks_match_one_at_a_time(self):
         rng = np.random.default_rng(1)
@@ -104,7 +118,7 @@ class TestSylvesterMatrix:
             L = _sylvester_blocks(T, S)
             assert L.shape == (3, m * k, m * k)
             for p in range(3):
-                np.testing.assert_array_equal(L[p], sylvester_matrix(T[p], S[p]))
+                np.testing.assert_array_equal(L[p], kronecker_matrix(T[p], S[p]))
 
 
 def brute_force_nullity(ev_a, ev_b):
@@ -304,9 +318,9 @@ def block_shape(lifts, b):
 
 def assert_kronecker_is_textbook(A, B):
     """commutant_basis(A, B) is, bit for bit, the right singular vectors of
-    sylvester_matrix(A, B) with singular values at most rank_rel * s[0],
+    kronecker_matrix(A, B) with singular values at most rank_rel * s[0],
     unvectorized column-major. Returns the nullity."""
-    _, s, Vh = np.linalg.svd(sylvester_matrix(A, B))
+    _, s, Vh = np.linalg.svd(kronecker_matrix(A, B))
     expected = [v.reshape((B.shape[0], A.shape[0])).T for v in Vh[s <= DEFAULT_TOL.rank_rel * s[0]].conj()]
     cb = commutant_basis(A, B)
     assert cb.nullity == len(expected) == len(cb.basis)
@@ -405,7 +419,7 @@ class TestCommutantRoutes:
         n, eps = 24, np.finfo(float).eps
 
         def agree(A, B):
-            s = np.linalg.svd(sylvester_matrix(A, B), compute_uv=False)
+            s = np.linalg.svd(kronecker_matrix(A, B), compute_uv=False)
             sep = s[s > DEFAULT_TOL.rank_rel * s[0]].min()
             return assert_routes_agree(A, B, gap_bound=1e-8 + 10 * eps * s[0] / sep)
 
@@ -434,7 +448,7 @@ class TestCommutantRoutes:
             moved[:5] += delta
             A, S1 = conjugated(rng, np.diag(ev))
             B, S2 = conjugated(rng, np.diag(moved))
-            s = np.linalg.svd(sylvester_matrix(A, B), compute_uv=False)
+            s = np.linalg.svd(kronecker_matrix(A, B), compute_uv=False)
             cut = DEFAULT_TOL.rank_rel * s[0]
             sep = s[s > cut].min()
             fast = assert_routes_agree(A, B, gap_bound=1e-8 + 10 * eps * s[0] / sep)
@@ -599,6 +613,13 @@ class TestResidualNorms:
         A = np.diag([1e308, 1.0]).astype(complex)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
             _residual_norms(A, np.eye(2), _dense_lifts([10.0 * np.eye(2)]))
+
+    def test_rejects_overflowing_full_block(self):
+        # R* M R overflows, so the parts of the full block hold an infinity.
+        M = np.full((2, 2), 1e308, dtype=complex)
+        R = np.full((2, 1), np.sqrt(0.5), dtype=complex)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^matrix entries must be finite"):
+            _residual_norms(M, np.eye(1), Lifts([R], [np.eye(1)], [(0, 0, None)]))
 
 
 def mixed_normal_pair(rng, n):
@@ -1057,6 +1078,11 @@ class TestPowerIntertwining:
         with pytest.raises(ValueError, match="intertwine"):
             power_intertwining_check(A, B, ginibre(rng, 3), 2.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_rejects_nonpositive_power(self, p):
+        with pytest.raises(ValueError, match="^power p must be positive$"):
+            power_intertwining_check(np.eye(2), np.eye(2), np.eye(2), p)
+
 
 class TestAluthgeIntertwinerMap:
     def test_forward_lands_in_transformed_commutant(self):
@@ -1154,53 +1180,6 @@ class TestOddRootUnity:
         failing = polar_decompose(np.array([[0.0, 1.0], [-1.0, -1.0]])).angular
         for U, holds in ((np.diag([w, w**2]), True), (failing, False)):
             assert odd_root_unity_check(U, U, 1) is odd_root_unity_check(U, U.copy(), 1) is holds
-
-
-class TestReducesCheck:
-    def test_full_space_reflects_normality(self):
-        rng = np.random.default_rng(16)
-        ev = rng.uniform(0.4, 2.0, size=3) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=3))
-        Q = random_unitary(rng, 3)
-        A = Q @ (ev[:, None] * Q.conj().T)
-        rep = reduces_check(A, np.eye(3))
-        assert rep.ok and rep.details["restriction_normal"]
-        rep2 = reduces_check(JORDAN, np.eye(2))
-        assert rep2.ok and not rep2.details["restriction_normal"]
-
-    def test_zero_intertwiner_vacuous(self):
-        rep = reduces_check(JORDAN, np.zeros((2, 2)))
-        assert rep.ok and rep.details["rank"] == 0
-
-    def test_normal_pair_member_reduces_with_matching_spectra(self):
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            A, B = (f.matrix for f in draw(KIND_NORMAL_PAIR, 4, rng)[:2])
-            X = combo(rng, commutant_basis(A, B).basis)
-            ra = reduces_check(A, X, "range")
-            rb = reduces_check(B, X, "kernel_complement")
-            assert ra.ok and ra.details["restriction_normal"]
-            assert rb.ok and rb.details["restriction_normal"]
-            sa = ra.details["restriction_spectrum"]
-            sb = rb.details["restriction_spectrum"]
-            assert sa.shape == sb.shape
-            np.testing.assert_allclose(sa, sb, atol=1e-7)
-
-    def test_rejects_unknown_side(self):
-        with pytest.raises(ValueError, match="side"):
-            reduces_check(JORDAN, np.eye(2), "diagonal")
-
-    def test_norm_of_a_is_taken_once(self, monkeypatch):
-        # One SVD of X, one norm per invariance residual and one of A, which
-        # both thresholds read.
-        rng = np.random.default_rng(18)
-        A, X = ginibre(rng, 4), ginibre(rng, 4, 2)
-        calls = count_svd_calls(monkeypatch)
-        rep = reduces_check(A, X)
-        assert len(calls) == 4 and rep.details["rank"] == 2
-        norm = op_norm(A)
-        assert rep.threshold == DEFAULT_TOL.residual_rel * max(1.0, norm)
-        r_normal = rep.details["restriction_normality_residual"]
-        assert rep.details["restriction_normal"] == (r_normal <= DEFAULT_TOL.residual_rel * max(1.0, norm**2))
 
 
 def assert_same_bits(a, b):

@@ -12,6 +12,7 @@ from aluthge.generate import (
     KIND_INVOLUTION,
     KIND_NORMAL_PAIR,
     KINDS,
+    GenerationError,
     draw,
     generate,
 )
@@ -40,6 +41,13 @@ def test_unknown_kind():
 def test_bad_size():
     with pytest.raises(ValueError, match="at least 1"):
         generate(KIND_INVOLUTION, 0, seed=0)
+
+
+def test_invertible_fp_draw_runs_out_of_separated_values():
+    # At n = 48 the shared pool needs 45 to 47 values 0.2 apart in one
+    # sector, which 500 random draws do not place.
+    with pytest.raises(GenerationError, match="^could not draw separated spectrum values$"):
+        draw(KIND_INVERTIBLE_FP, 48, np.random.default_rng(1))
 
 
 def test_involution_squares_to_identity():

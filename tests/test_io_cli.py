@@ -118,6 +118,14 @@ class TestMatrixIO:
         assert set(read_matrices(named)) == {"A"}
         assert not single.closed and not named.closed
 
+    def test_data_must_be_a_list(self):
+        with pytest.raises(ValueError, match=r"^field 'data' must be a list of \[re, im\] pairs$"):
+            matrix_from_doc({"rows": 1, "cols": 1, "data": {"0": [1.0, 0.0]}})
+
+    def test_named_collection_must_be_an_object(self):
+        with pytest.raises(ValueError, match="^expected a JSON object of named matrix documents$"):
+            read_matrices(io.StringIO(json.dumps([matrix_to_doc(np.eye(2))])))
+
     def test_doc_shape(self):
         doc = matrix_to_doc(np.array([[1.0 + 2.0j]]))
         assert doc == {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}
@@ -490,6 +498,28 @@ class TestCli:
         assert main(["fp-check", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, missing", [(["fp-check"], "['B']"), (["inequality", "thm42"], "['B', 'X']")])
+    def test_missing_matrix_is_usage_error(self, tmp_path, capsys, argv, missing):
+        write_matrices(tmp_path / "a.json", {"A": np.eye(2)})
+        expected = (2, "", f"error: missing matrices {missing} in input document\n")
+        assert run_cli([*argv, str(tmp_path / "a.json")], capsys) == expected
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["commutant", "--tol", "-1e+16"], "residual_rel must lie in [0, 1), got -1e+16"),
+            (["aluthge", "--s", "-inf"], "exponents s and t must be positive and finite"),
+            (["schatten", "--p", "-1.5E-07"], "p must be at least 1 (or inf)"),
+            (["inequality", "moore", "--delta", "-nan"], "delta must be finite and nonnegative"),
+        ],
+    )
+    def test_negative_number_words_are_option_values(self, tmp_path, capsys, argv, message):
+        # argparse alone reads only -1 and -1.5 as numbers; these were "expected one argument".
+        write_matrices(tmp_path / "named.json", {"A": np.eye(2), "B": np.eye(2), "X": np.eye(2)})
+        write_matrix(tmp_path / "one.json", np.eye(2))
+        path = tmp_path / ("one.json" if argv[0] in ("aluthge", "schatten") else "named.json")
+        assert run_cli([*argv, str(path)], capsys) == (2, "", f"error: {message}\n")
 
     def test_valid_extra_entry_is_accepted(self, tmp_path, capsys):
         write_matrices(tmp_path / "extra.json", {"A": np.eye(2), "B": np.eye(2), "X": np.ones((3, 1))})

@@ -131,6 +131,10 @@ class TestAluthgeCommutatorBound:
         assert not rep.hypotheses_ok
         assert not rep.details["self_adjoint"]
 
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="^X must have the same shape as A$"):
+            aluthge_commutator_bound(np.eye(2), np.eye(3), 2.0)
+
     @pytest.mark.parametrize("p", [1.0, 2.0, inf])
     def test_pd_ensemble(self, p):
         rng = np.random.default_rng(7)
@@ -209,6 +213,18 @@ class TestExactIntertwinerTransfer:
         with pytest.raises(ValueError, match="transformed intertwining"):
             exact_intertwiner_transfer(A, A, X)
 
+    def test_rejects_angular_root_not_positive_definite(self):
+        # A = -I: U = -I and |A| = I, so Re(U |A|^(1/2)) = -I.
+        with pytest.raises(ValueError, match=r"^hypothesis violated: Re\(U \|A\|\^\(1/2\)\) and Re\(V"):
+            exact_intertwiner_transfer(-np.eye(2), np.eye(2), np.eye(2))
+
+    def test_rejects_x_not_intertwining_angular_parts(self):
+        # U = diag(1, e^(i pi/4)) and V = I: U* X - X V = (e^(-i pi/4) - 1) X for X = e_1 e_0^T.
+        A = np.diag([1.0, np.exp(0.25j * np.pi)])
+        X = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^hypothesis violated: U\* X = X V does not hold"):
+            exact_intertwiner_transfer(A, np.eye(2), X)
+
 
 class TestApproxCommutatorBound:
     def test_delta_zero_exact_member(self):
@@ -249,6 +265,10 @@ class TestApproxCommutatorBound:
         A, X = ginibre(rng, 3), ginibre(rng, 3)
         with pytest.raises(ValueError, match="within delta"):
             approx_commutator_bound(A, X, 0.0)
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="^X must have the same shape as A$"):
+            approx_commutator_bound(np.eye(3), np.eye(2), 0.5)
 
 
 def _slack_verdict(rep, upper):

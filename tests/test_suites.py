@@ -8,10 +8,11 @@ import pytest
 
 import aluthge.commutant as commutant_module
 from aluthge.cli import main
+from aluthge.generate import GenerationError
 from aluthge.linalg import DEFAULT_TOL, Tolerances, op_norm
 from aluthge.matrixio import matrix_from_doc
 from aluthge.polar import aluthge
-from aluthge.suites import SUITE_IDS, SUITES, run_suite
+from aluthge.suites import SUITE_IDS, SUITES, _angular_transfer_case, run_suite
 
 EXPECTED_IDS = {
     "fuglede_putnam",
@@ -59,6 +60,14 @@ def test_unknown_suite():
 def test_bad_trials():
     with pytest.raises(ValueError, match="at least 1"):
         run_suite("prop29", seed=0, trials=0)
+
+
+def test_angular_transfer_case_without_an_accepted_pair():
+    def units(rng):
+        return np.exp(1j * rng.uniform(0.0, 1.0, size=2))
+
+    with pytest.raises(GenerationError, match="^no semicircle pair found$"):
+        _angular_transfer_case(np.random.default_rng(0), DEFAULT_TOL, units, lambda U, V: False, "semicircle")
 
 
 def test_report_document_is_deterministic():
