@@ -209,12 +209,17 @@ class _Parser(argparse.ArgumentParser):
     """An argument that reads as a negative number, as -inf, -nan or -1e+16, is an option's value.
 
     argparse takes only -1 and -1.5 for numbers, and any other word that
-    starts with a dash for an option name.
+    starts with a dash for an option name. An argument list it cannot
+    parse exits 2 with one ``error:`` line on stderr, without the usage
+    text, as every other input error does.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)\Z", re.I)
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

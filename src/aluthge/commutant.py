@@ -163,7 +163,7 @@ class FpReport:
 _KRONECKER_MAX = 144
 # Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
 _BLOCK_MAX = 4096
-# Complex entries per temporary array of the stacked residual check (8 MiB).
+# Complex entries per temporary array of the dense residual check (8 MiB).
 _RESIDUAL_CHUNK = 2**19
 # Seed of the Gaussian coefficients of the dense combination check, fixed so
 # that a verdict is reproducible.
@@ -220,11 +220,10 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     and involutive pairs land here, at no O((m k)^3) cost. Such a pair
     is a full block (:class:`Lifts`) whose elements r_a k_b* are never
     stored. Every other kept pair takes the SVD of its small Kronecker
-    block, which makes the rank decision with ``scale`` as the bound on
-    the block's norm; blocks of one shape share a stacked SVD call
-    (:func:`_block_null_vectors`), and only these blocks count against
-    the 4096-row cap. The lift is an isometry, so the lifts of one pair
-    are orthonormal. Lifts of different pairs are orthogonal when their
+    block, one SVD per block (:func:`_block_null_vectors`), which makes
+    the rank decision with ``scale`` as the bound on the block's norm;
+    only these blocks count against the 4096-row cap. The lift is an
+    isometry, so the lifts of one pair are orthonormal. Lifts of different pairs are orthogonal when their
     groups' invariant subspaces are, as for a normal pair;
     :func:`_cross_gram_bound` decides that from the small factors. Then
     the basis keeps every element as its factors, and only otherwise one
@@ -276,41 +275,30 @@ def _block_null_vectors(
     singular vectors of L = I (x) T - S^T (x) I whose singular values
     s are at most ``rank_cut(s, rank_rel, bound)``, that is
     ``rank_rel * max(||L||_2, bound)``: ``bound`` is a bound on ||L||_2
-    that the caller holds for every block, or 0 for none.
-    Blocks of one shape (m, k) share stacked SVD calls, each of at most
-    ``_BLOCK_MAX**2`` entries, so the peak memory stays that of the
-    largest single block.
+    that the caller holds for every block, or 0 for none. Each block
+    takes one SVD of its own.
     """
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for p, (T, S) in enumerate(blocks):
-        by_shape.setdefault((len(T), len(S)), []).append(p)
-    out: list[np.ndarray] = [np.empty(0)] * len(blocks)
-    for (m, k), members in by_shape.items():
-        step = max(1, _BLOCK_MAX**2 // (m * k) ** 2)
-        for start in range(0, len(members), step):
-            batch = members[start : start + step]
-            T = np.stack([blocks[p][0] for p in batch])
-            S = np.stack([blocks[p][1] for p in batch])
-            _, s, Vh = np.linalg.svd(_sylvester_blocks(T, S))
-            for p, sv, V in zip(batch, s, Vh):
-                out[p] = V[sv <= rank_cut(sv, rank_rel, bound)].conj().reshape((-1, k, m)).transpose(0, 2, 1)
+    out = []
+    for T, S in blocks:
+        _, s, Vh = np.linalg.svd(_sylvester_matrix(T, S))
+        out.append(Vh[s <= rank_cut(s, rank_rel, bound)].conj().reshape((-1, len(S), len(T))).transpose(0, 2, 1))
     return out
 
 
-def _sylvester_blocks(T: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Kronecker linearization of every (T[p], S[p]) of a (p, m, m) and a (p, k, k) stack.
+def _sylvester_matrix(T: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Kronecker linearization of the (m, m) T and the (k, k) S.
 
-    L vec(Z) = vec(T Z - Z S) with vec column-major, so block p is
-    L = I (x) T[p] - S[p]^T (x) I, of shape (m k, m k).
-    Entry (b m + a, d m + c) of block p is T[p, a, c] [b = d] - S[p, d, b] [a = c],
-    set by indexed assignment into a (p, k, m, k, m) array.
+    L vec(Z) = vec(T Z - Z S) with vec column-major, so
+    L = I (x) T - S^T (x) I, of shape (m k, m k).
+    Entry (b m + a, d m + c) is T[a, c] [b = d] - S[d, b] [a = c],
+    set by indexed assignment into a (k, m, k, m) array.
     """
-    p, m, k = T.shape[0], T.shape[1], S.shape[1]
-    L = np.zeros((p, k, m, k, m), dtype=complex)
+    m, k = len(T), len(S)
+    L = np.zeros((k, m, k, m), dtype=complex)
     b, a = np.arange(k), np.arange(m)
-    L[:, b, :, b, :] = T
-    L[:, :, a, :, a] -= S.transpose(0, 2, 1)
-    return L.reshape(p, k * m, k * m)
+    L[b, :, b, :] = T
+    L[:, a, :, a] -= S.T
+    return L.reshape(k * m, k * m)
 
 
 def _cross_gram_bound(lifts: Lifts) -> float:
@@ -523,12 +511,13 @@ def _residual_norms(M: np.ndarray, N: np.ndarray, lifts: Lifts) -> np.ndarray:
     R = I and K = I, as for a dense basis, P1 = M and S = N and the
     other two terms vanish: the one term is M X - X N itself.
 
-    The blocks of one shape (m, k, count) share batched products, with
-    the elements of a block side by side in one product per factor. A
-    dense block keeps one product per element, so its numbers are those
-    of M X - X N element by element. A temporary holds at most about
-    max(``_RESIDUAL_CHUNK``, n1 * n2) entries. Like :func:`fro_norm`, it
-    rejects a residual with a non-finite entry.
+    Each solved block takes its own three products, with its elements
+    side by side in one product per factor, and the full blocks of one
+    shape (m, k) share theirs. A dense block keeps one product per
+    element, so its numbers are those of M X - X N element by element,
+    and is checked in chunks of about ``_RESIDUAL_CHUNK`` entries (at
+    least one element). Like :func:`fro_norm`, it rejects a residual
+    with a non-finite entry.
     """
     n1, n2 = M.shape[0], N.shape[0]
     if not lifts.factored:
@@ -542,36 +531,29 @@ def _residual_norms(M: np.ndarray, N: np.ndarray, lifts: Lifts) -> np.ndarray:
     left, ia = _group_parts(M, lifts.left, right=False)
     right, jb = _group_parts(N, lifts.right, right=True)
     starts = np.cumsum([0] + lifts.counts())
-    by_shape: dict[tuple[int, ...], list[int]] = {}
     full: dict[tuple[int, int], list[int]] = {}
-    for b, (i, j, Z) in enumerate(lifts.blocks):
-        if Z is None:
-            full.setdefault((lifts.left[i].shape[1], lifts.right[j].shape[1]), []).append(b)
-        else:
-            by_shape.setdefault(Z.shape, []).append(b)
     norms = np.empty(starts[-1])
+    for b, (i, j, Z) in enumerate(lifts.blocks):
+        m, k = lifts.left[i].shape[1], lifts.right[j].shape[1]
+        if Z is None:
+            full.setdefault((m, k), []).append(b)
+            continue
+        P1, Pp = (part[ia[i]] for part in left[m])
+        S, Wp = (part[jb[j]] for part in right[k])
+        count = len(Z)
+        Zl = Z.transpose(1, 0, 2).reshape(m, count * k)
+        Zr = Z.reshape(count * m, k)
+        terms = [
+            (P1 @ Zl).reshape(m, count, k).transpose(1, 0, 2) - (Zr @ S).reshape(count, m, k),
+            (Pp @ Zl).reshape(n1, count, k).transpose(1, 0, 2),
+            Zr @ Wp,
+        ]
+        norms[starts[b] : starts[b + 1]] = _term_norms(terms, count)
     for (m, k), members in full.items():
         P1, Pp = (part[[ia[lifts.blocks[b][0]] for b in members]] for part in left[m])
         S, Wp = (part[[jb[lifts.blocks[b][1]] for b in members]] for part in right[k])
         for b, grid in zip(members, _full_block_norms(P1, Pp, S, Wp)):
             norms[starts[b] : starts[b] + m * k] = grid.reshape(-1)
-    for (count, m, k), members in by_shape.items():
-        P1, Pp = (part[[ia[lifts.blocks[b][0]] for b in members]] for part in left[m])
-        S, Wp = (part[[jb[lifts.blocks[b][1]] for b in members]] for part in right[k])
-        Z = np.stack([lifts.blocks[b][2] for b in members])
-        step = max(1, _RESIDUAL_CHUNK // (count * (m * k + n1 * k + m * n2)))
-        for start in range(0, len(members), step):
-            sel = slice(start, start + step)
-            g = len(members[sel])
-            Zl = Z[sel].transpose(0, 2, 1, 3).reshape(g, m, count * k)
-            Zr = Z[sel].reshape(g, count * m, k)
-            terms = [
-                (P1[sel] @ Zl).reshape(g, m, count, k).transpose(0, 2, 1, 3) - (Zr @ S[sel]).reshape(g, count, m, k),
-                (Pp[sel] @ Zl).reshape(g, n1, count, k).transpose(0, 2, 1, 3),
-                Zr @ Wp[sel],
-            ]
-            for b, row in zip(members[sel], _term_norms(terms, g * count).reshape(g, count)):
-                norms[starts[b] : starts[b] + count] = row
     return norms
 
 

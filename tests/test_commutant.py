@@ -17,7 +17,7 @@ from aluthge.commutant import (
     _residual_norms,
     _schur_commutant,
     _simple_eigenvectors,
-    _sylvester_blocks,
+    _sylvester_matrix,
     aluthge_intertwiner_map,
     basis_inclusion,
     com_inclusion,
@@ -67,15 +67,15 @@ def kronecker_matrix(A, B) -> np.ndarray:
     """The textbook linearization of X -> AX - XB, vec column-major: I (x) A - B^T (x) I.
 
     It shares no code with the solver, which builds its blocks by
-    indexed assignment (``_sylvester_blocks``).
+    indexed assignment (``_sylvester_matrix``).
     """
     A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     return np.kron(np.eye(len(B)), A) - np.kron(B.T, np.eye(len(A)))
 
 
 def one_block(A, B) -> np.ndarray:
-    """The solver's linearization of the single pair (A, B)."""
-    return _sylvester_blocks(np.asarray(A, dtype=complex)[None], np.asarray(B, dtype=complex)[None])[0]
+    """The solver's linearization of the pair (A, B)."""
+    return _sylvester_matrix(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
 class TestSylvesterMatrix:
@@ -110,15 +110,6 @@ class TestSylvesterMatrix:
         B = rng.uniform(-2, 2, (n2, n2)) + 1j * rng.uniform(-2, 2, (n2, n2))
         A[0, 0], B[-1, -1] = -1.5 - 0.5j, -0.25 - 2.0j
         np.testing.assert_array_equal(one_block(A, B), kronecker_matrix(A, B))
-
-    def test_stacked_blocks_match_one_at_a_time(self):
-        rng = np.random.default_rng(1)
-        for m, k in [(1, 1), (1, 2), (2, 1), (3, 2), (2, 4)]:
-            T, S = ginibre(rng, 3 * m, m).reshape(3, m, m), ginibre(rng, 3 * k, k).reshape(3, k, k)
-            L = _sylvester_blocks(T, S)
-            assert L.shape == (3, m * k, m * k)
-            for p in range(3):
-                np.testing.assert_array_equal(L[p], kronecker_matrix(T[p], S[p]))
 
 
 def brute_force_nullity(ev_a, ev_b):
@@ -362,7 +353,7 @@ class TestBlockNullVectors:
         np.testing.assert_allclose(np.abs(Z[0]), [[1.0], [0.0]], atol=1e-12)
 
     def test_cut_is_taken_per_block(self):
-        # One stacked call, d = 5e-9 in both: null only in the block with ||L||_2 = 1000.
+        # One call, d = 5e-9 in both: null only in the block with ||L||_2 = 1000.
         blocks = [diagonal_block(10.0, 5e-9), diagonal_block(1000.0, 5e-9)]
         assert [len(Z) for Z in _block_null_vectors(blocks, DEFAULT_TOL.rank_rel)] == [0, 1]
 
@@ -548,21 +539,21 @@ class TestCommutantRoutes:
         A, B, nullity = jordan_pair(np.random.default_rng(86), 16, 6, 9)
         assert assert_routes_agree(A, B).nullity == nullity
 
-    def test_mixed_block_shapes_share_one_solve(self, monkeypatch):
+    def test_mixed_block_shapes_solve_one_block_at_a_time(self, monkeypatch):
         A, B = mixed_solve_pair(np.random.default_rng(87))
         shapes = []
 
         def spy(T, S):
-            shapes.append((len(T), T.shape[1], S.shape[1]))
-            return _sylvester_blocks(T, S)
+            shapes.append((len(T), len(S)))
+            return _sylvester_matrix(T, S)
 
         # Only the Schur route runs under the spy: the Kronecker oracle builds
         # its matrix with the same function.
         with monkeypatch.context() as patched:
-            patched.setattr("aluthge.commutant._sylvester_blocks", spy)
+            patched.setattr("aluthge.commutant._sylvester_matrix", spy)
             _schur_commutant(A, B, DEFAULT_TOL)
         # The SVD blocks only: the four shared eigenvalues are full blocks.
-        assert sorted(shapes) == [(4, 1, 1), (4, 1, 2)]
+        assert sorted(shapes) == [(1, 1)] * 4 + [(1, 2)] * 4
         assert assert_routes_agree(A, B).nullity == 8
 
     def test_chained_eigenvalues_form_one_cluster(self):
@@ -576,24 +567,15 @@ class TestCommutantRoutes:
 
 
 def count_qr_calls(monkeypatch):
-    """Record every ``np.linalg.qr`` call from here on."""
-    return count_calls(monkeypatch, "qr")
-
-
-def count_svd_calls(monkeypatch):
-    """Record the shape of every ``np.linalg.svd`` call from here on, spectral norms included."""
-    return count_calls(monkeypatch, "svd")
-
-
-def count_calls(monkeypatch, name):
+    """Record the shape of every ``np.linalg.qr`` call from here on."""
     calls = []
-    factor = getattr(np.linalg, name)
+    qr = np.linalg.qr
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape)
-        return factor(*args, **kwargs)
+        return qr(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, spy)
+    monkeypatch.setattr(np.linalg, "qr", spy)
     return calls
 
 
@@ -890,7 +872,7 @@ class TestFullBlocks:
         ]
         for A, B in pairs:
             with monkeypatch.context() as patched:
-                patched.setattr("aluthge.commutant._sylvester_blocks", None)
+                patched.setattr("aluthge.commutant._sylvester_matrix", None)
                 fast = _schur_commutant(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex), DEFAULT_TOL)
             assert assert_routes_agree(A, B).nullity == fast.nullity
 
@@ -898,11 +880,11 @@ class TestFullBlocks:
     def test_involution_transform_takes_no_block_svd(self, n, monkeypatch):
         # The transform of an involution is unitary with eigenvalues +1 and -1:
         # two scalar groups on each side, so two full blocks and no QR.
+        # A block SVD would build its Kronecker matrix, and None refuses that.
         _, T, nullity = involution_pair(n)
-        calls = count_svd_calls(monkeypatch)
+        monkeypatch.setattr("aluthge.commutant._sylvester_matrix", None)
         rep = fp_property(T, T)
         assert rep.holds and rep.com_dim == nullity
-        assert calls and all(len(shape) == 2 for shape in calls)
 
     def test_multiplicity_above_the_block_cap_never_builds_the_dense_basis(self, monkeypatch):
         def refuse(*args):

@@ -521,6 +521,30 @@ class TestCli:
         path = tmp_path / ("one.json" if argv[0] in ("aluthge", "schatten") else "named.json")
         assert run_cli([*argv, str(path)], capsys) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "prop29", "--trials", "nan"],
+            ["suite", "nope"],
+            ["aluthge", "-", "--s", "-1e5x"],
+            ["polar", "--bogus"],
+            [],
+        ],
+        ids=["bad-int", "unknown-suite", "not-a-number", "unknown-option", "empty"],
+    )
+    def test_argparse_errors_are_one_error_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exited.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        captured = capsys.readouterr()
+        assert exited.value.code == 0 and captured.out.startswith("usage: aluthge") and captured.err == ""
+
     def test_valid_extra_entry_is_accepted(self, tmp_path, capsys):
         write_matrices(tmp_path / "extra.json", {"A": np.eye(2), "B": np.eye(2), "X": np.ones((3, 1))})
         assert main(["commutant", str(tmp_path / "extra.json")]) == 0
