@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         # range anywhere in a command is a computation that overflowed.
         print("error: the computation overflowed the double range", file=sys.stderr)
         return 2
-    except (ValueError, RecursionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

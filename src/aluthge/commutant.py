@@ -154,12 +154,14 @@ class FpReport:
     com_dim: int
 
 
-# Pairs with n1 * n2 up to this size take the Kronecker SVD. From 144 on
-# the Schur route is faster in process (one BLAS thread, normal pairs,
-# Kronecker against Schur: 7.3 against 2.1 ms at n = 12, 31 against 2.6 ms
-# at n = 16, 87 against 3.8 ms at n = 20), but it needs scipy, whose import
-# costs a process about 0.24 s once. At or below 144 the SVD stays under
-# about 10 ms, so every suite and CLI inputs up to n = 12 skip that import.
+# Pairs with n1 * n2 up to this size take the Kronecker SVD. Once scipy is
+# loaded the Schur route is the faster one in process, already at n = 8 (one
+# BLAS thread, normal pairs, Kronecker against Schur: 0.76 against 0.65 ms
+# at n = 8, 7.3 against 2.1 ms at n = 12, 87 against 3.8 ms at n = 20). The
+# crossover stands on the import: `import scipy.linalg` costs a process
+# 0.17-0.26 s and about 28 MB of peak RSS (27 to 55 MB after numpy) once,
+# while at or below 144 the Kronecker SVD stays under about 10 ms, so every
+# suite and CLI inputs up to n = 12 never pay it.
 _KRONECKER_MAX = 144
 # Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
 _BLOCK_MAX = 4096

@@ -7,11 +7,17 @@ A matrix document is JSON of the form::
 with ``data`` row-major and of length rows * cols. Collections of named
 matrices are JSON objects mapping names ("A", "B", "X", ...) to such
 documents. Round-trips are bit-exact for finite doubles.
+
+The readers refuse text whose arrays and objects nest more than 4 deep,
+the most a valid document needs (the object of named matrices, a matrix
+document, its data list, one pair), before the JSON decoder runs, so a
+deep document is refused whatever the depth of the caller's stack.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from contextlib import nullcontext
 from itertools import chain
 from typing import Any
@@ -147,10 +153,39 @@ def write_matrix(path_or_fp, M) -> None:
         fp.write("\n")
 
 
+# The nesting of arrays and objects that a valid document reaches.
+_MAX_DEPTH = 4
+
+
+def _nesting_depth(text: str) -> int:
+    """Deepest nesting of arrays and objects in JSON text; brackets within strings do not count."""
+    # Without its escape pairs (\", \\, ...), the only quotes left open and close strings.
+    if "\\" in text:
+        text = re.sub(r"\\.", "", text, flags=re.S)
+    # Non-ASCII characters encode to bytes >= 0x80, so every byte below is the character it reads.
+    b = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    quotes = np.flatnonzero(b == ord('"'))
+    folded = b | 0x20  # "[" -> "{" and "]" -> "}"; no other byte maps to either
+    brackets = (np.flatnonzero(folded == ord(c)) for c in "{}")
+    # Outside a string, an even number of quotes precedes a bracket.
+    opens, closes = (x[np.searchsorted(quotes, x) % 2 == 0] for x in brackets)
+    # The depth at the k-th opening bracket: k + 1 opened, less those closed before it.
+    return int((np.arange(1, opens.size + 1) - np.searchsorted(closes, opens)).max(initial=0))
+
+
+def _load(fp):
+    """Parse the JSON text of a stream, refusing nesting beyond ``_MAX_DEPTH``."""
+    text = fp.read()
+    depth = _nesting_depth(text)
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"JSON nested {depth} deep; a matrix document nests at most {_MAX_DEPTH} deep")
+    return json.loads(text)
+
+
 def read_matrix(path_or_fp) -> np.ndarray:
     """Read one matrix document from a path or text stream."""
     with _opened(path_or_fp, "r") as fp:
-        return matrix_from_doc(json.load(fp))
+        return matrix_from_doc(_load(fp))
 
 
 def write_matrices(path_or_fp, matrices: dict[str, Any]) -> None:
@@ -163,7 +198,7 @@ def write_matrices(path_or_fp, matrices: dict[str, Any]) -> None:
 def read_matrices(path_or_fp) -> dict[str, np.ndarray]:
     """Read named matrices from one JSON object."""
     with _opened(path_or_fp, "r") as fp:
-        doc = json.load(fp)
+        doc = _load(fp)
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object of named matrix documents")
     return {name: matrix_from_doc(sub) for name, sub in doc.items()}

@@ -210,8 +210,9 @@ def aluthge_intertwiner_bound(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) 
         ||T_A* X - X T_B||_p  >=  2 a ||  |A|^(1/2) X - X |B|^(1/2) ||_p.
 
     The same quantities are recomputed through the block embedding
-    diag(A, B) against [[0, X], [X*, 0]] and reported in ``details`` as
-    ``block_lhs`` / ``block_rhs``; both routes must agree.
+    diag(A, B) against [[0, X], [X*, 0]], scaled by 2^(-1/p), and
+    reported in ``details`` as ``block_lhs`` / ``block_rhs``; both
+    routes must agree.
     """
     fa, U, root_a, a_left = _polar_root(A, tol)
     fb, V, root_b, a_right = _polar_root(B, tol)
@@ -234,13 +235,12 @@ def aluthge_intertwiner_bound(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) 
     ft = polar_factors(T, tol)
     Tt = ft.transform(0.5, 0.5)
     root_t = ft.power(0.5)
-    num = schatten_norm(adjoint(Tt) @ Y - Y @ Tt, p)
-    den = schatten_norm(root_t @ Y - Y @ root_t, p)
-    if p == inf:
-        block_lhs, block_rhs = num, 2.0 * a * den
-    else:
-        block_lhs = (num**p / 2.0) ** (1.0 / p)
-        block_rhs = 2.0 * a * (den**p / 2.0) ** (1.0 / p)
+    # Each block commutator holds one corner and, up to sign, its adjoint, so its
+    # p-norm is 2^(1/p) times the corner's. Scaling the norm, not its p-th
+    # power, keeps a finite result finite; at p = inf the factor is 1.
+    half = 0.5 ** (1.0 / p)
+    block_lhs = half * schatten_norm(adjoint(Tt) @ Y - Y @ Tt, p)
+    block_rhs = 2.0 * a * half * schatten_norm(root_t @ Y - Y @ root_t, p)
     return InequalityReport(
         lhs=lhs,
         rhs=rhs,

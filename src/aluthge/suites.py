@@ -42,7 +42,7 @@ from .generate import (
     similarity_pair,
     well_conditioned,
 )
-from .linalg import DEFAULT_TOL, Tolerances, adjoint, fro_norm, hermitian_part, op_norm
+from .linalg import DEFAULT_TOL, CheckReport, Tolerances, adjoint, fro_norm, hermitian_part, op_norm
 from .matrixio import matrix_to_doc
 from .polar import (
     MODE_UNITARY,
@@ -52,6 +52,7 @@ from .polar import (
     product_polar_check,
 )
 from .schatten import (
+    InequalityReport,
     aluthge_commutator_bound,
     aluthge_intertwiner_bound,
     approx_commutator_bound,
@@ -59,17 +60,10 @@ from .schatten import (
     exact_intertwiner_transfer,
 )
 
-__all__ = ["CaseOutcome", "CaseFailure", "SuiteReport", "SUITE_IDS", "run_suite"]
+__all__ = ["CaseFailure", "SuiteReport", "SUITE_IDS", "run_suite"]
 
-
-@dataclass(frozen=True)
-class CaseOutcome:
-    """Result of one suite trial before aggregation."""
-
-    passed: bool
-    residual: float
-    threshold: float
-    inputs: dict[str, np.ndarray]
+# What a case runner returns: the report that decided the case, and the inputs it drew.
+_Case = tuple[CheckReport | InequalityReport, dict[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -107,19 +101,19 @@ def _combo(rng: np.random.Generator, basis: list[np.ndarray]) -> np.ndarray:
     return X / fro_norm(X)
 
 
-def _inclusion_outcome(reps: list[FpReport], inputs: dict[str, np.ndarray]) -> CaseOutcome:
+def _inclusion_outcome(reps: list[FpReport], inputs: dict[str, np.ndarray]) -> _Case:
     """Passes iff every inclusion holds; reports the one nearest to, or furthest past, its threshold."""
     decisive = max(reps, key=lambda r: r.max_residual - r.threshold)
-    return CaseOutcome(all(r.holds for r in reps), decisive.max_residual, decisive.threshold, inputs)
+    return CheckReport(all(r.holds for r in reps), decisive.max_residual, decisive.threshold), inputs
 
 
-def _case_fuglede_putnam(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_fuglede_putnam(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 7))
     fa, fb, cb = draw(KIND_NORMAL_PAIR, n, rng, tol=tol)
     return _inclusion_outcome([basis_inclusion(cb, fa.adjoint(), fb.adjoint(), tol)], {"A": fa.matrix, "B": fb.matrix})
 
 
-def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 6))
     fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     A, B = fa.matrix, fb.matrix
@@ -141,19 +135,19 @@ def _case_lemma21(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         and rep_out.ok
         and not rep_out.details["in_com"]
     )
-    return CaseOutcome(bool(passed), rep_in.max_residual, rep_in.threshold, {"A": A, "B": B, "X": X})
+    return CheckReport(bool(passed), rep_in.max_residual, rep_in.threshold), {"A": A, "B": B, "X": X}
 
 
-def _case_remark22(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_remark22(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 6))
     fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
     X = _combo(rng, cb.basis)
     p = float(rng.uniform(0.3, 2.5))
     rep = power_intertwining_check(fa, fb, X, p, tol)
-    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": fa.matrix, "B": fb.matrix, "X": X})
+    return rep, {"A": fa.matrix, "B": fb.matrix, "X": X}
 
 
-def _case_lemma23(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_lemma23(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 6))
     if rng.random() < 0.5:
         fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
@@ -171,10 +165,10 @@ def _case_lemma23(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     r_round = fro_norm(back - X)
     thr_round = tol.residual_rel * sqrt((sa[0] / sa[-1]) * (sb[0] / sb[-1]))
     passed = r_member <= thr_member and r_round <= thr_round
-    return CaseOutcome(bool(passed), max(r_member, r_round), max(thr_member, thr_round), {"A": A, "B": B, "X": X})
+    return CheckReport(bool(passed), max(r_member, r_round), max(thr_member, thr_round)), {"A": A, "B": B, "X": X}
 
 
-def _case_thm24(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_thm24(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 6))
     variant = int(rng.integers(3))
     if variant == 0:
@@ -187,10 +181,10 @@ def _case_thm24(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         fa, fb = (polar_factors(M, tol) for M in pair)
         cb = commutant_basis(fa.matrix, fb.matrix, tol)
     rep = basis_squared_angular(cb, fa, fb, tol)
-    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": fa.matrix, "B": fb.matrix})
+    return rep, {"A": fa.matrix, "B": fb.matrix}
 
 
-def _case_iterated_fp(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> CaseOutcome:
+def _case_iterated_fp(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> _Case:
     """The FP-property of an invertible pair survives each of ``steps`` iterated transforms."""
     n = int(rng.integers(2, n_hi))
     fa, fb, _ = draw(KIND_INVERTIBLE_FP, n, rng, tol=tol)
@@ -220,7 +214,7 @@ def _decisively_nonnormal(M: np.ndarray) -> bool:
 
 def _angular_transfer_case(
     rng: np.random.Generator, tol: Tolerances, units: Callable, accept: Callable, what: str
-) -> CaseOutcome:
+) -> _Case:
     """The FP-property holds before the transform iff after, for pairs whose angular parts ``accept`` takes."""
     variant = int(rng.integers(3))
     for _ in range(50):
@@ -242,12 +236,11 @@ def _angular_transfer_case(
     ta = fa.aluthge(tol)
     tb = ta if fb is fa else fb.aluthge(tol)
     after = fp_property(ta, tb, tol)
-    passed = before.holds == after.holds
     residual = max(before.max_residual, after.max_residual)
-    return CaseOutcome(bool(passed), residual, 0.0, {"A": fa.matrix, "B": fb.matrix})
+    return CheckReport(before.holds == after.holds, residual, 0.0), {"A": fa.matrix, "B": fb.matrix}
 
 
-def _case_cor27(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_cor27(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 5))
     center = float(rng.uniform(0.0, 2.0 * np.pi))
 
@@ -260,7 +253,7 @@ def _case_cor27(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     return _angular_transfer_case(rng, tol, units, accept, "semicircle")
 
 
-def _case_rem28(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_rem28(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 5))
     n0 = int(rng.integers(1, 4))
     k = 2 * n0 + 1
@@ -272,13 +265,13 @@ def _case_rem28(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     return _angular_transfer_case(rng, tol, units, partial(odd_root_unity_check, n0=n0, tol=tol), "odd-root")
 
 
-def _case_prop29(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_prop29(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(1, 6))
     A = involution(rng, n)
     rep = involution_angular_check(A, tol)
     # A passes only when it squares to I within 1e-12, the bar that draw(KIND_INVOLUTION) sets.
     passed = rep.ok and rep.details["involution_residual"] <= 1e-12
-    return CaseOutcome(passed, rep.max_residual, rep.threshold, {"A": A})
+    return CheckReport(passed, rep.max_residual, rep.threshold), {"A": A}
 
 
 _EXAMPLE_CUBE_ROOT = np.array([[0.0, 1.0], [-1.0, -1.0]], dtype=complex)
@@ -292,7 +285,7 @@ _EXPECTED_ANGULAR = (_SQRT5 / 5.0) * np.array([[-1.0, 2.0], [-2.0, -1.0]])
 _EXPECTED_ANGULAR_CUBED = (_SQRT5 / 25.0) * np.array([[11.0, -2.0], [2.0, 11.0]])
 
 
-def _case_example_a3(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_example_a3(rng: np.random.Generator, tol: Tolerances) -> _Case:
     A = _EXAMPLE_CUBE_ROOT
     parts = polar_decompose(A, MODE_UNITARY, tol)
     U = parts.angular
@@ -308,10 +301,10 @@ def _case_example_a3(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         and worst <= 1e-9
         and op_norm(U3 - np.eye(2)) > 0.1
     )
-    return CaseOutcome(bool(passed), worst, 1e-9, {"A": A})
+    return CheckReport(bool(passed), worst, 1e-9), {"A": A}
 
 
-def _case_example_fp_fail(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_example_fp_fail(rng: np.random.Generator, tol: Tolerances) -> _Case:
     A = _EXAMPLE_FP_FAIL
     f = polar_factors(A, tol)
     cb = commutant_basis(A, A, tol)
@@ -330,10 +323,10 @@ def _case_example_fp_fail(rng: np.random.Generator, tol: Tolerances) -> CaseOutc
         and inv.max_residual <= 1e-10
         and rep_t.holds
     )
-    return CaseOutcome(bool(passed), r_span, 1e-9 * fro_norm(_EXAMPLE_WITNESS), {"A": A})
+    return CheckReport(bool(passed), r_span, 1e-9 * fro_norm(_EXAMPLE_WITNESS)), {"A": A}
 
 
-def _case_thm31(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_thm31(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 6))
     kind = KIND_INVERTIBLE_FP if rng.random() < 0.5 else KIND_NORMAL_PAIR
     fa, fb, cb = draw(kind, n, rng, tol=tol)
@@ -343,7 +336,7 @@ def _case_thm31(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     return _inclusion_outcome([fwd, fwd_st], {"A": fa.matrix, "B": fb.matrix})
 
 
-def _case_iterated_commutants(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> CaseOutcome:
+def _case_iterated_commutants(rng: np.random.Generator, tol: Tolerances, n_hi: int, steps: int) -> _Case:
     """Com(A, B) equals the commutant of each of ``steps`` iterated transforms (invertible FP pairs).
 
     The solve of Com(A, B) that ``draw`` made serves every forward
@@ -378,7 +371,7 @@ def _corner_phase_instance(rng: np.random.Generator, n: int, a_target: float) ->
     return Q @ A @ Q.conj().T, Q @ X @ Q.conj().T
 
 
-def _case_lemma41(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_lemma41(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 6))
     p = float(rng.choice(_P_CHOICES))
     a_target = float(rng.uniform(0.5, 1.5))
@@ -394,10 +387,10 @@ def _case_lemma41(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         A = pd_min_eig(rng, n, a_target**2)
         X = hermitian_part(ginibre(rng, n))
         rep = aluthge_commutator_bound(A, X, p, tol)
-    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "X": X})
+    return rep, {"A": A, "X": X}
 
 
-def _case_thm42(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_thm42(rng: np.random.Generator, tol: Tolerances) -> _Case:
     na = int(rng.integers(1, 5))
     nb = int(rng.integers(1, 5))
     p = float(rng.choice(_P_CHOICES))
@@ -410,10 +403,10 @@ def _case_thm42(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
         abs(rep.lhs - rep.details["block_lhs"]) <= rep.threshold
         and abs(rep.rhs - rep.details["block_rhs"]) <= rep.threshold
     )
-    return CaseOutcome(bool(rep.ok and agree), rep.max_residual, rep.threshold, {"A": A, "B": B, "X": X})
+    return CheckReport(bool(rep.ok and agree), rep.max_residual, rep.threshold), {"A": A, "B": B, "X": X}
 
 
-def _case_cor44(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_cor44(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 6))
     sizes: list[int] = []
     remaining = n
@@ -432,10 +425,10 @@ def _case_cor44(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     X = Q @ M @ Q.conj().T
     f = polar_factors(A, tol)
     rep = exact_intertwiner_transfer(f, f, X, tol)
-    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "B": A, "X": X})
+    return rep, {"A": A, "B": A, "X": X}
 
 
-def _case_moore(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_moore(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 6))
     A = ginibre(rng, n)
     X = ginibre(rng, n)
@@ -443,13 +436,13 @@ def _case_moore(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
     root, U = f.power(0.5), f.angular()
     delta = max(op_norm(root @ X - X @ root), op_norm(adjoint(U) @ X - X @ U))
     rep = approx_commutator_bound(A, X, delta, tol)
-    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"A": A, "X": X})
+    return rep, {"A": A, "X": X}
 
 
 _BLOCK_P_CHOICES = (0.5, 1.0, 2.0, 3.0, 4.5, inf)
 
 
-def _case_block_identity(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_block_identity(rng: np.random.Generator, tol: Tolerances) -> _Case:
     while True:
         m, n_cols, k = (int(v) for v in rng.integers(1, 6, size=3))
         l = m + k - n_cols
@@ -459,7 +452,7 @@ def _case_block_identity(rng: np.random.Generator, tol: Tolerances) -> CaseOutco
     B = ginibre(rng, k, l)
     p = float(rng.choice(_BLOCK_P_CHOICES))
     rep = block_identity_check(A, B, p, tol)
-    return CaseOutcome(bool(rep.max_residual <= 1e-10), rep.max_residual, 1e-10, {"A": A, "B": B})
+    return CheckReport(bool(rep.max_residual <= 1e-10), rep.max_residual, 1e-10), {"A": A, "B": B}
 
 
 def _rank_deficient(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -468,7 +461,7 @@ def _rank_deficient(rng: np.random.Generator, n: int) -> np.ndarray:
     return random_unitary(rng, n) @ (s[:, None] * random_unitary(rng, n).conj().T)
 
 
-def _case_product_polar(rng: np.random.Generator, tol: Tolerances) -> CaseOutcome:
+def _case_product_polar(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(2, 6))
     variant = int(rng.integers(4))
     if variant == 0:
@@ -480,10 +473,10 @@ def _case_product_polar(rng: np.random.Generator, tol: Tolerances) -> CaseOutcom
     else:
         T, S = _rank_deficient(rng, n), well_conditioned(rng, n)
     rep = product_polar_check(T, S, tol)
-    return CaseOutcome(rep.ok, rep.max_residual, rep.threshold, {"T": T, "S": S})
+    return rep, {"T": T, "S": S}
 
 
-SUITES: dict[str, Callable[[np.random.Generator, Tolerances], CaseOutcome]] = {
+SUITES: dict[str, Callable[[np.random.Generator, Tolerances], _Case]] = {
     "fuglede_putnam": _case_fuglede_putnam,
     "lemma21": _case_lemma21,
     "remark22": _case_remark22,
@@ -515,7 +508,7 @@ def run_suite(suite_id: str, seed: int, trials: int, tol: Tolerances = DEFAULT_T
 
     Case k draws from ``default_rng([seed, k])``, so individual failures
     can be replayed in isolation. Failures are reported with their
-    serialized inputs, sorted by case id.
+    serialized inputs, in case order.
     """
     if suite_id not in SUITES:
         raise ValueError(f"unknown suite id {suite_id!r}; known: {', '.join(SUITE_IDS)}")
@@ -525,20 +518,18 @@ def run_suite(suite_id: str, seed: int, trials: int, tol: Tolerances = DEFAULT_T
     failures: list[CaseFailure] = []
     passed = 0
     for case_id in range(trials):
-        rng = np.random.default_rng([int(seed), case_id])
-        outcome = runner(rng, tol)
-        if outcome.passed:
+        report, inputs = runner(np.random.default_rng([int(seed), case_id]), tol)
+        if report.ok:
             passed += 1
         else:
             failures.append(
                 CaseFailure(
                     case_id=case_id,
-                    inputs={name: matrix_to_doc(M) for name, M in outcome.inputs.items()},
-                    residual=float(outcome.residual),
-                    expected_threshold=float(outcome.threshold),
+                    inputs={name: matrix_to_doc(M) for name, M in inputs.items()},
+                    residual=float(report.max_residual),
+                    expected_threshold=float(report.threshold),
                 )
             )
-    failures.sort(key=lambda f: f.case_id)
     return SuiteReport(
         suite_id=suite_id,
         seed=int(seed),

@@ -12,9 +12,11 @@ fails the property.
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -168,3 +170,23 @@ def test_every_input_keeps_the_exit_code_contract(case):
         json.loads(out, parse_constant=reject_constant)
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def line_tracer(frame, event, arg):
+    """A trace function that traces every line, as coverage tools install."""
+    return line_tracer
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("command", ["polar", "fp-check"])
+def test_deep_document_is_refused_by_its_depth(command, closed, traced):
+    # The refusal must not depend on the interpreter's stack, which a tracer deepens.
+    previous = sys.gettrace()
+    if traced:
+        sys.settrace(line_tracer)
+    try:
+        result = run([command, "-"], nested(100000, closed))
+    finally:
+        sys.settrace(previous)
+    assert result == (2, "", "error: JSON nested 100000 deep; a matrix document nests at most 4 deep\n")

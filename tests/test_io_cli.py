@@ -118,6 +118,28 @@ class TestMatrixIO:
         assert set(read_matrices(named)) == {"A"}
         assert not single.closed and not named.closed
 
+    @pytest.mark.parametrize(
+        "read, text, depth",
+        [
+            (read_matrix, "[" * 5, 5),
+            (read_matrix, '{"rows": 1, "cols": 1, "data": [[[[0.0]], 0.0]]}', 5),
+            (read_matrices, '{"A": {"rows": 1, "cols": 1, "data": [[[0.0], 0.0]]}}', 5),
+            (read_matrices, "[" * 200000 + "]" * 200000, 200000),
+        ],
+    )
+    def test_nesting_beyond_a_document_refused_before_parsing(self, read, text, depth):
+        message = f"^JSON nested {depth} deep; a matrix document nests at most 4 deep$"
+        with pytest.raises(ValueError, match=message):
+            read(io.StringIO(text))
+
+    def test_brackets_and_quotes_within_strings_do_not_nest(self):
+        # Names holding brackets, escaped quotes and backslashes, in a document 4 deep.
+        names = ['[[[[{{{{', '"[[[[[', '\\"[[[[[', '\\\\', 'ü[[[[[\\']
+        text = json.dumps({name: matrix_to_doc(np.eye(2)) for name in names})
+        assert list(read_matrices(io.StringIO(text))) == names
+        text = json.dumps({name: matrix_to_doc(np.eye(2)) for name in names}, ensure_ascii=False)
+        assert list(read_matrices(io.StringIO(text))) == names
+
     def test_data_must_be_a_list(self):
         with pytest.raises(ValueError, match=r"^field 'data' must be a list of \[re, im\] pairs$"):
             matrix_from_doc({"rows": 1, "cols": 1, "data": {"0": [1.0, 0.0]}})
@@ -654,7 +676,7 @@ class TestCliWriter:
         [
             (["polar", "in.json"], {"": np.full((2, 2), 1e308)}),
             (["schatten", "in.json", "--p", "1"], {"": np.full((2, 2), 1e308)}),
-            (["inequality", "thm42", "in.json", "--p", "3"], {"A": [[1e300]], "B": [[1.0]], "X": [[1.0]]}),
+            (["inequality", "thm42", "in.json", "--p", "3"], {"A": [[1e300]], "B": [[1e300]], "X": [[1e300]]}),
             (["inequality", "lemma41", "in.json"], {"A": [[1e300]], "B": [[1e300]], "X": [[1e300]]}),
             (["inequality", "thm42", "in.json"], {"A": [[1e300]], "B": [[1e300]], "X": [[1e300]]}),
         ],
@@ -669,6 +691,18 @@ class TestCliWriter:
             write_matrices(path, {name: np.array(M) for name, M in matrices.items()})
         argv = [str(path) if arg == "in.json" else arg for arg in argv]
         assert run_cli(argv, capsys) == (2, "", "error: the computation overflowed the double range\n")
+
+    def test_thm42_block_cross_check_of_a_finite_result_is_finite(self, tmp_path, capsys):
+        # lhs = 1e300 and rhs = 2e150 are finite; the block route must not pass
+        # through their cubes, which leave the double range.
+        path = tmp_path / "in.json"
+        write_matrices(path, {"A": np.array([[1e300]]), "B": np.array([[1.0]]), "X": np.array([[1.0]])})
+        code, out, err = run_cli(["inequality", "thm42", str(path), "--p", "3"], capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["lhs"] == pytest.approx(1e300, rel=1e-12) and doc["rhs"] == pytest.approx(2e150, rel=1e-12)
+        assert doc["details"]["block_lhs"] == pytest.approx(doc["lhs"], rel=1e-12, abs=0.0)
+        assert doc["details"]["block_rhs"] == pytest.approx(doc["rhs"], rel=1e-12, abs=0.0)
 
     def test_polar_of_entries_above_half_the_largest_double(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -5,6 +5,7 @@ from math import inf, sqrt
 import numpy as np
 import pytest
 
+from aluthge.commutant import commutant_basis
 from aluthge.generate import ginibre, pd_min_eig, random_unitary
 from aluthge.linalg import adjoint, fro_norm, hermitian_part, op_norm
 from aluthge.schatten import (
@@ -174,6 +175,29 @@ class TestAluthgeIntertwinerBound:
             scale = max(1.0, rep.lhs, rep.rhs)
             assert abs(rep.lhs - rep.details["block_lhs"]) <= 1e-9 * scale
             assert abs(rep.rhs - rep.details["block_rhs"]) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_bound_with_intertwined_angular_parts(self, seed):
+        # U = Q diag(e^(i theta)) Q* and V shares k of U*'s eigenvalues, so
+        # U* X = X V has nonzero solutions X while U and V are far from I.
+        rng = np.random.default_rng([42, seed])
+        n1, n2 = (int(n) for n in rng.integers(2, 6, size=2))
+        k = int(rng.integers(1, min(n1, n2) + 1))
+        p = float(rng.choice([1.0, 2.0, 3.0, inf]))
+        theta = rng.uniform(-0.6, 0.6, size=n1)
+        phi = np.concatenate([-theta[:k], rng.uniform(-0.6, 0.6, size=n2 - k)])
+        Q, R = random_unitary(rng, n1), random_unitary(rng, n2)
+        U = Q @ (np.exp(1j * theta)[:, None] * adjoint(Q))
+        V = R @ (np.exp(1j * phi)[:, None] * adjoint(R))
+        A = U @ pd_min_eig(rng, n1, 1.0)
+        B = V @ pd_min_eig(rng, n2, 1.0)
+        basis = commutant_basis(adjoint(U), V).basis
+        assert len(basis) == k
+        X = sum((rng.standard_normal() + 1j * rng.standard_normal()) * E for E in basis)
+        rep = aluthge_intertwiner_bound(A, B, X, p)
+        assert rep.hypotheses_ok and rep.ok
+        assert rep.details["block_lhs"] == pytest.approx(rep.lhs, rel=1e-12, abs=0.0)
+        assert rep.details["block_rhs"] == pytest.approx(rep.rhs, rel=1e-12, abs=0.0)
 
     def test_hypotheses_flag_without_intertwining_angulars(self):
         rng = np.random.default_rng(9)
