@@ -155,13 +155,18 @@ def _cmd_schatten(args) -> int:
 def _cmd_inequality(args) -> int:
     from .schatten import aluthge_commutator_bound, aluthge_intertwiner_bound, approx_commutator_bound
 
+    if args.which == "moore" and args.p is not None:
+        raise ValueError("--p applies only to lemma41 and thm42; moore bounds the operator norm")
+    if args.which != "moore" and args.delta is not None:
+        raise ValueError(f"--delta applies only to moore, not to {args.which}")
     tol = _tolerances(args)
+    p = 2.0 if args.p is None else args.p
     if args.which == "lemma41":
         mats = _read_named(args.input, ("A", "X"))
-        rep = aluthge_commutator_bound(mats["A"], mats["X"], args.p, tol)
+        rep = aluthge_commutator_bound(mats["A"], mats["X"], p, tol)
     elif args.which == "thm42":
         mats = _read_named(args.input, ("A", "B", "X"))
-        rep = aluthge_intertwiner_bound(mats["A"], mats["B"], mats["X"], args.p, tol)
+        rep = aluthge_intertwiner_bound(mats["A"], mats["B"], mats["X"], p, tol)
     else:
         if args.delta is None:
             raise ValueError("inequality moore requires --delta")
@@ -226,11 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aluthge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, default=lambda value: value, with_input: bool = True) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, default=lambda value: value, with_input: bool = True, with_tol: bool = True
+    ) -> None:
         if with_input:
             p.add_argument("input", nargs="?", default=default("-"), help="input document path, or - for stdin")
         p.add_argument("--out", default=default(None), help="write the result document here instead of stdout")
-        p.add_argument("--tol", type=float, default=default(None), help="residual tolerance override")
+        if with_tol:
+            p.add_argument("--tol", type=float, default=default(None), help="residual tolerance override")
 
     p_polar = sub.add_parser("polar", help="polar decomposition of one matrix")
     add_common(p_polar)
@@ -254,14 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fp.set_defaults(func=_cmd_fp_check)
 
     p_sch = sub.add_parser("schatten", help="Schatten p-norm of one matrix")
-    add_common(p_sch)
+    # The norm is exact up to roundoff and judges nothing, so it takes no tolerance.
+    add_common(p_sch, with_tol=False)
     p_sch.add_argument("--p", type=float, required=True, help="order, 1 <= p <= inf")
     p_sch.set_defaults(func=_cmd_schatten)
 
     def add_inequality(p: argparse.ArgumentParser, default=lambda value: value, with_input: bool = True) -> None:
         add_common(p, default, with_input)
-        p.add_argument("--p", type=float, default=default(2.0))
-        p.add_argument("--delta", type=float, default=default(None))
+        p.add_argument("--p", type=float, default=default(None), help="order for lemma41 and thm42 (default 2)")
+        p.add_argument("--delta", type=float, default=default(None), help="commutator bound for moore")
 
     # One parser per inequality, so that its input may come before or after its
     # options. Options may also precede the name; they are parsed with their

@@ -159,9 +159,9 @@ class FpReport:
 # BLAS thread, normal pairs, Kronecker against Schur: 0.76 against 0.65 ms
 # at n = 8, 7.3 against 2.1 ms at n = 12, 87 against 3.8 ms at n = 20). The
 # crossover stands on the import: `import scipy.linalg` costs a process
-# 0.17-0.26 s and about 28 MB of peak RSS (27 to 55 MB after numpy) once,
-# while at or below 144 the Kronecker SVD stays under about 10 ms, so every
-# suite and CLI inputs up to n = 12 never pay it.
+# 0.21-0.25 s (12 runs, after numpy) and about 28 MB of peak RSS (27 to
+# 55 MB after numpy) once, while at or below 144 the Kronecker SVD stays
+# under about 10 ms, so every suite and CLI inputs up to n = 12 never pay it.
 _KRONECKER_MAX = 144
 # Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
 _BLOCK_MAX = 4096
@@ -507,19 +507,23 @@ def _residual_norms(M: np.ndarray, N: np.ndarray, lifts: Lifts) -> np.ndarray:
     are isometries, so ||M X - X N||^2 = ||P1 Z - Z S||^2 + ||Pp Z||^2 +
     ||Z Wp||^2 exactly. Each term is the norm of a matrix of its own, not
     a difference of squares, which would cancel exactly where the
-    residual is small. The parts of a group cost O(n^2 m) once
-    (:func:`_group_parts`), an element O(m k (m + k + n1 + n2)), and an
-    element of a full block O(1) (:func:`_full_block_norms`). With
-    R = I and K = I, as for a dense basis, P1 = M and S = N and the
-    other two terms vanish: the one term is M X - X N itself.
-
-    Each solved block takes its own three products, with its elements
-    side by side in one product per factor, and the full blocks of one
-    shape (m, k) share theirs. A dense block keeps one product per
-    element, so its numbers are those of M X - X N element by element,
-    and is checked in chunks of about ``_RESIDUAL_CHUNK`` entries (at
-    least one element). Like :func:`fro_norm`, it rejects a residual
-    with a non-finite entry.
+    residual is small. The parts of all groups of one side come from one
+    block-diagonal compression (:func:`_group_parts`), and block (i, j)
+    reads its groups' slices of them. A solved block takes its own three
+    products, with its elements side by side in one product per factor,
+    an element costing O(m k (m + k + n1 + n2)). An element r_a k_b* of a
+    full block takes no product: with Z = e_a e_b^T the three terms come
+    to five, the squares of column a of P1 off its diagonal, of Pp e_a,
+    of row b of S off its diagonal, of e_b^T Wp, and |P1[a, a] -
+    S[b, b]|^2. The first two belong to column a and the next two to row
+    b, so they are summed once per side for every column and row. They
+    are squares of distinct entries, so nothing cancels. With R = I and
+    K = I, as for a dense basis, P1 = M and S = N and the other two terms
+    vanish: the one term is M X - X N itself. A dense block keeps one
+    product per element, so its numbers are those of M X - X N element by
+    element, and is checked in chunks of about ``_RESIDUAL_CHUNK``
+    entries (at least one element). Like :func:`fro_norm`, it rejects a
+    residual with a non-finite entry.
     """
     n1, n2 = M.shape[0], N.shape[0]
     if not lifts.factored:
@@ -530,56 +534,30 @@ def _residual_norms(M: np.ndarray, N: np.ndarray, lifts: Lifts) -> np.ndarray:
             chunk = X[start : start + step]
             norms[start : start + len(chunk)] = _term_norms([M @ chunk - chunk @ N], len(chunk))
         return norms
-    left, ia = _group_parts(M, lifts.left, right=False)
-    right, jb = _group_parts(N, lifts.right, right=True)
-    starts = np.cumsum([0] + lifts.counts())
-    full: dict[tuple[int, int], list[int]] = {}
-    norms = np.empty(starts[-1])
-    for b, (i, j, Z) in enumerate(lifts.blocks):
-        m, k = lifts.left[i].shape[1], lifts.right[j].shape[1]
+    P1, Pp = _group_parts(M, lifts.left, right=False)
+    S, Wp = _group_parts(N, lifts.right, right=True)
+    d1, ds = P1.diagonal(), S.diagonal()
+    columns = _squares(P1 - np.diag(d1), axis=0) + _squares(Pp, axis=0)
+    rows = _squares(S - np.diag(ds), axis=1) + _squares(Wp, axis=1)
+    left = np.cumsum([0] + [R.shape[1] for R in lifts.left])
+    right = np.cumsum([0] + [K.shape[1] for K in lifts.right])
+    blocks = []
+    for i, j, Z in lifts.blocks:
+        a, b = slice(left[i], left[i + 1]), slice(right[j], right[j + 1])
         if Z is None:
-            full.setdefault((m, k), []).append(b)
+            gap = d1[a, None] - ds[None, b]
+            blocks.append(np.sqrt(columns[a, None] + rows[None, b] + np.square(gap.real) + np.square(gap.imag)))
             continue
-        P1, Pp = (part[ia[i]] for part in left[m])
-        S, Wp = (part[jb[j]] for part in right[k])
-        count = len(Z)
+        count, m, k = Z.shape
         Zl = Z.transpose(1, 0, 2).reshape(m, count * k)
         Zr = Z.reshape(count * m, k)
         terms = [
-            (P1 @ Zl).reshape(m, count, k).transpose(1, 0, 2) - (Zr @ S).reshape(count, m, k),
-            (Pp @ Zl).reshape(n1, count, k).transpose(1, 0, 2),
-            Zr @ Wp,
+            (P1[a, a] @ Zl).reshape(m, count, k).transpose(1, 0, 2) - (Zr @ S[b, b]).reshape(count, m, k),
+            (Pp[:, a] @ Zl).reshape(n1, count, k).transpose(1, 0, 2),
+            Zr @ Wp[b],
         ]
-        norms[starts[b] : starts[b + 1]] = _term_norms(terms, count)
-    for (m, k), members in full.items():
-        P1, Pp = (part[[ia[lifts.blocks[b][0]] for b in members]] for part in left[m])
-        S, Wp = (part[[jb[lifts.blocks[b][1]] for b in members]] for part in right[k])
-        for b, grid in zip(members, _full_block_norms(P1, Pp, S, Wp)):
-            norms[starts[b] : starts[b] + m * k] = grid.reshape(-1)
-    return norms
-
-
-def _full_block_norms(P1: np.ndarray, Pp: np.ndarray, S: np.ndarray, Wp: np.ndarray) -> np.ndarray:
-    """||M X - X N||_F for every element X = r_a k_b* of g full blocks, as a (g, m, k) array.
-
-    P1 (g, m, m), Pp (g, n1, m), S (g, k, k) and Wp (g, k, n2) are the
-    blocks' parts as :func:`_residual_norms` splits them. With
-    Z = e_a e_b^T the split's three terms come to five: the squares of
-    column a of P1 off its diagonal, of Pp e_a, of row b of S off its
-    diagonal, of e_b^T Wp, and |P1[a, a] - S[b, b]|^2. They are sums of
-    squares of distinct entries, so nothing cancels. A block costs
-    O(m k) once its parts are formed. Like :func:`fro_norm`, it rejects
-    a residual with a non-finite entry.
-    """
-    m, k = P1.shape[1], S.shape[1]
-    a, b = np.arange(m), np.arange(k)
-    gap = P1[:, a, a][:, :, None] - S[:, b, b][:, None, :]
-    off_t, off_s = P1.copy(), S.copy()
-    off_t[:, a, a] = 0.0
-    off_s[:, b, b] = 0.0
-    columns = _squares(off_t, axis=1) + _squares(Pp, axis=1)
-    rows = _squares(off_s, axis=2) + _squares(Wp, axis=2)
-    norms = np.sqrt(columns[:, :, None] + rows[:, None, :] + (np.square(gap.real) + np.square(gap.imag)))
+        blocks.append(_term_norms(terms, count))
+    norms = np.concatenate([block.reshape(-1) for block in blocks])
     if not np.isfinite(norms).all() and not all(np.isfinite(D).all() for D in (P1, Pp, S, Wp)):
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return norms
@@ -594,35 +572,25 @@ def _term_norms(terms: list[np.ndarray], rows: int) -> np.ndarray:
     return part
 
 
-def _group_parts(M: np.ndarray, bases: list[np.ndarray], right: bool) -> tuple[dict, list[int]]:
-    """The compression of M onto each basis and the part of M outside it, as :func:`_residual_norms` splits them.
+def _group_parts(M: np.ndarray, bases: list[np.ndarray], right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The compressions of M onto the bases and the part of M outside them, as :func:`_residual_norms` splits them.
 
-    On the left, R gives (R*MR, MR - R R*MR); on the right, K gives
-    (K*MK, K*M - K*MK K*). The bases of one width w share one product
-    with M, and their parts come as the pair of stacks at key w, with
-    each basis at its position in the returned list.
+    The bases sit side by side as the columns of R, and a basis's parts
+    are read at its columns. On the left the parts are P1, the block
+    diagonal of R*(MR) whose block i is R_i*MR_i, and MR - R P1. On the
+    right, with K in place of R, they are S, the block diagonal of
+    K*MK, and K*M - S K*.
     """
-    n = M.shape[0]
-    by_width: dict[int, list[np.ndarray]] = {}
-    position = []
-    for R in bases:
-        same = by_width.setdefault(R.shape[1], [])
-        position.append(len(same))
-        same.append(R)
-    parts = {}
-    for w, same in by_width.items():
-        flat = np.concatenate(same, axis=1)
-        R = flat.reshape(n, len(same), w).transpose(1, 0, 2)
-        Rh = R.conj().transpose(0, 2, 1)
-        if right:
-            W = (flat.conj().T @ M).reshape(len(same), w, n)
-            main = W @ R
-            parts[w] = (main, W - main @ Rh)
-        else:
-            P = (M @ flat).reshape(n, len(same), w).transpose(1, 0, 2)
-            main = Rh @ P
-            parts[w] = (main, P - R @ main)
-    return parts, position
+    R = np.concatenate(bases, axis=1)
+    group = np.repeat(np.arange(len(bases)), [basis.shape[1] for basis in bases])
+    diagonal = group[:, None] == group[None, :]
+    if right:
+        W = R.conj().T @ M
+        S = np.where(diagonal, W @ R, 0.0)
+        return S, W - S @ R.conj().T
+    P = M @ R
+    P1 = np.where(diagonal, R.conj().T @ P, 0.0)
+    return P1, P - R @ P1
 
 
 def _combination_residual(lifts: Lifts, M: np.ndarray, N: np.ndarray) -> tuple[float, np.ndarray]:
@@ -777,14 +745,17 @@ def intertwiner_polar_identities(A, B, X, tol: Tolerances = DEFAULT_TOL) -> Chec
 def power_intertwining_check(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """For X intertwining both (A, B) and their adjoints: |A|^p X = X |B|^p.
 
-    A and B must be invertible and p positive. The double-intertwining
-    hypothesis is verified first and raises when violated.
+    A and B must be invertible and p positive and finite. The
+    double-intertwining hypothesis is verified first and raises when
+    violated.
     """
     fa, fb = polar_factors(A, tol), polar_factors(B, tol)
     A, B = fa.matrix, fb.matrix
     X = as_intertwiner(X, A, B)
-    if p <= 0:
+    if not p > 0:
         raise ValueError("power p must be positive")
+    if p == np.inf:
+        raise ValueError("power p must be finite")
     fa.require_invertible("A")
     fb.require_invertible("B")
     thr_member = membership_threshold(fa, fb, X, tol)

@@ -132,7 +132,7 @@ def block_identity_check(A, B, p: float, tol: Tolerances = DEFAULT_TOL) -> Check
     Any p > 0 is accepted here (below 1 the power sum is a quasi-norm
     check). The residual is relative to the larger side.
     """
-    if p != inf and p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive (or inf)")
     Z = block_embed(A, B)
     if p == inf:

@@ -1060,10 +1060,14 @@ class TestPowerIntertwining:
         with pytest.raises(ValueError, match="intertwine"):
             power_intertwining_check(A, B, ginibre(rng, 3), 2.0)
 
-    @pytest.mark.parametrize("p", [0.0, -1.0])
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_power(self, p):
         with pytest.raises(ValueError, match="^power p must be positive$"):
             power_intertwining_check(np.eye(2), np.eye(2), np.eye(2), p)
+
+    def test_rejects_infinite_power(self):
+        with pytest.raises(ValueError, match="^power p must be finite$"):
+            power_intertwining_check(np.eye(2), np.eye(2), np.eye(2), float("inf"))
 
 
 class TestAluthgeIntertwinerMap:

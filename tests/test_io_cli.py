@@ -478,19 +478,52 @@ class TestCli:
         listed = " ".join(capsys.readouterr().out.split())
         assert ", ".join(SUITE_IDS) in listed
 
-    @pytest.mark.parametrize("which, options", [("lemma41", []), ("thm42", []), ("moore", ["--delta", "5"])])
+    @pytest.mark.parametrize(
+        "which, options", [("lemma41", ["--p", "3"]), ("thm42", ["--p", "3"]), ("moore", ["--delta", "5"])]
+    )
     def test_inequality_input_before_or_after_options(self, tmp_path, capsys, which, options):
         path = str(tmp_path / "abx.json")
         X = np.array([[1.0, 0.5], [2.0, 0.0]])
         write_matrices(path, {"A": np.diag([4.0, 1.0]), "B": np.diag([1.0, 2.0]), "X": X})
-        expected = run_cli(["inequality", which, path, "--p", "3", *options], capsys)
+        expected = run_cli(["inequality", which, path, *options], capsys)
         assert expected[0] in (0, 1) and expected[2] == ""
         assert run_cli(["inequality", which, path], capsys) != expected, "the options take effect"
         for argv in (
-            ["inequality", which, "--p", "3", *options, path],
-            ["inequality", "--p", "3", *options, which, path],
+            ["inequality", which, *options, path],
+            ["inequality", *options, which, path],
         ):
             assert run_cli(argv, capsys) == expected
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["schatten", "one.json", "--p", "2", "--tol", "5"], "unrecognized arguments: --tol 5"),
+            (["schatten", "one.json", "--p", "2", "--tol", "-1"], "unrecognized arguments: --tol -1"),
+            (["schatten", "one.json", "--p", "2", "--tol", "nan"], "unrecognized arguments: --tol nan"),
+            (["inequality", "lemma41", "abx.json", "--delta", "-5"], "--delta applies only to moore, not to lemma41"),
+            (["inequality", "thm42", "abx.json", "--delta", "nan"], "--delta applies only to moore, not to thm42"),
+            (["inequality", "--delta", "0.5", "thm42", "abx.json"], "--delta applies only to moore, not to thm42"),
+            (
+                ["inequality", "moore", "abx.json", "--delta", "0.5", "--p", "3"],
+                "--p applies only to lemma41 and thm42; moore bounds the operator norm",
+            ),
+            (
+                ["inequality", "--p", "3", "moore", "abx.json", "--delta", "0.5"],
+                "--p applies only to lemma41 and thm42; moore bounds the operator norm",
+            ),
+        ],
+    )
+    def test_option_the_command_never_reads_is_refused(self, tmp_path, monkeypatch, capsys, argv, message):
+        write_matrix(tmp_path / "one.json", np.eye(2))
+        write_matrices(tmp_path / "abx.json", {"A": np.eye(2), "B": np.eye(2), "X": np.eye(2)})
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse ends the process itself on an option the command does not register.
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
     def test_suite_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -3,11 +3,14 @@
 Takahashi's characterization of the FP-property checks ``fp_property``
 without forming A*X - XB*, from one SVD of an intertwiner. The truncated
 weighted shift has its Aluthge transform, its iterates and its commutant
-in closed form.
+in closed form. X -> T1 X T2^-1 maps Com(A, B) onto Com(T1 A T1^-1,
+T2 B T2^-1), so a similarity keeps the commutant's dimension.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from aluthge.commutant import _KRONECKER_MAX, commutant_basis, fp_property
@@ -191,3 +194,51 @@ class TestWeightedShift:
         X = np.asarray(cb.basis)
         projected = np.tensordot(np.einsum("pij,eij->ep", powers.conj(), X), powers, axes=1)
         assert np.linalg.norm(X - projected, axis=(1, 2)).max() <= 1e-12
+
+
+# Eigenvalues of the Jordan-type matrices, of which a draw takes the first k.
+JORDAN_EIGENVALUES = np.array([0.3 + 0.2j, -1.0 + 0.5j, 2.0j, 1.5, -0.7 - 0.9j])
+
+
+def jordan_type(rng, n: int, k: int) -> np.ndarray:
+    """An upper triangular n x n matrix of Jordan blocks of sizes 1 to 3, each at one of the first k eigenvalues."""
+    J = np.zeros((n, n), dtype=complex)
+    start = 0
+    while start < n:
+        end = min(n, start + int(rng.integers(1, 4)))
+        J[range(start, end), range(start, end)] = rng.choice(JORDAN_EIGENVALUES[:k])
+        J[range(start, end - 1), range(start + 1, end)] = 1.0
+        start = end
+    return J
+
+
+def similar(rng, M: np.ndarray) -> np.ndarray:
+    """T M T^-1 for T = Q1 diag(e^u) Q2 with u uniform in [-1, 1], so cond(T) <= e^2."""
+    n = len(M)
+    Q1, Q2 = random_unitary(rng, n), random_unitary(rng, n)
+    u = rng.uniform(-1.0, 1.0, n)
+    T = Q1 @ (np.exp(u)[:, None] * Q2)
+    T_inv = Q2.conj().T @ (np.exp(-u)[:, None] * Q1.conj().T)
+    return T @ M @ T_inv
+
+
+@st.composite
+def jordan_type_pairs(draw):
+    """Jordan-type A (n1) and B (n2) on the same k eigenvalues, and their conjugates.
+
+    A boolean picks n1, n2 in 2..12 or in 13..20, so about half the draws
+    take the Schur route.
+    """
+    k = draw(st.integers(2, 4))
+    sizes = st.integers(13, 20) if draw(st.booleans()) else st.integers(2, 12)
+    n1, n2 = draw(sizes), draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, B = jordan_type(rng, n1, k), jordan_type(rng, n2, k)
+    return A, B, similar(rng, A), similar(rng, B)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(jordan_type_pairs())
+def test_commutant_nullity_is_invariant_under_similarity(case):
+    A, B, A_similar, B_similar = case
+    assert commutant_basis(A_similar, B_similar).nullity == commutant_basis(A, B).nullity

@@ -102,6 +102,11 @@ class TestBlockIdentity:
         with pytest.raises(ValueError, match="positive"):
             block_identity_check([[1.0]], [[1.0]], 0.0)
 
+    def test_rejects_nan_p(self):
+        # A NaN order fails every comparison, so it must not pass as positive.
+        with pytest.raises(ValueError, match=r"^p must be positive \(or inf\)$"):
+            block_identity_check([[1.0]], [[1.0]], float("nan"))
+
 
 class TestAluthgeCommutatorBound:
     def test_commuting_pd_trivial(self):
