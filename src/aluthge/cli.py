@@ -294,7 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 after the one error line of a refused argument list, and 0 after --help.
+        return exc.code
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)

@@ -237,11 +237,11 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     # similarity of the pair.
     c = (np.trace(A) + np.trace(B)) / (n1 + n2)
     scale = op_norm(A - c * np.eye(n1)) + op_norm(B - c * np.eye(n2))
-    gap = tol.rank_rel**0.25 * scale
-    groups_a = _spectral_groups(A, gap, tol.rank_rel**0.25)
-    groups_b = [(K, U.conj().T) for K, U in _spectral_groups(adjoint(B), gap, tol.rank_rel**0.25)]
-    ca, ra = _centers_radii(groups_a)
-    cb, rb = _centers_radii(groups_b)
+    gap, s_min = tol.rank_rel**0.25 * scale, tol.rank_rel**0.25
+    groups_a = _spectral_groups(A, gap, s_min)
+    groups_b = [(K, U.conj().T, d.conjugate(), r) for K, U, d, r in _spectral_groups(adjoint(B), gap, s_min)]
+    _, _, ca, ra = zip(*groups_a)
+    _, _, cb, rb = zip(*groups_b)
     distance, spread = np.abs(np.subtract.outer(ca, cb)), np.add.outer(ra, rb)
     pairs = np.argwhere(distance - spread <= gap)
     full = (distance + spread <= tol.rank_rel * scale)[pairs[:, 0], pairs[:, 1]]
@@ -346,20 +346,23 @@ def _cross_norms(bases: list[np.ndarray]) -> np.ndarray:
     return norms
 
 
-def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the spectrum of M into groups and return each as (R, R*MR).
+def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.ndarray, np.ndarray, complex, float]]:
+    """Split the spectrum of M into groups and return each as (R, T, c, r).
 
     R is an orthonormal basis of the group's invariant subspace, read
-    from one Schur form reordered by ``ztrsen``. Eigenvalues start in
-    single-linkage clusters within ``gap``. A group whose reciprocal
-    condition number (1 / the norm of its spectral projector) is below
-    ``s_min`` merges with its nearest group and is tested again. That
-    keeps together the eigenvalues a defective eigenvalue splits into,
-    however far roundoff scatters them, and keeps the block
-    diagonalization behind the drop rule well conditioned. Single
-    eigenvalues are tested all at once from eigenvectors
-    (:func:`_simple_eigenvectors`); the rest, and any single eigenvalue
-    below ``s_min``, take ``ztrsen`` one group at a time.
+    from one Schur form reordered by ``ztrsen``, T = R*MR is its
+    compression, c = tr T / m its mean eigenvalue and r = ||T - cI||_F.
+    A single eigenvalue lambda is (x, [[lambda]], lambda, 0), x its unit
+    eigenvector, with no arithmetic; a cluster's c and r are computed
+    once, when it is kept. Eigenvalues start in single-linkage clusters
+    within ``gap``. A group whose reciprocal condition number (1 / the
+    norm of its spectral projector) is below ``s_min`` merges with its
+    nearest group and is tested again. That keeps together the
+    eigenvalues a defective eigenvalue splits into, however far roundoff
+    scatters them, and keeps the block diagonalization behind the drop
+    rule well conditioned. Single eigenvalues are tested all at once
+    from eigenvectors (:func:`_simple_eigenvectors`); the rest, and any
+    single eigenvalue below ``s_min``, take ``ztrsen`` one group at a time.
     """
     from scipy.linalg import schur
     from scipy.linalg.lapack import ztrsen
@@ -379,7 +382,7 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
         R = Q @ x
         for col, (members, p) in enumerate(zip(singles, positions)):
             if s[col] >= s_min:
-                groups.append((members, R[:, col : col + 1], T[p : p + 1, p : p + 1].copy()))
+                groups.append((members, R[:, col : col + 1], T[p : p + 1, p : p + 1].copy(), T[p, p], 0.0))
             else:
                 clusters.append(members)
     while clusters:
@@ -389,13 +392,16 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
         Ts, Qs, _, _, s, _, _ = ztrsen(members.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (n - m)))
         if s >= s_min:
             # Copies, so a group does not keep the whole reordered Schur form alive.
-            groups.append((members, Qs[:, :m].copy(), Ts[:m, :m].copy()))
+            TR = Ts[:m, :m].copy()
+            c = TR.trace() / m
+            r = np.sqrt(_squares((TR - np.diag(np.full(m, c))).ravel(), axis=0))
+            groups.append((members, Qs[:, :m].copy(), TR, c, r))
             continue
         others = clusters + [g[0] for g in groups]
         k = int(np.argmin([dist[np.ix_(members, other)].min() for other in others]))
         other = clusters.pop(k) if k < len(clusters) else groups.pop(k - len(clusters))[0]
         clusters.append(members | other)
-    return [(R, TR) for _, R, TR in groups]
+    return [group[1:] for group in groups]
 
 
 def _simple_eigenvectors(T: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,22 +444,6 @@ def _linked_clusters(near: np.ndarray) -> np.ndarray:
         reach = closed
     linked = reach > 0
     return linked[np.unique(linked.argmax(axis=1))]
-
-
-def _centers_radii(groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean eigenvalue c and ||T - cI||_F of each group's compression T, with the compressions of one size stacked."""
-    by_size: dict[int, list[int]] = {}
-    for g, (_, T) in enumerate(groups):
-        by_size.setdefault(len(T), []).append(g)
-    centers = np.empty(len(groups), dtype=complex)
-    radii = np.empty(len(groups))
-    for m, members in by_size.items():
-        T = np.stack([groups[g][1] for g in members])
-        c = np.trace(T, axis1=1, axis2=2) / m
-        T[:, np.arange(m), np.arange(m)] -= c[:, None]
-        centers[members] = c
-        radii[members] = np.sqrt(_squares(T.reshape(len(members), -1), axis=1))
-    return centers, radii
 
 
 def _squares(X: np.ndarray, axis: int) -> np.ndarray:

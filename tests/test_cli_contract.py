@@ -6,10 +6,9 @@ matrices with entries from 1e-320 to 1e308, wrong shapes and missing
 names, duplicate keys, bools, deep nesting and trailing garbage. For
 each, ``cli.main`` runs in process on stdin, and the exit code is 0, 1
 or 2, stdout is empty or one strict JSON document, and on exit 2 stderr
-is one line that starts with ``error:``. The exit code is the process's:
-``main``'s return value, or the code of the ``SystemExit`` with which
-argparse ends the process on arguments it cannot parse. Any other
-exception that escapes fails the property.
+is one line that starts with ``error:``. The exit code is ``main``'s
+return value, also for arguments argparse cannot parse. Any exception
+that escapes, ``SystemExit`` included, fails the property.
 """
 
 import io
@@ -150,10 +149,7 @@ def cli_inputs(draw) -> tuple[list[str], str]:
 def run(argv: list[str], text: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -17,6 +17,7 @@ from aluthge.commutant import (
     _residual_norms,
     _schur_commutant,
     _simple_eigenvectors,
+    _spectral_groups,
     _sylvester_matrix,
     aluthge_intertwiner_map,
     basis_inclusion,
@@ -564,6 +565,28 @@ class TestCommutantRoutes:
         clusters = _linked_clusters(near)
         expected = [[0, 1, 2, 4], [3, 6], [5]]
         assert [list(np.flatnonzero(c)) for c in clusters] == expected
+
+    def test_groups_carry_their_centre_and_radius(self):
+        # Five simple eigenvalues, a 4-fold semisimple one and a defective
+        # 3-cluster, conjugated by one well-conditioned S.
+        rng = np.random.default_rng(88)
+        pool = separated(rng, 7)
+        M = conjugated(rng, jordan_plus(3, pool[6], np.concatenate([pool[:5], np.full(4, pool[5])])))[0]
+        size = op_norm(M)
+        groups = _spectral_groups(M, DEFAULT_TOL.rank_rel**0.25 * size, DEFAULT_TOL.rank_rel**0.25)
+        assert sorted(len(T) for _, T, _, _ in groups) == [1] * 5 + [3, 4]
+        for R, T, c, r in groups:
+            np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * size)
+            if len(T) == 1:
+                # A single eigenvalue's geometry is read, not computed.
+                assert c == T[0, 0] and r == 0.0 and type(r) is float
+                continue
+            mean = np.linalg.eigvals(T).mean()
+            assert abs(c - mean) <= 1e-13 * size
+            assert abs(c - {4: pool[5], 3: pool[6]}[len(T)]) <= 1e-13 * size
+            assert r == pytest.approx(np.linalg.norm(T - mean * np.eye(len(T))), rel=1e-13, abs=1e-13 * size)
+            # Scalar on its invariant subspace, or with a nilpotent part.
+            assert (r <= 1e-13 * size) == (len(T) == 4)
 
 
 def count_qr_calls(monkeypatch):

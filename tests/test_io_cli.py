@@ -462,19 +462,13 @@ class TestCli:
         assert any(line.startswith("error: ") for line in captured.err.splitlines())
 
     def test_suite_unknown_id(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["suite", "nope"])
-        assert exc.value.code == 2
+        assert main(["suite", "nope"]) == 2
 
     def test_suite_ids_are_listed(self, capsys):
         # The parser reads the ids from the suites only when it checks or prints them.
-        with pytest.raises(SystemExit) as exc:
-            main(["suite", "nope"])
-        assert exc.value.code == 2
+        assert main(["suite", "nope"]) == 2
         assert "invalid choice: 'nope' (choose from " + ", ".join(map(repr, SUITE_IDS)) in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            main(["suite", "--help"])
-        assert exc.value.code == 0
+        assert main(["suite", "--help"]) == 0
         listed = " ".join(capsys.readouterr().out.split())
         assert ", ".join(SUITE_IDS) in listed
 
@@ -517,11 +511,7 @@ class TestCli:
         write_matrix(tmp_path / "one.json", np.eye(2))
         write_matrices(tmp_path / "abx.json", {"A": np.eye(2), "B": np.eye(2), "X": np.eye(2)})
         monkeypatch.chdir(tmp_path)
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            # argparse ends the process itself on an option the command does not register.
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
@@ -588,17 +578,15 @@ class TestCli:
         ids=["bad-int", "unknown-suite", "not-a-number", "unknown-option", "empty"],
     )
     def test_argparse_errors_are_one_error_line(self, capsys, argv):
-        with pytest.raises(SystemExit) as exited:
-            main(argv)
+        code = main(argv)
         captured = capsys.readouterr()
-        assert exited.value.code == 2 and captured.out == ""
+        assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_help_still_prints_usage(self, capsys):
-        with pytest.raises(SystemExit) as exited:
-            main(["--help"])
+        code = main(["--help"])
         captured = capsys.readouterr()
-        assert exited.value.code == 0 and captured.out.startswith("usage: aluthge") and captured.err == ""
+        assert code == 0 and captured.out.startswith("usage: aluthge") and captured.err == ""
 
     def test_valid_extra_entry_is_accepted(self, tmp_path, capsys):
         write_matrices(tmp_path / "extra.json", {"A": np.eye(2), "B": np.eye(2), "X": np.ones((3, 1))})
@@ -746,13 +734,24 @@ class TestCliWriter:
         np.testing.assert_array_equal(positive, np.diag([9e307, 1.0]))
 
 
-def run_fresh(script: str) -> None:
-    """Run a script in a new interpreter that imports this checkout's aluthge, and require exit 0."""
+def run_process(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args`` that imports this checkout's aluthge."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cmd = [sys.executable, "-c", textwrap.dedent(script)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_fresh(script: str) -> None:
+    """Run a script in a new interpreter that imports this checkout's aluthge, and require exit 0."""
+    proc = run_process(["-c", textwrap.dedent(script)])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["fp-check"], 1), (["suite", "nope"], 2)])
+def test_module_process_exits_with_the_code_main_returns(pair_file, argv, code):
+    # main returns argparse's codes too, and the module passes every code to sys.exit.
+    args = [*argv, pair_file] if argv == ["fp-check"] else argv
+    assert run_process(["-m", "aluthge.cli", *args]).returncode == code
 
 
 def test_small_work_does_not_import_scipy(tmp_path):

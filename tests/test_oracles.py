@@ -4,11 +4,13 @@ Takahashi's characterization of the FP-property checks ``fp_property``
 without forming A*X - XB*, from one SVD of an intertwiner. The truncated
 weighted shift has its Aluthge transform, its iterates and its commutant
 in closed form. X -> T1 X T2^-1 maps Com(A, B) onto Com(T1 A T1^-1,
-T2 B T2^-1), so a similarity keeps the commutant's dimension.
+T2 B T2^-1), so a similarity keeps the commutant's dimension. The
+Aluthge transform keeps the spectrum with multiplicities.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -242,3 +244,39 @@ def jordan_type_pairs(draw):
 def test_commutant_nullity_is_invariant_under_similarity(case):
     A, B, A_similar, B_similar = case
     assert commutant_basis(A_similar, B_similar).nullity == commutant_basis(A, B).nullity
+
+
+def eigenvalue_conditions(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of M and their condition numbers 1 / |y* x|, for unit left and right eigenvectors y and x."""
+    w, vl, vr = scipy.linalg.eig(M, left=True, right=True)
+    return w, 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
+
+
+@st.composite
+def spectrum_cases(draw):
+    """A complex Gaussian, upper triangular or rank-deficient n x n matrix, n <= 8, scaled by 10^u with |u| <= 3."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["general", "triangular", "rank-deficient"]))
+    exponent = draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "triangular":
+        A = np.triu(A)
+    elif kind == "rank-deficient" and n > 1:
+        r = int(rng.integers(1, n))
+        A = A[:, :r] @ (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
+    return A * 10.0**exponent
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(spectrum_cases())
+def test_aluthge_transform_keeps_the_spectrum(A):
+    # With A = U P^2, P = |A|^(1/2), A = (UP)P and its transform P(UP) have the same
+    # characteristic polynomial (Jung-Ko-Pearcy 2000). Each computed eigenvalue is off
+    # by about eps ||A||_2 times its condition, so a matched pair may differ by the sum.
+    w, kappa = eigenvalue_conditions(A)
+    w_delta, kappa_delta = eigenvalue_conditions(aluthge(A))
+    distance = np.abs(np.subtract.outer(w, w_delta))
+    rows, cols = linear_sum_assignment(distance)
+    limit = 100 * np.finfo(float).eps * np.linalg.norm(A, 2) * (kappa[rows] + kappa_delta[cols])
+    assert np.all(distance[rows, cols] <= limit)
