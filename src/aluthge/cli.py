@@ -3,14 +3,12 @@
 Subcommands operate on matrix documents (see :mod:`aluthge.matrixio`)
 read from a path or stdin (``-``) and emit JSON on stdout or to
 ``--out``. Exit codes: 0 success / verified, 1 verification failure,
-2 usage or input error. The environment variable ``ALUTHGE_TOL``
-overrides the residual tolerance; ``--tol`` overrides both.
+2 usage or input error. ``--tol`` overrides the residual tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from math import inf
@@ -48,17 +46,7 @@ def _emit(doc, out: str | None) -> None:
 
 
 def _tolerances(args) -> Tolerances:
-    residual = args.tol
-    if residual is None:
-        env = os.environ.get("ALUTHGE_TOL")
-        if env is not None:
-            try:
-                residual = float(env)
-            except ValueError as exc:
-                raise ValueError(f"ALUTHGE_TOL must be a decimal string, got {env!r}") from exc
-    if residual is None:
-        return DEFAULT_TOL
-    return Tolerances(residual_rel=residual)
+    return DEFAULT_TOL if args.tol is None else Tolerances(residual_rel=args.tol)
 
 
 def _cmd_polar(args) -> int:
@@ -284,10 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run a registered verification suite")
     p_suite.add_argument("suite_id", choices=_SuiteIds(), metavar="suite_id", help="%(choices)s")
+    add_common(p_suite, with_input=False)
     p_suite.add_argument("--trials", type=int, default=100)
     p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--tol", type=float, default=None)
-    p_suite.add_argument("--out", default=None)
     p_suite.set_defaults(func=_cmd_suite)
 
     return parser

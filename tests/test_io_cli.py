@@ -593,11 +593,16 @@ class TestCli:
         assert main(["commutant", str(tmp_path / "extra.json")]) == 0
         assert json.loads(capsys.readouterr().out)["nullity"] == 4
 
-    def test_env_tolerance_override(self, pair_file, monkeypatch, capsys):
-        monkeypatch.setenv("ALUTHGE_TOL", "not-a-number")
-        assert main(["fp-check", pair_file]) == 2
-        monkeypatch.setenv("ALUTHGE_TOL", "1e-6")
-        assert main(["fp-check", pair_file]) == 1  # verdict unchanged, parse succeeds
+    def test_tolerance_ignores_the_environment(self, pair_file, monkeypatch, capsys):
+        # Only --tol sets the tolerance: a variable that would accept the
+        # counterexample, or that is no number, leaves the run unchanged.
+        monkeypatch.delenv("ALUTHGE_TOL", raising=False)
+        assert main(["fp-check", pair_file]) == 1
+        unset = capsys.readouterr().out
+        for value in ("0.9", "not-a-number"):
+            monkeypatch.setenv("ALUTHGE_TOL", value)
+            assert main(["fp-check", pair_file]) == 1, value
+            assert capsys.readouterr().out == unset, value
 
     def test_tol_flag_flips_marginal_verdict(self, pair_file, capsys):
         # a huge residual tolerance accepts the adjoint defect of the

@@ -5,8 +5,12 @@ without forming A*X - XB*, from one SVD of an intertwiner. The truncated
 weighted shift has its Aluthge transform, its iterates and its commutant
 in closed form. X -> T1 X T2^-1 maps Com(A, B) onto Com(T1 A T1^-1,
 T2 B T2^-1), so a similarity keeps the commutant's dimension. The
-Aluthge transform keeps the spectrum with multiplicities.
+Aluthge transform keeps the spectrum with multiplicities. On
+Gaussian-integer pairs, elimination in exact rational arithmetic gives
+the commutant's dimension with no cut at all.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,13 +206,13 @@ class TestWeightedShift:
 JORDAN_EIGENVALUES = np.array([0.3 + 0.2j, -1.0 + 0.5j, 2.0j, 1.5, -0.7 - 0.9j])
 
 
-def jordan_type(rng, n: int, k: int) -> np.ndarray:
-    """An upper triangular n x n matrix of Jordan blocks of sizes 1 to 3, each at one of the first k eigenvalues."""
+def jordan_type(rng, n: int, eigenvalues: np.ndarray) -> np.ndarray:
+    """An upper triangular n x n matrix of Jordan blocks of sizes 1 to 3, each at one of the given eigenvalues."""
     J = np.zeros((n, n), dtype=complex)
     start = 0
     while start < n:
         end = min(n, start + int(rng.integers(1, 4)))
-        J[range(start, end), range(start, end)] = rng.choice(JORDAN_EIGENVALUES[:k])
+        J[range(start, end), range(start, end)] = rng.choice(eigenvalues)
         J[range(start, end - 1), range(start + 1, end)] = 1.0
         start = end
     return J
@@ -235,7 +239,7 @@ def jordan_type_pairs(draw):
     sizes = st.integers(13, 20) if draw(st.booleans()) else st.integers(2, 12)
     n1, n2 = draw(sizes), draw(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A, B = jordan_type(rng, n1, k), jordan_type(rng, n2, k)
+    A, B = jordan_type(rng, n1, JORDAN_EIGENVALUES[:k]), jordan_type(rng, n2, JORDAN_EIGENVALUES[:k])
     return A, B, similar(rng, A), similar(rng, B)
 
 
@@ -244,6 +248,97 @@ def jordan_type_pairs(draw):
 def test_commutant_nullity_is_invariant_under_similarity(case):
     A, B, A_similar, B_similar = case
     assert commutant_basis(A_similar, B_similar).nullity == commutant_basis(A, B).nullity
+
+
+# Eigenvalues of the exact-rank pairs, all Gaussian integers.
+GAUSSIAN_EIGENVALUES = (0, 1, -1, 1j, -1j, 2)
+
+
+def unimodular(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An integer n x n matrix of determinant 1 and its integer inverse, from 2n elementary row operations."""
+    U, U_inv = np.identity(n, dtype=np.int64), np.identity(n, dtype=np.int64)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.choice(n, 2, replace=False)
+        c = int(rng.choice([-2, -1, 1, 2]))
+        # U <- E U and U^-1 <- U^-1 E^-1 for E = I + c e_i e_j^T.
+        U[i] += c * U[j]
+        U_inv[:, j] -= c * U_inv[:, i]
+    return U, U_inv
+
+
+def gaussian_integer_matrix(rng, n: int, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U J U^-1 as integer real and imaginary parts, U unimodular.
+
+    J is Jordan-type on the given eigenvalues or, one time in four, an
+    involution diag(+-1).
+    """
+    if rng.random() < 0.25:
+        J = np.diag(rng.choice([-1.0, 1.0], n)).astype(complex)
+    else:
+        J = jordan_type(rng, n, eigenvalues)
+    U, U_inv = unimodular(rng, n)
+    return U @ J.real.astype(np.int64) @ U_inv, U @ J.imag.astype(np.int64) @ U_inv
+
+
+def gaussian_rational_rank(M_re: np.ndarray, M_im: np.ndarray) -> int:
+    """The rank over Q(i) of the integer matrix M_re + i M_im, by exact Gaussian elimination.
+
+    Each row is a dict {column: (re, im)} of Fractions that holds only its
+    nonzero entries. A column's pivot is the remaining row with the fewest
+    entries that has one there, which keeps the fill-in small.
+    """
+    rows = [
+        {j: (Fraction(a), Fraction(b)) for j, (a, b) in enumerate(zip(row_re, row_im)) if a or b}
+        for row_re, row_im in zip(M_re.tolist(), M_im.tolist())
+    ]
+    rank = 0
+    for col in range(M_re.shape[1]):
+        live = [row for row in rows if col in row]
+        if not live:
+            continue
+        pivot = min(live, key=len)
+        rows = [row for row in rows if row is not pivot]
+        a, b = pivot.pop(col)
+        norm = a * a + b * b
+        inv_re, inv_im = a / norm, -b / norm
+        for row in live:
+            if row is pivot:
+                continue
+            f_re, f_im = row.pop(col)
+            # row -= (f / p) * pivot, entry by entry.
+            g_re, g_im = f_re * inv_re - f_im * inv_im, f_re * inv_im + f_im * inv_re
+            for j, (p_re, p_im) in pivot.items():
+                r_re, r_im = row.get(j, (0, 0))
+                value = (r_re - (g_re * p_re - g_im * p_im), r_im - (g_re * p_im + g_im * p_re))
+                if any(value):
+                    row[j] = value
+                else:
+                    del row[j]
+        rank += 1
+    return rank
+
+
+@st.composite
+def gaussian_integer_pairs(draw):
+    """Gaussian-integer A (n1 x n1) and B (n2 x n2), n1 n2 <= 64, on one to three shared eigenvalues."""
+    n1 = draw(st.integers(1, 8))
+    n2 = draw(st.integers(1, min(8, 64 // n1)))
+    eigenvalues = np.array(draw(st.lists(st.sampled_from(GAUSSIAN_EIGENVALUES), min_size=1, max_size=3, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return gaussian_integer_matrix(rng, n1, eigenvalues), gaussian_integer_matrix(rng, n2, eigenvalues)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gaussian_integer_pairs())
+def test_commutant_nullity_is_exact(case):
+    # dim Com(A, B) = n1 n2 - rank L over Q(i), for L = I (x) A - B^T (x) I acting on
+    # X stacked by columns. Every entry is an integer, so L is formed exactly.
+    (A_re, A_im), (B_re, B_im) = case
+    I1, I2 = np.identity(len(A_re), dtype=np.int64), np.identity(len(B_re), dtype=np.int64)
+    L_re = np.kron(I2, A_re) - np.kron(B_re.T, I1)
+    L_im = np.kron(I2, A_im) - np.kron(B_im.T, I1)
+    exact = L_re.shape[1] - gaussian_rational_rank(L_re, L_im)
+    assert commutant_basis(A_re + 1j * A_im, B_re + 1j * B_im).nullity == exact
 
 
 def eigenvalue_conditions(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

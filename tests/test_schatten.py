@@ -7,7 +7,7 @@ import pytest
 
 from aluthge.commutant import commutant_basis
 from aluthge.generate import ginibre, pd_min_eig, random_unitary
-from aluthge.linalg import adjoint, fro_norm, hermitian_part, op_norm
+from aluthge.linalg import adjoint, fro_norm, hermitian_part, min_hermitian_eigenvalue, op_norm
 from aluthge.schatten import (
     InequalityReport,
     aluthge_commutator_bound,
@@ -152,6 +152,32 @@ class TestAluthgeCommutatorBound:
             assert rep.slack >= -1e-9 * max(1.0, rep.lhs, rep.rhs)
 
 
+def intertwined_angular_case(seed: int):
+    """Angular parts U, V with Com(U*, V) of dimension k >= 1, and positive parts P, S with min eig >= 1.
+
+    U = Q diag(e^(i theta)) Q* and V shares k of U*'s eigenvalues, so
+    U* X = X V has nonzero solutions X while U and V are far from I.
+    Returns (rng, p, k, U, P, V, S), for A = U P and B = V S in the
+    bound at order p; rng is left to draw X.
+    """
+    rng = np.random.default_rng([42, seed])
+    n1, n2 = (int(n) for n in rng.integers(2, 6, size=2))
+    k = int(rng.integers(1, min(n1, n2) + 1))
+    p = float(rng.choice([1.0, 2.0, 3.0, inf]))
+    theta = rng.uniform(-0.6, 0.6, size=n1)
+    phi = np.concatenate([-theta[:k], rng.uniform(-0.6, 0.6, size=n2 - k)])
+    Q, R = random_unitary(rng, n1), random_unitary(rng, n2)
+    U = Q @ (np.exp(1j * theta)[:, None] * adjoint(Q))
+    V = R @ (np.exp(1j * phi)[:, None] * adjoint(R))
+    return rng, p, k, U, pd_min_eig(rng, n1, 1.0), V, pd_min_eig(rng, n2, 1.0)
+
+
+def pd_root(P: np.ndarray) -> np.ndarray:
+    """P^(1/2) for a positive definite P, from its eigendecomposition."""
+    w, Q = np.linalg.eigh(P)
+    return (Q * np.sqrt(w)) @ adjoint(Q)
+
+
 class TestAluthgeIntertwinerBound:
     def test_hand_computed_rectangular(self):
         # A = diag(4,1), B = [1], X = [1;2]: transformed difference is
@@ -183,26 +209,46 @@ class TestAluthgeIntertwinerBound:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_bound_with_intertwined_angular_parts(self, seed):
-        # U = Q diag(e^(i theta)) Q* and V shares k of U*'s eigenvalues, so
-        # U* X = X V has nonzero solutions X while U and V are far from I.
-        rng = np.random.default_rng([42, seed])
-        n1, n2 = (int(n) for n in rng.integers(2, 6, size=2))
-        k = int(rng.integers(1, min(n1, n2) + 1))
-        p = float(rng.choice([1.0, 2.0, 3.0, inf]))
-        theta = rng.uniform(-0.6, 0.6, size=n1)
-        phi = np.concatenate([-theta[:k], rng.uniform(-0.6, 0.6, size=n2 - k)])
-        Q, R = random_unitary(rng, n1), random_unitary(rng, n2)
-        U = Q @ (np.exp(1j * theta)[:, None] * adjoint(Q))
-        V = R @ (np.exp(1j * phi)[:, None] * adjoint(R))
-        A = U @ pd_min_eig(rng, n1, 1.0)
-        B = V @ pd_min_eig(rng, n2, 1.0)
+        rng, p, k, U, P, V, S = intertwined_angular_case(seed)
         basis = commutant_basis(adjoint(U), V).basis
         assert len(basis) == k
         X = sum((rng.standard_normal() + 1j * rng.standard_normal()) * E for E in basis)
-        rep = aluthge_intertwiner_bound(A, B, X, p)
+        rep = aluthge_intertwiner_bound(U @ P, V @ S, X, p)
         assert rep.hypotheses_ok and rep.ok
         assert rep.details["block_lhs"] == pytest.approx(rep.lhs, rel=1e-12, abs=0.0)
         assert rep.details["block_rhs"] == pytest.approx(rep.rhs, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_bound_holds_on_the_whole_subspace_at_p2(self, seed):
+        # At p = 2 the bound for every X = sum c_j E_j over the orthonormal basis
+        # E_j of Com(U*, V) is c* G1 c >= 4a^2 c* G2 c, with G1 and G2 the Gram
+        # matrices of X -> A~* X - X B~ and X -> P^(1/2) X - X S^(1/2). Here
+        # A~ = P^(1/2) U P^(1/2) and a = min eig Re(U P^(1/2)), Re(V S^(1/2)),
+        # all from the known factors. The ratio sqrt(lambda_min(G1, G2)) / 2a
+        # runs from 1.09 to a median of 1.27 over 300 draws, so 1.5a fails.
+        _, _, _, U, P, V, S = intertwined_angular_case(seed)
+        root_a, root_b = pd_root(P), pd_root(S)
+        a = min(min_hermitian_eigenvalue(U @ root_a), min_hermitian_eigenvalue(V @ root_b))
+        Ta, Tb = root_a @ U @ root_a, root_b @ V @ root_b
+        basis = commutant_basis(adjoint(U), V).basis
+        F1 = np.array([(adjoint(Ta) @ E - E @ Tb).ravel() for E in basis])
+        F2 = np.array([(root_a @ E - E @ root_b).ravel() for E in basis])
+        G1, G2 = F1.conj() @ F1.T, F2.conj() @ F2.T
+        assert a > 0.0
+        assert np.linalg.eigvalsh(G1 - 4.0 * a**2 * G2)[0] >= -1e-12 * np.linalg.norm(G1, 2)
+
+    @pytest.mark.parametrize("exponent", range(10))
+    def test_block_cross_check_agrees_up_to_1e9_scaling(self, exponent):
+        # The block route factors A (+) B under one rank cut relative to its
+        # largest singular value, so it holds only while ||A|| / ||B|| stays
+        # below about 1e10: 1e-15 relative up to 10^9, 1e-5 at 10^10.
+        for seed in range(24):
+            rng, p, _, U, P, V, S = intertwined_angular_case(seed)
+            basis = commutant_basis(adjoint(U), V).basis
+            X = sum((rng.standard_normal() + 1j * rng.standard_normal()) * E for E in basis)
+            rep = aluthge_intertwiner_bound(10.0**exponent * U @ P, V @ S, X, p)
+            assert rep.details["block_lhs"] == pytest.approx(rep.lhs, rel=1e-12, abs=0.0), seed
+            assert rep.details["block_rhs"] == pytest.approx(rep.rhs, rel=1e-12, abs=0.0), seed
 
     def test_hypotheses_flag_without_intertwining_angulars(self):
         rng = np.random.default_rng(9)

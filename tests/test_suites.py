@@ -278,14 +278,13 @@ REPORT_SHA256 = {
 }
 
 
-def test_reports_are_byte_stable(tmp_path, monkeypatch):
+def test_reports_are_byte_stable(tmp_path):
     """Every report at --trials 200 --seed 1 keeps its bytes and passes.
 
     Recorded with numpy 2.4.6 and OpenBLAS 0.3.31, with one BLAS thread and
     with the default thread count, which gave the same digests. A change
     that alters a report must say so and list its pass counts.
     """
-    monkeypatch.delenv("ALUTHGE_TOL", raising=False)
     assert list(REPORT_SHA256) == list(SUITE_IDS)
     digests = {}
     for suite_id in SUITE_IDS:
