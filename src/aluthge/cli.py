@@ -3,7 +3,8 @@
 Subcommands operate on matrix documents (see :mod:`aluthge.matrixio`)
 read from a path or stdin (``-``) and emit JSON on stdout or to
 ``--out``. Exit codes: 0 success / verified, 1 verification failure,
-2 usage or input error. ``--tol`` overrides the residual tolerance.
+2 usage or input error. ``--tol`` overrides the residual tolerance of
+the commands whose verdict reads one: fp-check, inequality and suite.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import inf
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, op_norm, spectral_radius
+from .linalg import DEFAULT_TOL, Tolerances, op_norm, spectral_radius
 from .matrixio import dumps_document, read_matrices, read_matrix
 from .polar import MODE_PARTIAL, MODE_UNITARY, _aluthge_steps, aluthge_iterate, aluthge_st, polar_decompose
 
@@ -32,115 +33,85 @@ def _read_named(path: str, names: tuple[str, ...]) -> dict:
     return mats
 
 
-def _emit(doc, out: str | None) -> None:
-    try:
-        text = dumps_document(doc) + "\n"
-    except ValueError as exc:
-        # The writer refuses only non-finite values.
-        raise OverflowError from exc
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fp:
-            fp.write(text)
-
-
 def _tolerances(args) -> Tolerances:
     return DEFAULT_TOL if args.tol is None else Tolerances(residual_rel=args.tol)
 
 
-def _cmd_polar(args) -> int:
-    tol = _tolerances(args)
+# Each command returns its result document, whose matrices may be ndarrays, and its exit code.
+
+
+def _cmd_polar(args) -> tuple[object, int]:
     M = read_matrix(_source(args.input))
     mode = MODE_PARTIAL if args.mode == "partial" else MODE_UNITARY
-    parts = polar_decompose(M, mode, tol)
+    parts = polar_decompose(M, mode)
     residual = op_norm(parts.angular @ parts.positive - M)
-    _emit(
-        {
-            "mode": parts.mode,
-            "rank": parts.rank,
-            "angular": as_matrix(parts.angular),
-            "positive": as_matrix(parts.positive),
-            "reconstruction_residual": residual,
-        },
-        args.out,
-    )
-    return 0
+    doc = {
+        "mode": parts.mode,
+        "rank": parts.rank,
+        "angular": parts.angular,
+        "positive": parts.positive,
+        "reconstruction_residual": residual,
+    }
+    return doc, 0
 
 
-def _cmd_aluthge(args) -> int:
+def _cmd_aluthge(args) -> tuple[object, int]:
     if args.iterate is None and args.full:
         raise ValueError("--full applies only with --iterate")
     if args.iterate is not None and (args.s, args.t) != (0.5, 0.5):
         raise ValueError("--iterate takes (0.5, 0.5) Aluthge iterates; --s and --t apply only without it")
-    tol = _tolerances(args)
     M = read_matrix(_source(args.input))
     if args.iterate is None:
-        _emit(as_matrix(aluthge_st(M, args.s, args.t, tol)), args.out)
-    elif args.full:
-        trajectory = aluthge_iterate(M, args.iterate, tol)
+        return aluthge_st(M, args.s, args.t), 0
+    if args.full:
+        trajectory = aluthge_iterate(M, args.iterate)
         doc = {
             "norms": trajectory.norms,
             "radius": trajectory.radius,
-            "final": as_matrix(trajectory.iterates[-1]),
-            "iterates": [as_matrix(it) for it in trajectory.iterates],
+            "final": trajectory.iterates[-1],
+            "iterates": trajectory.iterates,
         }
-        _emit(doc, args.out)
-    else:
-        # Only the last iterate is printed, so only the current one is held.
-        norms = []
-        for final, norm in _aluthge_steps(M, args.iterate, tol):
-            norms.append(norm)
-        _emit({"norms": norms, "radius": spectral_radius(M), "final": as_matrix(final)}, args.out)
-    return 0
+        return doc, 0
+    # Only the last iterate is printed, so only the current one is held.
+    norms = []
+    for final, norm in _aluthge_steps(M, args.iterate):
+        norms.append(norm)
+    return {"norms": norms, "radius": spectral_radius(M), "final": final}, 0
 
 
-def _cmd_commutant(args) -> int:
+def _cmd_commutant(args) -> tuple[object, int]:
     from .commutant import commutant_basis
 
-    tol = _tolerances(args)
     mats = _read_named(args.input, ("A", "B"))
-    cb = commutant_basis(mats["A"], mats["B"], tol)
-    _emit(
-        {
-            "dim_domain": list(cb.dim_domain),
-            "nullity": cb.nullity,
-            "residuals": cb.residuals,
-            "basis": [as_matrix(X) for X in cb.basis],
-        },
-        args.out,
-    )
-    return 0
+    cb = commutant_basis(mats["A"], mats["B"])
+    doc = {"dim_domain": list(cb.dim_domain), "nullity": cb.nullity, "residuals": cb.residuals, "basis": cb.basis}
+    return doc, 0
 
 
-def _cmd_fp_check(args) -> int:
+def _cmd_fp_check(args) -> tuple[object, int]:
     from .commutant import fp_property
 
     tol = _tolerances(args)
     mats = _read_named(args.input, ("A", "B"))
     rep = fp_property(mats["A"], mats["B"], tol)
-    _emit(
-        {
-            "holds": rep.holds,
-            "com_dim": rep.com_dim,
-            "max_residual": rep.max_residual,
-            "threshold": rep.threshold,
-            "witness": None if rep.witness is None else as_matrix(rep.witness),
-        },
-        args.out,
-    )
-    return 0 if rep.holds else 1
+    doc = {
+        "holds": rep.holds,
+        "com_dim": rep.com_dim,
+        "max_residual": rep.max_residual,
+        "threshold": rep.threshold,
+        "witness": rep.witness,
+    }
+    return doc, 0 if rep.holds else 1
 
 
-def _cmd_schatten(args) -> int:
+def _cmd_schatten(args) -> tuple[object, int]:
     from .schatten import schatten_norm
 
     M = read_matrix(_source(args.input))
-    _emit({"p": "inf" if args.p == inf else args.p, "norm": schatten_norm(M, args.p)}, args.out)
-    return 0
+    return {"p": "inf" if args.p == inf else args.p, "norm": schatten_norm(M, args.p)}, 0
 
 
-def _cmd_inequality(args) -> int:
+def _cmd_inequality(args) -> tuple[object, int]:
     from .schatten import aluthge_commutator_bound, aluthge_intertwiner_bound, approx_commutator_bound
 
     if args.which == "moore" and args.p is not None:
@@ -160,23 +131,20 @@ def _cmd_inequality(args) -> int:
             raise ValueError("inequality moore requires --delta")
         mats = _read_named(args.input, ("A", "X"))
         rep = approx_commutator_bound(mats["A"], mats["X"], args.delta, tol)
-    _emit(
-        {
-            "which": args.which,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "slack": rep.slack,
-            "hypotheses_ok": rep.hypotheses_ok,
-            "a_value": rep.a_value,
-            "p": "inf" if rep.p == inf else rep.p,
-            "details": {k: v for k, v in rep.details.items() if isinstance(v, (bool, int, float, str))},
-        },
-        args.out,
-    )
-    return 0 if rep.ok else 1
+    doc = {
+        "which": args.which,
+        "lhs": rep.lhs,
+        "rhs": rep.rhs,
+        "slack": rep.slack,
+        "hypotheses_ok": rep.hypotheses_ok,
+        "a_value": rep.a_value,
+        "p": "inf" if rep.p == inf else rep.p,
+        "details": {k: v for k, v in rep.details.items() if isinstance(v, (bool, int, float, str))},
+    }
+    return doc, 0 if rep.ok else 1
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> tuple[object, int]:
     from .generate import GenerationError
     from .suites import run_suite
 
@@ -185,8 +153,7 @@ def _cmd_suite(args) -> int:
         report = run_suite(args.suite_id, args.seed, args.trials, tol)
     except GenerationError as exc:
         raise ValueError(str(exc)) from exc
-    _emit(report.to_doc(), args.out)
-    return 0 if report.passed else 1
+    return report.to_doc(), 0 if report.passed else 1
 
 
 class _SuiteIds:
@@ -220,11 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(
-        p: argparse.ArgumentParser, default=lambda value: value, with_input: bool = True, with_tol: bool = True
+        p: argparse.ArgumentParser, default=lambda value: value, with_input: bool = True, with_tol: bool = False
     ) -> None:
         if with_input:
             p.add_argument("input", nargs="?", default=default("-"), help="input document path, or - for stdin")
         p.add_argument("--out", default=default(None), help="write the result document here instead of stdout")
+        # Only a command whose verdict reads a residual takes a tolerance for it.
         if with_tol:
             p.add_argument("--tol", type=float, default=default(None), help="residual tolerance override")
 
@@ -246,17 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_com.set_defaults(func=_cmd_commutant)
 
     p_fp = sub.add_parser("fp-check", help="adjoint-intertwining verdict for a pair document {A, B}")
-    add_common(p_fp)
+    add_common(p_fp, with_tol=True)
     p_fp.set_defaults(func=_cmd_fp_check)
 
     p_sch = sub.add_parser("schatten", help="Schatten p-norm of one matrix")
-    # The norm is exact up to roundoff and judges nothing, so it takes no tolerance.
-    add_common(p_sch, with_tol=False)
+    add_common(p_sch)
     p_sch.add_argument("--p", type=float, required=True, help="order, 1 <= p <= inf")
     p_sch.set_defaults(func=_cmd_schatten)
 
     def add_inequality(p: argparse.ArgumentParser, default=lambda value: value, with_input: bool = True) -> None:
-        add_common(p, default, with_input)
+        add_common(p, default, with_input, with_tol=True)
         p.add_argument("--p", type=float, default=default(None), help="order for lemma41 and thm42 (default 2)")
         p.add_argument("--delta", type=float, default=default(None), help="commutator bound for moore")
 
@@ -272,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run a registered verification suite")
     p_suite.add_argument("suite_id", choices=_SuiteIds(), metavar="suite_id", help="%(choices)s")
-    add_common(p_suite, with_input=False)
+    add_common(p_suite, with_input=False, with_tol=True)
     p_suite.add_argument("--trials", type=int, default=100)
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.set_defaults(func=_cmd_suite)
@@ -288,7 +255,18 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            doc, code = args.func(args)
+            try:
+                text = dumps_document(doc) + "\n"
+            except ValueError as exc:
+                # The writer refuses only non-finite values.
+                raise OverflowError from exc
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fp:
+                fp.write(text)
+        return code
     except (FloatingPointError, OverflowError):
         # Every input is finite once read, so a value outside the double
         # range anywhere in a command is a computation that overflowed.

@@ -155,9 +155,10 @@ class FpReport:
 
 
 # Pairs with n1 * n2 up to this size take the Kronecker SVD. Once scipy is
-# loaded the Schur route is the faster one in process, already at n = 8 (one
-# BLAS thread, normal pairs, Kronecker against Schur: 0.76 against 0.65 ms
-# at n = 8, 7.3 against 2.1 ms at n = 12, 87 against 3.8 ms at n = 20). The
+# loaded the routes are level at n = 8, where the Kronecker SVD is faster on
+# the commutant_scaling pairs (one BLAS thread: 0.94-1.00 against 1.00-1.09 ms
+# by fp_property, 0.98-1.00 against 1.02-1.10 by commutant_basis), and the
+# Schur route is faster from n = 12 on (see the README's table). The
 # crossover stands on the import: `import scipy.linalg` costs a process
 # 0.21-0.25 s (12 runs, after numpy) and about 28 MB of peak RSS (27 to
 # 55 MB after numpy) once, while at or below 144 the Kronecker SVD stays

@@ -42,6 +42,9 @@ KINDS = (KIND_NORMAL_PAIR, KIND_INVERTIBLE_FP, KIND_INVOLUTION)
 
 _RETRY_BUDGET = 100
 
+# A drawn involution A must have ||A^2 - I||_2 at most this.
+INVOLUTION_RESIDUAL_MAX = 1e-12
+
 
 class GenerationError(RuntimeError):
     """No hypothesis-satisfying instance found within the retry budget."""
@@ -208,7 +211,7 @@ def draw(kind: str, n: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_
                     return fa, fb, cb
         else:
             A = involution(rng, n)
-            if op_norm(A @ A - np.eye(n)) <= 1e-12:
+            if op_norm(A @ A - np.eye(n)) <= INVOLUTION_RESIDUAL_MAX:
                 return A
     raise GenerationError(f"no {kind!r} instance satisfying its hypothesis within {_RETRY_BUDGET} attempts")
 

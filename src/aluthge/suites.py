@@ -31,6 +31,7 @@ from .commutant import (
     semicircle_check,
 )
 from .generate import (
+    INVOLUTION_RESIDUAL_MAX,
     KIND_INVERTIBLE_FP,
     KIND_NORMAL_PAIR,
     GenerationError,
@@ -269,8 +270,8 @@ def _case_prop29(rng: np.random.Generator, tol: Tolerances) -> _Case:
     n = int(rng.integers(1, 6))
     A = involution(rng, n)
     rep = involution_angular_check(A, tol)
-    # A passes only when it squares to I within 1e-12, the bar that draw(KIND_INVOLUTION) sets.
-    passed = rep.ok and rep.details["involution_residual"] <= 1e-12
+    # A passes only when it squares to I within the bar that draw(KIND_INVOLUTION) sets.
+    passed = rep.ok and rep.details["involution_residual"] <= INVOLUTION_RESIDUAL_MAX
     return CheckReport(passed, rep.max_residual, rep.threshold), {"A": A}
 
 
@@ -319,7 +320,7 @@ def _case_example_fp_fail(rng: np.random.Generator, tol: Tolerances) -> _Case:
         and rep.max_residual >= 1.0
         and rep.witness is not None
         and r_span <= 1e-9 * fro_norm(_EXAMPLE_WITNESS)
-        and inv.details["involution_residual"] <= 1e-12
+        and inv.details["involution_residual"] <= INVOLUTION_RESIDUAL_MAX
         and inv.max_residual <= 1e-10
         and rep_t.holds
     )

@@ -113,15 +113,17 @@ TRIALS = st.integers(-(2**70), 3).map(str)
 SEED = st.integers(-(2**70), 2**70).map(str)
 EXPONENT = option_values("0.25", "0.5", "1")
 ORDER = option_values("1", "2", "3", "inf")
+# Only the commands whose verdict reads a residual take a tolerance.
+TOLERANCE = option_values("1e-8", "1e-6")
 
 OPTIONS = {
     "polar": {"--mode": st.sampled_from(["unitary", "partial"])},
     "aluthge": {"--s": EXPONENT, "--t": EXPONENT, "--iterate": ITERATE, "--full": None},
     "commutant": {},
-    "fp-check": {},
+    "fp-check": {"--tol": TOLERANCE},
     "schatten": {},
-    "inequality": {"--p": ORDER, "--delta": option_values("0.5", "5")},
-    "suite": {"--trials": TRIALS, "--seed": SEED},
+    "inequality": {"--p": ORDER, "--delta": option_values("0.5", "5"), "--tol": TOLERANCE},
+    "suite": {"--trials": TRIALS, "--seed": SEED, "--tol": TOLERANCE},
 }
 
 
@@ -135,8 +137,7 @@ def cli_inputs(draw) -> tuple[list[str], str]:
         argv = ["inequality", draw(st.sampled_from(["lemma41", "thm42", "moore"])), "-"]
     else:
         argv = [command, "-"]
-    options = dict(OPTIONS[command], **{"--tol": option_values("1e-8", "1e-6")})
-    for flag, values in options.items():
+    for flag, values in OPTIONS[command].items():
         if draw(st.sampled_from([False, False, True])):
             argv += [flag] if values is None else [flag, draw(values)]
     if command == "schatten":

@@ -505,6 +505,9 @@ class TestCli:
                 ["inequality", "--p", "3", "moore", "abx.json", "--delta", "0.5"],
                 "--p applies only to lemma41 and thm42; moore bounds the operator norm",
             ),
+            (["polar", "one.json", "--tol", "0.5"], "unrecognized arguments: --tol 0.5"),
+            (["aluthge", "one.json", "--tol", "0.5"], "unrecognized arguments: --tol 0.5"),
+            (["commutant", "abx.json", "--tol", "0.5"], "unrecognized arguments: --tol 0.5"),
         ],
     )
     def test_option_the_command_never_reads_is_refused(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -553,7 +556,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["commutant", "--tol", "-1e+16"], "residual_rel must lie in [0, 1), got -1e+16"),
+            (["fp-check", "--tol", "-1e+16"], "residual_rel must lie in [0, 1), got -1e+16"),
             (["aluthge", "--s", "-inf"], "exponents s and t must be positive and finite"),
             (["schatten", "--p", "-1.5E-07"], "p must be at least 1 (or inf)"),
             (["inequality", "moore", "--delta", "-nan"], "delta must be finite and nonnegative"),

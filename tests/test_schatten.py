@@ -18,6 +18,7 @@ from aluthge.schatten import (
     exact_intertwiner_transfer,
     schatten_norm,
 )
+from aluthge.suites import _corner_phase_instance
 
 
 class TestSchattenNorm:
@@ -249,6 +250,24 @@ class TestAluthgeIntertwinerBound:
             rep = aluthge_intertwiner_bound(10.0**exponent * U @ P, V @ S, X, p)
             assert rep.details["block_lhs"] == pytest.approx(rep.lhs, rel=1e-12, abs=0.0), seed
             assert rep.details["block_rhs"] == pytest.approx(rep.rhs, rel=1e-12, abs=0.0), seed
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, inf])
+    def test_lemma41_is_thm42_at_b_equal_a(self, p):
+        # Lemma 4.1 is Theorem 4.2 with B = A: for self-adjoint X with U* X = X U
+        # both checks compute their sides and a from the same factors of A.
+        rng = np.random.default_rng(41)
+        cases = [(pd_min_eig(rng, n, rng.uniform(0.25, 2.25)), hermitian_part(ginibre(rng, n))) for n in range(1, 6)]
+        for n in (3, 4, 5, 5):
+            # The corner-phase instances of the lemma41 suite, redrawn until a > 0 as the suite does.
+            A, X = _corner_phase_instance(rng, n, rng.uniform(0.5, 1.5))
+            while not aluthge_commutator_bound(A, X, p).hypotheses_ok:
+                A, X = _corner_phase_instance(rng, n, rng.uniform(0.5, 1.5))
+            cases.append((A, X))
+        for k, (A, X) in enumerate(cases):
+            one = aluthge_commutator_bound(A, X, p)
+            two = aluthge_intertwiner_bound(A, A, X, p)
+            assert one.hypotheses_ok and two.hypotheses_ok, k
+            assert (two.lhs, two.rhs, two.a_value) == (one.lhs, one.rhs, one.a_value), k
 
     def test_hypotheses_flag_without_intertwining_angulars(self):
         rng = np.random.default_rng(9)
