@@ -525,8 +525,9 @@ def _residual_norms(M: np.ndarray, N: np.ndarray, lifts: Lifts) -> np.ndarray:
             chunk = X[start : start + step]
             norms[start : start + len(chunk)] = _term_norms([M @ chunk - chunk @ N], len(chunk))
         return norms
-    P1, Pp = _group_parts(M, lifts.left, right=False)
-    S, Wp = _group_parts(N, lifts.right, right=True)
+    P1, Pp = _group_parts(M, lifts.left)
+    # The right split is the adjoint of N*'s left split: S = P1(N*)* and Wp = (N*K - K P1(N*))*.
+    S, Wp = (D.conj().T for D in _group_parts(N.conj().T, lifts.right))
     d1, ds = P1.diagonal(), S.diagonal()
     columns = _squares(P1 - np.diag(d1), axis=0) + _squares(Pp, axis=0)
     rows = _squares(S - np.diag(ds), axis=1) + _squares(Wp, axis=1)
@@ -563,22 +564,16 @@ def _term_norms(terms: list[np.ndarray], rows: int) -> np.ndarray:
     return part
 
 
-def _group_parts(M: np.ndarray, bases: list[np.ndarray], right: bool) -> tuple[np.ndarray, np.ndarray]:
+def _group_parts(M: np.ndarray, bases: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The compressions of M onto the bases and the part of M outside them, as :func:`_residual_norms` splits them.
 
     The bases sit side by side as the columns of R, and a basis's parts
-    are read at its columns. On the left the parts are P1, the block
-    diagonal of R*(MR) whose block i is R_i*MR_i, and MR - R P1. On the
-    right, with K in place of R, they are S, the block diagonal of
-    K*MK, and K*M - S K*.
+    are read at its columns: P1, the block diagonal of R*(MR) whose
+    block i is R_i*MR_i, and MR - R P1.
     """
     R = np.concatenate(bases, axis=1)
     group = np.repeat(np.arange(len(bases)), [basis.shape[1] for basis in bases])
     diagonal = group[:, None] == group[None, :]
-    if right:
-        W = R.conj().T @ M
-        S = np.where(diagonal, W @ R, 0.0)
-        return S, W - S @ R.conj().T
     P = M @ R
     P1 = np.where(diagonal, R.conj().T @ P, 0.0)
     return P1, P - R @ P1
@@ -641,9 +636,11 @@ def fp_property(A, B, tol: Tolerances = DEFAULT_TOL) -> FpReport:
     Each basis element of Com(A, B) (unit Frobenius norm) is accepted
     when its adjoint-relation residual stays below
     ``residual_rel * (||A|| + ||B||)``. A trivial commutant makes the
-    verdict vacuously true. The adjoints' norms come from the SVDs of A and B.
+    verdict vacuously true. The adjoints' norms come from the SVDs of A and B,
+    one SVD when B is A itself.
     """
-    fa, fb = polar_factors(A, tol), polar_factors(B, tol)
+    fa = polar_factors(A, tol)
+    fb = fa if B is A else polar_factors(B, tol)
     return basis_inclusion(commutant_basis(fa.matrix, fb.matrix, tol), fa.adjoint(), fb.adjoint(), tol)
 
 

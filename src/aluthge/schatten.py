@@ -10,7 +10,7 @@ a matrix or as its :class:`~aluthge.polar.PolarFactors`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import inf, sqrt
 from typing import Any
 
@@ -166,6 +166,27 @@ def _polar_root(A, tol: Tolerances) -> tuple[PolarFactors, np.ndarray, np.ndarra
     return f, U, root, min_hermitian_eigenvalue(U @ root)
 
 
+def _thm42(A, B, X, p: float, tol: Tolerances) -> tuple[InequalityReport, np.ndarray, np.ndarray, np.ndarray]:
+    """Theorem 4.2's direct route, and the A, B and X it read as matrices.
+
+    B is factored once when it is A itself, as a matrix or as its factors.
+    """
+    fa, U, root_a, a_left = _polar_root(A, tol)
+    fb, V, root_b, a_right = (fa, U, root_a, a_left) if B is A else _polar_root(B, tol)
+    X = as_intertwiner(X, fa.matrix, fb.matrix)
+    p = _validate_p(p)
+    a = min(a_left, a_right)
+    commutes = _angular_intertwines(U, V, X, tol)
+    Ta = fa.transform(0.5, 0.5)
+    Tb = Ta if fb is fa else fb.transform(0.5, 0.5)
+    lhs = schatten_norm(adjoint(Ta) @ X - X @ Tb, p)
+    rhs = 2.0 * a * schatten_norm(root_a @ X - X @ root_b, p)
+    details = {"a_left": float(a_left), "a_right": float(a_right), "angular_intertwines": bool(commutes)}
+    hypotheses = bool(a > 0.0 and commutes)
+    rep = InequalityReport(lhs, rhs, lhs - rhs, hypotheses_ok=hypotheses, a_value=float(a), p=p, details=details)
+    return rep, fa.matrix, fb.matrix, X
+
+
 def aluthge_commutator_bound(A, X, p: float, tol: Tolerances = DEFAULT_TOL) -> InequalityReport:
     """Lower bound on the transformed commutator of a self-adjoint X.
 
@@ -173,31 +194,21 @@ def aluthge_commutator_bound(A, X, p: float, tol: Tolerances = DEFAULT_TOL) -> I
     a = min eig Re(U |A|^(1/2)) strictly positive. Then with T the
     Aluthge transform of A,
 
-        ||T* X - X T||_p  >=  2 a ||  |A|^(1/2) X - X |A|^(1/2) ||_p.
+        ||T* X - X T||_p  >=  2 a ||  |A|^(1/2) X - X |A|^(1/2) ||_p,
 
-    Violated hypotheses produce hypotheses_ok = False rather than an
-    error; the inequality is then not asserted.
+    which is :func:`aluthge_intertwiner_bound` at B = A plus the
+    self-adjointness of X. Violated hypotheses produce hypotheses_ok =
+    False rather than an error; the inequality is then not asserted.
     """
-    f, U, root, a = _polar_root(A, tol)
+    f = polar_factors(A, tol)
     X = as_square(X)
     if X.shape != f.matrix.shape:
         raise ValueError("X must have the same shape as A")
     p = _validate_p(p)
-    self_adjoint = fro_norm(X - adjoint(X)) <= tol.residual_rel * max(fro_norm(X), 1.0)
-    commutes = _angular_intertwines(U, U, X, tol)
-    hypotheses = bool(a > 0.0 and self_adjoint and commutes)
-    T = f.transform(0.5, 0.5)
-    lhs = schatten_norm(adjoint(T) @ X - X @ T, p)
-    rhs = 2.0 * a * schatten_norm(root @ X - X @ root, p)
-    return InequalityReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=lhs - rhs,
-        hypotheses_ok=hypotheses,
-        a_value=float(a),
-        p=p,
-        details={"self_adjoint": bool(self_adjoint), "angular_commutes": bool(commutes)},
-    )
+    self_adjoint = bool(fro_norm(X - adjoint(X)) <= tol.residual_rel * max(fro_norm(X), 1.0))
+    rep = _thm42(f, f, X, p, tol)[0]
+    details = {"self_adjoint": self_adjoint, "angular_commutes": rep.details["angular_intertwines"]}
+    return replace(rep, hypotheses_ok=rep.hypotheses_ok and self_adjoint, details=details)
 
 
 def aluthge_intertwiner_bound(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) -> InequalityReport:
@@ -217,48 +228,21 @@ def aluthge_intertwiner_bound(A, B, X, p: float, tol: Tolerances = DEFAULT_TOL) 
     singular values of A (+) B relative to the larger norm, so past about
     1e10 it drops the smaller block's.
     """
-    fa, U, root_a, a_left = _polar_root(A, tol)
-    fb, V, root_b, a_right = _polar_root(B, tol)
-    A, B = fa.matrix, fb.matrix
-    X = as_intertwiner(X, A, B)
-    n1, n2 = A.shape[0], B.shape[0]
-    p = _validate_p(p)
-    a = min(a_left, a_right)
-    commutes = _angular_intertwines(U, V, X, tol)
-    hypotheses = bool(a > 0.0 and commutes)
-    Ta = fa.transform(0.5, 0.5)
-    Tb = fb.transform(0.5, 0.5)
-    lhs = schatten_norm(adjoint(Ta) @ X - X @ Tb, p)
-    rhs = 2.0 * a * schatten_norm(root_a @ X - X @ root_b, p)
-
+    rep, A, B, X = _thm42(A, B, X, p, tol)
+    n1, n2, p = A.shape[0], B.shape[0], rep.p
     T = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     T[:n1, :n1] = A
     T[n1:, n1:] = B
     Y = block_embed(X, adjoint(X))
     ft = polar_factors(T, tol)
-    Tt = ft.transform(0.5, 0.5)
-    root_t = ft.power(0.5)
+    Tt, root_t = ft.transform(0.5, 0.5), ft.power(0.5)
     # Each block commutator holds one corner and, up to sign, its adjoint, so its
     # p-norm is 2^(1/p) times the corner's. Scaling the norm, not its p-th
     # power, keeps a finite result finite; at p = inf the factor is 1.
     half = 0.5 ** (1.0 / p)
     block_lhs = half * schatten_norm(adjoint(Tt) @ Y - Y @ Tt, p)
-    block_rhs = 2.0 * a * half * schatten_norm(root_t @ Y - Y @ root_t, p)
-    return InequalityReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=lhs - rhs,
-        hypotheses_ok=hypotheses,
-        a_value=float(a),
-        p=p,
-        details={
-            "a_left": float(a_left),
-            "a_right": float(a_right),
-            "angular_intertwines": bool(commutes),
-            "block_lhs": float(block_lhs),
-            "block_rhs": float(block_rhs),
-        },
-    )
+    block_rhs = 2.0 * rep.a_value * half * schatten_norm(root_t @ Y - Y @ root_t, p)
+    return replace(rep, details={**rep.details, "block_lhs": float(block_lhs), "block_rhs": float(block_rhs)})
 
 
 def exact_intertwiner_transfer(A, B, X, tol: Tolerances = DEFAULT_TOL) -> CheckReport:

@@ -7,7 +7,9 @@ in closed form. X -> T1 X T2^-1 maps Com(A, B) onto Com(T1 A T1^-1,
 T2 B T2^-1), so a similarity keeps the commutant's dimension. The
 Aluthge transform keeps the spectrum with multiplicities. On
 Gaussian-integer pairs, elimination in exact rational arithmetic gives
-the commutant's dimension with no cut at all.
+the commutant's dimension with no cut at all. Where the statements stop
+is shown by constructions whose outcome is known: the (s, t) transforms
+on either side of s + t = 1, and involutions, whose transform is unitary.
 """
 
 from fractions import Fraction
@@ -19,10 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from aluthge.commutant import _KRONECKER_MAX, commutant_basis, fp_property
+from aluthge.commutant import _KRONECKER_MAX, basis_inclusion, com_inclusion, commutant_basis, fp_property
 from aluthge.generate import (
+    KIND_INVERTIBLE_FP,
+    KIND_INVOLUTION,
     KIND_NORMAL_PAIR,
     draw,
+    ginibre,
     invertible_fp_pair,
     involution,
     normal_pair,
@@ -30,7 +35,7 @@ from aluthge.generate import (
     similarity_pair,
     well_conditioned,
 )
-from aluthge.polar import aluthge, aluthge_iterate
+from aluthge.polar import aluthge, aluthge_iterate, aluthge_st, polar_factors
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 # Singular values of X at or below this fraction of the largest are zero.
@@ -375,3 +380,60 @@ def test_aluthge_transform_keeps_the_spectrum(A):
     rows, cols = linear_sum_assignment(distance)
     limit = 100 * np.finfo(float).eps * np.linalg.norm(A, 2) * (kappa[rows] + kappa_delta[cols])
     assert np.all(distance[rows, cols] <= limit)
+
+
+class TestWhereTheStatementsStop:
+    """Statements (i)-(iii) at the (s, t) transforms Δ_{s,t}A = |A|^s U |A|^t, and without their hypotheses."""
+
+    def test_lambda_transform_keeps_fp_and_the_commutant(self):
+        # For s + t = 1 and invertible A, Δ_{s,1-s}A = |A|^s A |A|^-s. An FP pair has
+        # |A| X = X |B| for X in Com(A, B), so |A|^s X = X |B|^s: Com(ΔA, ΔB) is
+        # |A|^s Com(A, B) |B|^-s = Com(A, B), and ΔA* X = X ΔB* as well.
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            fa, fb, cb = draw(KIND_INVERTIBLE_FP, n, rng)
+            s = rng.uniform(0.1, 0.9)
+            ta, tb = polar_factors(fa.transform(s, 1.0 - s)), polar_factors(fb.transform(s, 1.0 - s))
+            assert fp_property(ta, tb).holds
+            assert basis_inclusion(cb, ta, tb).holds
+            assert basis_inclusion(commutant_basis(ta.matrix, tb.matrix), fa, fb).holds
+
+    @pytest.mark.parametrize("s, t", [(1.0, 1.0), (0.3, 0.3), (0.2, 0.5), (0.7, 0.6)])
+    def test_other_exponents_lose_fp(self, s, t):
+        # Δ_{s,t}[[a]] = [[e^{i arg a} |a|^(s+t)]], so A = [[e^{i arg μ} |μ|^(1/(s+t))]] for an
+        # eigenvalue μ of Δ_{s,t}N makes ΔA = [[μ]] share a value with σ(ΔN), while σ(A) and
+        # σ(N) are apart: the invertible pair (A, N) holds vacuously, and its transform fails.
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            N = ginibre(rng, 3)
+            mu = rng.choice(np.linalg.eigvals(aluthge_st(N, s, t)))
+            A = np.array([[np.exp(1j * np.angle(mu)) * abs(mu) ** (1.0 / (s + t))]])
+            before = fp_property(A, N)
+            assert before.holds and before.com_dim == 0
+            after = fp_property(aluthge_st(A, s, t), aluthge_st(N, s, t))
+            assert after.com_dim >= 1
+            assert not after.holds and after.max_residual >= 1e3 * after.threshold
+
+    def test_involutions_need_the_hypotheses(self):
+        # A^2 = I with A non-normal: U = U*, and A^-1 = A gives |A|^-1 = U |A| U, so the
+        # transform is unitary and (Ã, Ã) has FP, while (A, A) does not (A is in Com(A, A)).
+        # σ(U) = {1, -1} lies in no open semicircle, so (ii) needs that hypothesis, and
+        # Com(A, A) ⊄ Com(Ã, Ã), so (iii) needs FP.
+        rng = np.random.default_rng(46)
+        draws = 0
+        for n in range(2, 7):
+            for _ in range(50):
+                A = draw(KIND_INVOLUTION, n, rng)
+                if np.linalg.norm(A @ A.conj().T - A.conj().T @ A, 2) <= 1e-2:
+                    continue
+                draws += 1
+                f = polar_factors(A)
+                w = np.linalg.eigvals(f.angular())
+                assert np.abs(np.abs(w.real) - 1.0).max() <= 1e-8 and w.real.min() < 0.0 < w.real.max()
+                T = f.aluthge()
+                assert np.linalg.norm(T.matrix @ T.matrix.conj().T - np.eye(n), 2) <= 1e-12
+                assert fp_property(T, T).holds
+                for rep in (fp_property(f, f), com_inclusion(A, A, T, T)):
+                    assert not rep.holds and rep.max_residual >= 1e3 * rep.threshold
+        assert draws >= 200

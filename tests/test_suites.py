@@ -8,10 +8,12 @@ import pytest
 
 import aluthge.commutant as commutant_module
 from aluthge.cli import main
-from aluthge.generate import GenerationError
-from aluthge.linalg import DEFAULT_TOL, Tolerances, op_norm
+from aluthge.commutant import fp_property
+from aluthge.generate import GenerationError, ginibre
+from aluthge.linalg import DEFAULT_TOL, Tolerances, hermitian_part, op_norm
 from aluthge.matrixio import matrix_from_doc
 from aluthge.polar import aluthge
+from aluthge.schatten import aluthge_intertwiner_bound
 from aluthge.suites import SUITE_IDS, SUITES, _angular_transfer_case, run_suite
 
 EXPECTED_IDS = {
@@ -205,6 +207,20 @@ def test_each_matrix_factored_once_per_case(suite_id, factorizations):
         for k, k_adjoint in factorizations:
             assert k not in seen, f"case {case_id} factors a matrix, or its adjoint, twice"
             seen.update((k, k_adjoint))
+
+
+@pytest.mark.parametrize("check", ["fp_property", "aluthge_intertwiner_bound"])
+def test_a_repeated_operand_is_factored_once(check, factorizations):
+    # Passed as B, A itself takes one SVD fewer than an equal copy of it.
+    rng = np.random.default_rng(32)
+    A, X = ginibre(rng, 4), hermitian_part(ginibre(rng, 4))
+    call = fp_property if check == "fp_property" else lambda A, B: aluthge_intertwiner_bound(A, B, X, 3.0)
+    counts = []
+    for B in (A.copy(), A):
+        factorizations.clear()
+        call(A, B)
+        counts.append(len(factorizations))
+    assert counts[1] == counts[0] - 1
 
 
 # SVDs and spectral norms that cases 0-39 of each suite take at seed 1, at most.
