@@ -2,14 +2,15 @@
 
 Com(A, B) is the linear space of matrices X with AX = XB. Small pairs
 take the numerical nullspace of the Kronecker linearization of
-X -> AX - XB; larger ones reduce both matrices to Schur form and solve
-only the pairs of eigenvalue groups that the two spectra may share
-(Bartels-Stewart; by Rosenblum's theorem the other pairs contribute
-nothing). On top of the basis sit the adjoint-intertwining
-(FP-property) verdict, subspace inclusion tests, the polar-part
-intertwining identities and the spectral tests on angular parts. Each
-check takes an operator that it factors either as a matrix or as its
-:class:`~aluthge.polar.PolarFactors`.
+X -> AX - XB; larger ones split both spectra into groups and solve only
+the pairs of groups that the two spectra may share (Bartels-Stewart; by
+Rosenblum's theorem the other pairs contribute nothing). The groups
+come from numpy's eigenvectors when those are well conditioned, and
+from a reordered scipy Schur form otherwise. On top of the basis sit
+the adjoint-intertwining (FP-property) verdict, subspace inclusion
+tests, the polar-part intertwining identities and the spectral tests on
+angular parts. Each check takes an operator that it factors either as a
+matrix or as its :class:`~aluthge.polar.PolarFactors`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .linalg import (
     fro_norm,
     op_norm,
     rank_cut,
+    singular_values,
 )
 from .polar import PolarFactors, polar_factors
 
@@ -154,15 +156,18 @@ class FpReport:
     com_dim: int
 
 
-# Pairs with n1 * n2 up to this size take the Kronecker SVD. Once scipy is
-# loaded the routes are level at n = 8, where the Kronecker SVD is faster on
-# the commutant_scaling pairs (one BLAS thread: 0.94-1.00 against 1.00-1.09 ms
-# by fp_property, 0.98-1.00 against 1.02-1.10 by commutant_basis), and the
-# Schur route is faster from n = 12 on (see the README's table). The
-# crossover stands on the import: `import scipy.linalg` costs a process
-# 0.21-0.25 s (12 runs, after numpy) and about 28 MB of peak RSS (27 to
-# 55 MB after numpy) once, while at or below 144 the Kronecker SVD stays
-# under about 10 ms, so every suite and CLI inputs up to n = 12 never pay it.
+# Pairs with n1 * n2 up to this size take the Kronecker SVD. The routes are
+# level at n = 8, where the Kronecker SVD is faster on the commutant_scaling
+# pairs (one BLAS thread: 0.94-1.00 against 1.00-1.09 ms by fp_property,
+# 0.98-1.00 against 1.02-1.10 by commutant_basis, measured with the Schur
+# builder), and the Schur route is faster from n = 12 on (see the README's
+# table). 144 was set by the `import scipy.linalg` the Schur route paid
+# once per process (0.21-0.25 s and about 28 MB of peak RSS). A pair with
+# well-conditioned eigenvectors no longer imports scipy, so for
+# diagonalizable pairs the import no longer justifies 144. It stays
+# because moving it changes which cut decides the pairs in between: the
+# Kronecker SVD cuts at rank_rel * ||L||_2, the group route at
+# rank_rel * scale.
 _KRONECKER_MAX = 144
 # Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
 _BLOCK_MAX = 4096
@@ -181,8 +186,8 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     :func:`_block_null_vectors`: singular values at or below
     ``rank_cut(s, rank_rel)``, ``rank_rel * ||L||_2``, count as zero.
     Larger pairs solve only the pairs of eigenvalue groups of A and B
-    that may share a solution, on their Schur forms, with the same rule
-    given a shift-invariant bound ``scale`` on ||L||_2, so the cut is
+    that may share a solution, on the groups' compressions, with the same
+    rule given a shift-invariant bound ``scale`` on ||L||_2, so the cut is
     ``rank_rel * scale``, and keep each element as factors. A pair of
     groups that is scalar to within the cut is wholly null and kept as a
     full block without a solve; a pair that takes a solve and whose
@@ -203,10 +208,15 @@ def _kronecker_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commu
 
 
 def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
-    """Solve AX = XB group by group on the complex Schur forms of A and B*.
+    """Solve AX = XB group by group on the spectral groups of A and B*.
 
     The spectra of A and of B* are split into well-conditioned groups
-    (see :func:`_spectral_groups`). For a group of A with invariant
+    (see :func:`_spectral_groups`): each group's spectral projector has
+    norm at most 1 / s_min, s_min = ``rank_rel**0.25``. The groups come
+    from one ``eig`` when the unit eigenvectors V have kappa_2(V) <=
+    1 / s_min, since then every projector V E_G V^-1 has norm at most
+    kappa_2(V), and from a reordered Schur form, whose s test bounds the
+    same norm group by group, otherwise. For a group of A with invariant
     basis R and compression T = R*AR, and one of B* with basis K and
     S = K*BK, X = R Z K* solves the pair exactly when T Z = Z S. A pair
     of groups is dropped only when ``|c - d| - ||T - cI||_F -
@@ -350,20 +360,71 @@ def _cross_norms(bases: list[np.ndarray]) -> np.ndarray:
 def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.ndarray, np.ndarray, complex, float]]:
     """Split the spectrum of M into groups and return each as (R, T, c, r).
 
-    R is an orthonormal basis of the group's invariant subspace, read
-    from one Schur form reordered by ``ztrsen``, T = R*MR is its
-    compression, c = tr T / m its mean eigenvalue and r = ||T - cI||_F.
-    A single eigenvalue lambda is (x, [[lambda]], lambda, 0), x its unit
-    eigenvector, with no arithmetic; a cluster's c and r are computed
-    once, when it is kept. Eigenvalues start in single-linkage clusters
-    within ``gap``. A group whose reciprocal condition number (1 / the
-    norm of its spectral projector) is below ``s_min`` merges with its
-    nearest group and is tested again. That keeps together the
+    R is an orthonormal basis of the group's invariant subspace, T =
+    R*MR is its compression, c = tr T / m its mean eigenvalue and r =
+    ||T - cI||_F. A single eigenvalue lambda is (x, [[lambda]], lambda,
+    0), x its unit eigenvector, with no arithmetic. Eigenvalues start in
+    single-linkage clusters within ``gap``, and every group's
+    reciprocal condition number (1 / the norm of its spectral
+    projector) is at least ``s_min``. One ``eig`` of M comes first. When
+    its unit eigenvectors V have sigma_min(V) >= s_min * sigma_max(V),
+    the groups are the clusters themselves, read from V
+    (:func:`_eigenvector_groups`): a group G's spectral projector is
+    V E_G V^-1, of 2-norm at most kappa_2(V) <= 1 / s_min. Otherwise, or
+    when ``eig`` fails, one reordered Schur form gives them
+    (:func:`_schur_groups`), merging clusters until each passes. Its s
+    reads the projector's norm as sqrt(1 + ||Y||_F^2), Y the solution
+    of the group's Sylvester equation, against the 2-norm
+    sqrt(1 + ||Y||_2^2): the stricter test, by at most sqrt(m).
+    """
+    try:
+        w, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        return _schur_groups(M, gap, s_min)
+    s = singular_values(V)
+    if s[-1] >= s_min * s[0]:
+        return _eigenvector_groups(M, w, V, gap)
+    return _schur_groups(M, gap, s_min)
+
+
+def _eigenvector_groups(
+    M: np.ndarray, w: np.ndarray, V: np.ndarray, gap: float
+) -> list[tuple[np.ndarray, np.ndarray, complex, float]]:
+    """The single-linkage clusters of the eigenvalues w within ``gap``, as groups (R, T, c, r) of M.
+
+    V holds the unit eigenvectors of M, column p for w[p]. A single
+    eigenvalue is (V[:, p], [[w[p]]], w[p], 0.0). A cluster's R comes
+    from a QR of its eigenvector columns, with T = R*MR, c = tr T / m
+    and r = ||T - cI||_F. The clusters of one size share one stacked
+    QR and one stacked product, since a QR call costs several times the
+    arithmetic of a small cluster. Singles come first, then the
+    clusters by size.
+    """
+    masks = _linked_clusters(np.abs(w[:, None] - w[None, :]) <= gap)
+    sizes = masks.sum(axis=1)
+    groups = [(V[:, p : p + 1], w[p : p + 1, None], w[p], 0.0) for p in masks[sizes == 1].argmax(axis=1).tolist()]
+    for m in sorted(set(sizes.tolist()) - {1}):
+        members = np.nonzero(masks[sizes == m])[1].reshape(-1, m)
+        R = np.linalg.qr(V[:, members].transpose(1, 0, 2))[0]
+        T = R.conj().transpose(0, 2, 1) @ (M @ R)
+        c = T.trace(axis1=1, axis2=2) / m
+        r = np.sqrt(_squares((T - c[:, None, None] * np.eye(m)).reshape(len(T), -1), axis=1))
+        groups += zip(R, T, c, r)
+    return groups
+
+
+def _schur_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.ndarray, np.ndarray, complex, float]]:
+    """The groups of :func:`_spectral_groups` read from one Schur form of M, reordered by ``ztrsen``.
+
+    A group whose reciprocal condition number is below ``s_min`` merges
+    with its nearest group and is tested again. That keeps together the
     eigenvalues a defective eigenvalue splits into, however far roundoff
     scatters them, and keeps the block diagonalization behind the drop
     rule well conditioned. Single eigenvalues are tested all at once
     from eigenvectors (:func:`_simple_eigenvectors`); the rest, and any
-    single eigenvalue below ``s_min``, take ``ztrsen`` one group at a time.
+    single eigenvalue below ``s_min``, take ``ztrsen`` one group at a
+    time, and a cluster's c and r are computed once, when it is kept.
+    Only this builder and its :func:`_simple_eigenvectors` import scipy.
     """
     from scipy.linalg import schur
     from scipy.linalg.lapack import ztrsen

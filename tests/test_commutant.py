@@ -12,10 +12,12 @@ from aluthge.commutant import (
     _block_null_vectors,
     _combination_residual,
     _dense_lifts,
+    _eigenvector_groups,
     _kronecker_commutant,
     _linked_clusters,
     _residual_norms,
     _schur_commutant,
+    _schur_groups,
     _simple_eigenvectors,
     _spectral_groups,
     _sylvester_matrix,
@@ -492,7 +494,8 @@ class TestCommutantRoutes:
         B = Qb @ (rng.permutation(ev)[:, None] * Qb.conj().T)
         qr_calls = count_qr_calls(monkeypatch)
         cb = _schur_commutant(A, B, DEFAULT_TOL)
-        assert not qr_calls
+        # The QR of the lifted basis has n1 * n2 rows; a group's basis may take a QR of its own.
+        assert not [shape for shape in qr_calls if shape[0] == n * n]
         assert cb.nullity == len(cb.basis) == n * multiplicity
         V = stacked(cb.basis)
         np.testing.assert_allclose(V.conj() @ V.T, np.eye(cb.nullity), atol=1e-12)
@@ -587,6 +590,54 @@ class TestCommutantRoutes:
             assert r == pytest.approx(np.linalg.norm(T - mean * np.eye(len(T))), rel=1e-13, abs=1e-13 * size)
             # Scalar on its invariant subspace, or with a nilpotent part.
             assert (r <= 1e-13 * size) == (len(T) == 4)
+
+
+def parity_pair(name):
+    """A diagonalizable pair with a fixed seed: normal with multiplicity 4, similarity, or an involution with itself."""
+    kind, n = name.split("-")
+    n = int(n)
+    if kind == "involution":
+        A = involution(np.random.default_rng(1), n)
+        return A, A
+    normal, similar = benchmark_pairs(np.random.default_rng(120 + n), n)
+    return (normal if kind == "normal" else similar)[0]
+
+
+class TestEigenvectorGroups:
+    """Groups read from one eig agree with those of the Schur builder where the eigenvectors are well conditioned."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["normal-16", "normal-32", "normal-64", "similarity-16", "similarity-24", "involution-16", "involution-32"],
+    )
+    def test_agrees_with_the_schur_builder(self, name, monkeypatch):
+        A, B = parity_pair(name)
+        for M in (A, adjoint(B)):
+            size = op_norm(M)
+            gap, s_min = DEFAULT_TOL.rank_rel**0.25 * 2 * size, DEFAULT_TOL.rank_rel**0.25
+            w, V = np.linalg.eig(M)
+            s = np.linalg.svd(V, compute_uv=False)
+            # The condition that sends M to the eigenvector builder.
+            assert s[-1] >= s_min * s[0]
+            fast, slow = _eigenvector_groups(M, w, V, gap), _schur_groups(M, gap, s_min)
+            assert sorted(len(T) for _, T, _, _ in fast) == sorted(len(T) for _, T, _, _ in slow)
+            for R, T, _, _ in fast + slow:
+                np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * size)
+            for _, T, c, r in fast:
+                # The Schur group nearest in centre has the same size and radius.
+                _, T2, c2, r2 = min(slow, key=lambda g: abs(g[2] - c))
+                assert len(T2) == len(T)
+                assert abs(c2 - c) <= 1e-12 * size and abs(r2 - r) <= 1e-12 * size
+        nullity = commutant_basis(A, B).nullity
+        monkeypatch.setattr("aluthge.commutant._spectral_groups", _schur_groups)
+        assert commutant_basis(A, B).nullity == nullity
+
+    def test_a_jordan_block_takes_the_schur_builder(self, monkeypatch):
+        # Its eigenvectors are numerically parallel, so sigma_min(V) is far below the bound.
+        J = conjugated(np.random.default_rng(121), jordan_plus(4, 0.5, separated(np.random.default_rng(122), 12)))[0]
+        monkeypatch.setattr("aluthge.commutant._eigenvector_groups", None)
+        groups = _spectral_groups(J, DEFAULT_TOL.rank_rel**0.25 * op_norm(J), DEFAULT_TOL.rank_rel**0.25)
+        assert sorted(len(T) for _, T, _, _ in groups) == [1] * 12 + [4]
 
 
 def count_qr_calls(monkeypatch):
@@ -799,6 +850,22 @@ class TestFactoredElements:
         monkeypatch.setattr(scipy.linalg, "eig", shifted)
         T = np.triu(ginibre(rng, 5)) + np.diag(np.arange(5.0))
         assert not _simple_eigenvectors(T, list(range(5)))[1].any()
+        assert assert_routes_agree(A, B).nullity == nullity
+
+    def test_inexact_eigenvalues_fall_back_to_ztrsen_in_a_defective_pair(self, monkeypatch):
+        # A pair with a Jordan block takes the Schur builder, whose simple
+        # eigenvalues then all get s = 0 and the per-group path.
+        import scipy.linalg
+
+        eig = scipy.linalg.eig
+
+        def shifted(T, **kwargs):
+            w, *vectors = eig(T, **kwargs)
+            return w * (1 + 4 * np.finfo(float).eps), *vectors
+
+        A, B, nullity = jordan_pair(np.random.default_rng(95), 20, 3, 2)
+        monkeypatch.setattr(scipy.linalg, "eig", shifted)
+        monkeypatch.setattr("aluthge.commutant._eigenvector_groups", None)
         assert assert_routes_agree(A, B).nullity == nullity
 
 

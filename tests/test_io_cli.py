@@ -795,10 +795,49 @@ def test_schur_route_does_not_import_scipy_sparse():
         import sys
         import numpy as np
         import aluthge
-        cb = aluthge.commutant_basis(np.diag(np.arange(12.0)), np.diag(np.arange(13.0)))
+        # Nilpotent Jordan blocks J_13(0) and J_12(0): their eigenvectors are
+        # all parallel, so the groups come from the Schur form.
+        cb = aluthge.commutant_basis(np.eye(13, k=1), np.eye(12, k=1))
         assert cb.nullity == 12, cb.nullity
         assert "scipy.linalg" in sys.modules, "the Schur route ran"
         assert "scipy.sparse" not in sys.modules, "commutant_basis at n1 * n2 = 156"
+        """
+    )
+
+
+def test_diagonalizable_pairs_above_the_crossover_do_not_import_scipy(tmp_path):
+    # Pairs whose eigenvectors are well conditioned take their spectral
+    # groups from numpy's eig; only a defective one reaches the Schur form.
+    rng = np.random.default_rng(7)
+    n = 16
+    Q = [np.linalg.qr(ginibre(rng, n))[0] for _ in range(4)]
+    ev = np.repeat(np.array([0.0, 1.0, 1.0j, 1.0 + 1.0j]), 4)
+    normal = np.stack([U @ (ev[:, None] * U.conj().T) for U in Q[:2]])
+    S = [U @ np.diag(rng.uniform(0.6, 1.6, n)) @ V for U, V in (Q[:2], Q[2:])]
+    distinct = np.arange(n) + 0.5j * np.arange(n) ** 2
+    similar = np.stack([T @ np.diag(d) @ np.linalg.inv(T) for T, d in zip(S, (distinct, distinct[::-1]))])
+    np.save(tmp_path / "normal.npy", normal)
+    np.save(tmp_path / "similar.npy", similar)
+    write_matrices(tmp_path / "pair.json", {"A": normal[0], "B": normal[1]})
+    run_fresh(
+        f"""
+        import sys
+        import numpy as np
+        import aluthge
+        from aluthge.cli import main
+        A, B = np.load({str(tmp_path / "normal.npy")!r})
+        rep = aluthge.fp_property(A, B)
+        assert rep.holds and rep.com_dim == 64, rep
+        assert "scipy" not in sys.modules, "fp_property on a normal pair at n = 16"
+        A, B = np.load({str(tmp_path / "similar.npy")!r})
+        assert aluthge.commutant_basis(A, B).nullity == 16
+        assert "scipy" not in sys.modules, "commutant_basis on a similarity pair at n = 16"
+        for command in ("fp-check", "commutant"):
+            assert main([command, {str(tmp_path / "pair.json")!r}, "--out", {str(tmp_path / "out.json")!r}]) == 0
+            assert "scipy" not in sys.modules, command
+        J = 0.5 * np.eye(16) + np.eye(16, k=1)
+        assert aluthge.commutant_basis(J, J).nullity == 16
+        assert "scipy.linalg" in sys.modules, "a Jordan block reaches the Schur form"
         """
     )
 

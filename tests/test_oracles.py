@@ -31,6 +31,7 @@ from aluthge.generate import (
     invertible_fp_pair,
     involution,
     normal_pair,
+    pd_min_eig,
     random_unitary,
     similarity_pair,
     well_conditioned,
@@ -398,6 +399,35 @@ class TestWhereTheStatementsStop:
             assert fp_property(ta, tb).holds
             assert basis_inclusion(cb, ta, tb).holds
             assert basis_inclusion(commutant_basis(ta.matrix, tb.matrix), fa, fb).holds
+
+    def test_lambda_transform_keeps_statement_ii(self):
+        # Statement (ii) at s + t = 1, on cor27's draws: angular parts Q diag(u) Q* with u in
+        # an arc of width pi - 0.3, so σ(U) lies in an open semicircle, and |A| normal with U
+        # or positive definite. A pair is (A, A) for a decisively non-normal A, which fails
+        # FP, (A, A) for a normal A, which holds, or two independent operators.
+        rng = np.random.default_rng(47)
+
+        def operator(n, center, normal):
+            u = np.exp(1j * (center + rng.uniform(0.15, np.pi - 0.15, size=n)))
+            Q = random_unitary(rng, n)
+            if normal:
+                return Q @ ((rng.uniform(0.5, 1.8, size=n) * u)[:, None] * Q.conj().T)
+            return Q @ (u[:, None] * Q.conj().T) @ pd_min_eig(rng, n, 0.5)
+
+        verdicts = []
+        while len(verdicts) < 300:
+            n, center, variant = int(rng.integers(2, 5)), rng.uniform(0.0, 2.0 * np.pi), int(rng.integers(3))
+            A = operator(n, center, normal=variant == 1)
+            if variant == 0 and np.linalg.norm(A @ A.conj().T - A.conj().T @ A, 2) <= 1e-2:
+                continue
+            B = operator(n, center, normal=bool(rng.integers(2))) if variant == 2 else A
+            s = rng.uniform(0.1, 0.9)
+            before = fp_property(A, B).holds
+            after = fp_property(aluthge_st(A, s, 1.0 - s), aluthge_st(B, s, 1.0 - s)).holds
+            assert before == after, (variant, n, s)
+            verdicts.append(before)
+        # Both verdicts occur, so neither side of the equivalence is vacuous.
+        assert 50 <= sum(verdicts) <= 250
 
     @pytest.mark.parametrize("s, t", [(1.0, 1.0), (0.3, 0.3), (0.2, 0.5), (0.7, 0.6)])
     def test_other_exponents_lose_fp(self, s, t):
