@@ -16,6 +16,7 @@ matrix or as its :class:`~aluthge.polar.PolarFactors`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -105,22 +106,16 @@ class CommutantBasis:
         self.A, self.B, self.lifts = A, B, lifts
         self.dim_domain = (B.shape[0], A.shape[0])
         self.nullity = sum(lifts.counts())
-        self._basis = self._residuals = None
 
-    @property
+    @cached_property
     def residuals(self) -> list[float]:
-        if self._residuals is None:
-            self._residuals = _residual_norms(self.A, self.B, self.lifts).tolist()
-        return self._residuals
+        return _residual_norms(self.A, self.B, self.lifts).tolist()
 
-    @property
+    @cached_property
     def basis(self) -> list[np.ndarray]:
-        if self._basis is None:
-            if self.lifts.factored:
-                self._basis = list(_lift_all(self.lifts, self.A.shape[0], self.B.shape[0], self.nullity))
-            else:
-                self._basis = [X for _, _, stack in self.lifts.blocks for X in stack]
-        return self._basis
+        if self.lifts.factored:
+            return list(_lift_all(self.lifts, self.A.shape[0], self.B.shape[0], self.nullity))
+        return [X for _, _, stack in self.lifts.blocks for X in stack]
 
     def element(self, k: int) -> np.ndarray:
         """Element k as an (n1, n2) matrix, lifting that one element only; a negative k counts from the end."""
@@ -156,18 +151,14 @@ class FpReport:
     com_dim: int
 
 
-# Pairs with n1 * n2 up to this size take the Kronecker SVD. The routes are
-# level at n = 8, where the Kronecker SVD is faster on the commutant_scaling
-# pairs (one BLAS thread: 0.94-1.00 against 1.00-1.09 ms by fp_property,
-# 0.98-1.00 against 1.02-1.10 by commutant_basis, measured with the Schur
-# builder), and the Schur route is faster from n = 12 on (see the README's
-# table). 144 was set by the `import scipy.linalg` the Schur route paid
-# once per process (0.21-0.25 s and about 28 MB of peak RSS). A pair with
-# well-conditioned eigenvectors no longer imports scipy, so for
-# diagonalizable pairs the import no longer justifies 144. It stays
-# because moving it changes which cut decides the pairs in between: the
-# Kronecker SVD cuts at rank_rel * ||L||_2, the group route at
-# rank_rel * scale.
+# Pairs with n1 * n2 up to this size take the Kronecker SVD. Medians of 300
+# direct calls (one BLAS thread), group route against Kronecker, on normal
+# pairs of eigenvalue multiplicity 4 and on similarity pairs: 0.52 against
+# 0.19 ms and 0.33 against 0.25 at n = 6; 0.45 against 0.72 and 0.41
+# against 0.95 at n = 8; 0.59 against 5.3 and 0.56 against 6.0 at n = 12.
+# So the group route is faster from n = 8 on. 144 stays because moving it
+# changes which cut decides the pairs in between: the Kronecker SVD cuts at
+# rank_rel * ||L||_2, the group route at rank_rel * scale.
 _KRONECKER_MAX = 144
 # Largest group-pair block (rows of its Kronecker matrix) the Schur route solves.
 _BLOCK_MAX = 4096
@@ -176,6 +167,8 @@ _RESIDUAL_CHUNK = 2**19
 # Seed of the Gaussian coefficients of the dense combination check, fixed so
 # that a verdict is reproducible.
 _COMBINATION_SEED = 0
+# Slack in radians: semicircle_check needs a phase gap wider than pi + this.
+_ANGLE_ABS = 1e-9
 
 
 def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
@@ -247,7 +240,8 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     # block, and is invariant under a shift, a positive scaling and a unitary
     # similarity of the pair.
     c = (np.trace(A) + np.trace(B)) / (n1 + n2)
-    scale = op_norm(A - c * np.eye(n1)) + op_norm(B - c * np.eye(n2))
+    shift = op_norm(A - c * np.eye(n1))
+    scale = shift + (shift if B is A else op_norm(B - c * np.eye(n2)))
     gap, s_min = tol.rank_rel**0.25 * scale, tol.rank_rel**0.25
     groups_a = _spectral_groups(A, gap, s_min)
     groups_b = [(K, U.conj().T, d.conjugate(), r) for K, U, d, r in _spectral_groups(adjoint(B), gap, s_min)]
@@ -368,13 +362,16 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     reciprocal condition number (1 / the norm of its spectral
     projector) is at least ``s_min``. One ``eig`` of M comes first. When
     its unit eigenvectors V have sigma_min(V) >= s_min * sigma_max(V),
-    the groups are the clusters themselves, read from V
-    (:func:`_eigenvector_groups`): a group G's spectral projector is
-    V E_G V^-1, of 2-norm at most kappa_2(V) <= 1 / s_min. Otherwise, or
-    when ``eig`` fails, one reordered Schur form gives them
-    (:func:`_schur_groups`), merging clusters until each passes. Its s
-    reads the projector's norm as sqrt(1 + ||Y||_F^2), Y the solution
-    of the group's Sylvester equation, against the 2-norm
+    the groups are the clusters themselves, read from V: a group G's
+    spectral projector is V E_G V^-1, of 2-norm at most kappa_2(V) <= 1
+    / s_min. A cluster's R comes from a QR of its eigenvector columns;
+    the clusters of one size share one stacked QR and one stacked
+    product, since a QR call costs several times the arithmetic of a
+    small cluster. Singles come first, then the clusters by size.
+    Otherwise, or when ``eig`` fails, one reordered Schur form gives the
+    groups (:func:`_schur_groups`), merging clusters until each passes.
+    Its s reads the projector's norm as sqrt(1 + ||Y||_F^2), Y the
+    solution of the group's Sylvester equation, against the 2-norm
     sqrt(1 + ||Y||_2^2): the stricter test, by at most sqrt(m).
     """
     try:
@@ -382,24 +379,8 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     except np.linalg.LinAlgError:
         return _schur_groups(M, gap, s_min)
     s = singular_values(V)
-    if s[-1] >= s_min * s[0]:
-        return _eigenvector_groups(M, w, V, gap)
-    return _schur_groups(M, gap, s_min)
-
-
-def _eigenvector_groups(
-    M: np.ndarray, w: np.ndarray, V: np.ndarray, gap: float
-) -> list[tuple[np.ndarray, np.ndarray, complex, float]]:
-    """The single-linkage clusters of the eigenvalues w within ``gap``, as groups (R, T, c, r) of M.
-
-    V holds the unit eigenvectors of M, column p for w[p]. A single
-    eigenvalue is (V[:, p], [[w[p]]], w[p], 0.0). A cluster's R comes
-    from a QR of its eigenvector columns, with T = R*MR, c = tr T / m
-    and r = ||T - cI||_F. The clusters of one size share one stacked
-    QR and one stacked product, since a QR call costs several times the
-    arithmetic of a small cluster. Singles come first, then the
-    clusters by size.
-    """
+    if s[-1] < s_min * s[0]:
+        return _schur_groups(M, gap, s_min)
     masks = _linked_clusters(np.abs(w[:, None] - w[None, :]) <= gap)
     sizes = masks.sum(axis=1)
     groups = [(V[:, p : p + 1], w[p : p + 1, None], w[p], 0.0) for p in masks[sizes == 1].argmax(axis=1).tolist()]
@@ -407,10 +388,15 @@ def _eigenvector_groups(
         members = np.nonzero(masks[sizes == m])[1].reshape(-1, m)
         R = np.linalg.qr(V[:, members].transpose(1, 0, 2))[0]
         T = R.conj().transpose(0, 2, 1) @ (M @ R)
-        c = T.trace(axis1=1, axis2=2) / m
-        r = np.sqrt(_squares((T - c[:, None, None] * np.eye(m)).reshape(len(T), -1), axis=1))
-        groups += zip(R, T, c, r)
+        groups += zip(R, T, *_centres_and_radii(T))
     return groups
+
+
+def _centres_and_radii(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c = tr T / m and r = ||T - cI||_F for every compression of the (count, m, m) stack T."""
+    m = T.shape[-1]
+    c = T.trace(axis1=1, axis2=2) / m
+    return c, np.sqrt(_squares((T - c[:, None, None] * np.eye(m)).reshape(len(T), -1), axis=1))
 
 
 def _schur_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.ndarray, np.ndarray, complex, float]]:
@@ -455,8 +441,7 @@ def _schur_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.ndar
         if s >= s_min:
             # Copies, so a group does not keep the whole reordered Schur form alive.
             TR = Ts[:m, :m].copy()
-            c = TR.trace() / m
-            r = np.sqrt(_squares((TR - np.diag(np.full(m, c))).ravel(), axis=0))
+            (c,), (r,) = _centres_and_radii(TR[None])
             groups.append((members, Qs[:, :m].copy(), TR, c, r))
             continue
         others = clusters + [g[0] for g in groups]
@@ -879,7 +864,7 @@ def semicircle_check(U, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the spectrum of a unitary lies in some open semicircle.
 
     Equivalent formulation: the widest circular gap between eigenvalue
-    phases exceeds pi (by more than ``angle_abs``).
+    phases exceeds pi by more than ``_ANGLE_ABS``, 1e-9 rad.
     """
     U = as_square(U)
     _require_unitary(U, tol)
@@ -887,7 +872,7 @@ def semicircle_check(U, tol: Tolerances = DEFAULT_TOL) -> bool:
     gaps = np.diff(phases)
     wrap = phases[0] + 2.0 * np.pi - phases[-1]
     widest = max(float(gaps.max(initial=0.0)), float(wrap))
-    return bool(widest > np.pi + tol.angle_abs)
+    return bool(widest > np.pi + _ANGLE_ABS)
 
 
 def odd_root_unity_check(U, V, n0: int, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -112,9 +112,9 @@ _SECTOR_RIGHT = (4.0 * np.pi / 3.0 + 0.1, 2.0 * np.pi - 0.1)
 def _nonnormal_block(rng: np.random.Generator, sector: tuple[float, float], size: int) -> np.ndarray:
     """Upper triangular block, invertible, spectrum confined to ``sector``."""
     M = np.diag(_distinct_in_sector(rng, size, sector, (0.6, 1.8)))
-    for i in range(size):
-        for j in range(i + 1, size):
-            M[i, j] = ginibre(rng, 1)[0, 0]
+    # One draw for the strict upper triangle, row by row: the stream of a ginibre(rng, 1) per entry.
+    z = rng.standard_normal((size * (size - 1) // 2, 2))
+    M[np.triu_indices(size, 1)] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
     return M
 
 

@@ -31,20 +31,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative thresholds for every rank, residual and angle decision.
+    """Relative thresholds for every rank and residual decision.
 
-    rank_rel cuts off singular values (relative to the largest),
+    rank_rel cuts off singular values (relative to the largest) and
     residual_rel accepts equation residuals (relative to a per-check
-    scale), angle_abs is absolute slack in radians for spectral-arc
-    tests. All three must lie in [0, 1).
+    scale). Both must lie in [0, 1). The one angle test,
+    :func:`~aluthge.commutant.semicircle_check`, has a fixed slack.
     """
 
     rank_rel: float = 1e-10
     residual_rel: float = 1e-8
-    angle_abs: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("rank_rel", "residual_rel", "angle_abs"):
+        for name in ("rank_rel", "residual_rel"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value!r}")

@@ -12,7 +12,6 @@ from aluthge.commutant import (
     _block_null_vectors,
     _combination_residual,
     _dense_lifts,
-    _eigenvector_groups,
     _kronecker_commutant,
     _linked_clusters,
     _residual_norms,
@@ -538,6 +537,23 @@ class TestCommutantRoutes:
         commutant_basis(np.eye(12), np.eye(13))
         assert routes == ["kronecker", "schur"]
 
+    def test_a_self_pair_takes_one_svd_fewer(self, monkeypatch):
+        # B is A shares ||A - cI||_2 between both halves of scale; a copy of A does not.
+        (normal, _), _ = benchmark_pairs(np.random.default_rng(96), 16)
+        A = normal[0]
+        svd, calls = np.linalg.svd, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        cb = commutant_basis(A, A)
+        self_pair = len(calls)
+        copy = commutant_basis(A, A.copy())
+        assert len(calls) - self_pair == self_pair + 1
+        assert cb.nullity == copy.nullity == 64 and cb.residuals == copy.residuals
+
     def test_jordan_pair_rerouted_to_schur(self):
         # n1 * n2 = 256 took the Kronecker SVD while the crossover was 512.
         A, B, nullity = jordan_pair(np.random.default_rng(86), 16, 6, 9)
@@ -615,11 +631,13 @@ class TestEigenvectorGroups:
         for M in (A, adjoint(B)):
             size = op_norm(M)
             gap, s_min = DEFAULT_TOL.rank_rel**0.25 * 2 * size, DEFAULT_TOL.rank_rel**0.25
-            w, V = np.linalg.eig(M)
-            s = np.linalg.svd(V, compute_uv=False)
+            s = np.linalg.svd(np.linalg.eig(M)[1], compute_uv=False)
             # The condition that sends M to the eigenvector builder.
             assert s[-1] >= s_min * s[0]
-            fast, slow = _eigenvector_groups(M, w, V, gap), _schur_groups(M, gap, s_min)
+            with monkeypatch.context() as patched:
+                patched.setattr("aluthge.commutant._schur_groups", refuse_schur_groups)
+                fast = _spectral_groups(M, gap, s_min)
+            slow = _schur_groups(M, gap, s_min)
             assert sorted(len(T) for _, T, _, _ in fast) == sorted(len(T) for _, T, _, _ in slow)
             for R, T, _, _ in fast + slow:
                 np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * size)
@@ -635,9 +653,26 @@ class TestEigenvectorGroups:
     def test_a_jordan_block_takes_the_schur_builder(self, monkeypatch):
         # Its eigenvectors are numerically parallel, so sigma_min(V) is far below the bound.
         J = conjugated(np.random.default_rng(121), jordan_plus(4, 0.5, separated(np.random.default_rng(122), 12)))[0]
-        monkeypatch.setattr("aluthge.commutant._eigenvector_groups", None)
+        calls = count_schur_groups(monkeypatch)
         groups = _spectral_groups(J, DEFAULT_TOL.rank_rel**0.25 * op_norm(J), DEFAULT_TOL.rank_rel**0.25)
+        assert calls == [16]
         assert sorted(len(T) for _, T, _, _ in groups) == [1] * 12 + [4]
+
+
+def refuse_schur_groups(*args):
+    raise AssertionError("the Schur builder ran")
+
+
+def count_schur_groups(monkeypatch):
+    """Record the size of every matrix the Schur builder splits from here on."""
+    calls = []
+
+    def spy(M, gap, s_min):
+        calls.append(len(M))
+        return _schur_groups(M, gap, s_min)
+
+    monkeypatch.setattr("aluthge.commutant._schur_groups", spy)
+    return calls
 
 
 def count_qr_calls(monkeypatch):
@@ -865,8 +900,9 @@ class TestFactoredElements:
 
         A, B, nullity = jordan_pair(np.random.default_rng(95), 20, 3, 2)
         monkeypatch.setattr(scipy.linalg, "eig", shifted)
-        monkeypatch.setattr("aluthge.commutant._eigenvector_groups", None)
+        calls = count_schur_groups(monkeypatch)
         assert assert_routes_agree(A, B).nullity == nullity
+        assert calls == [20, 20]
 
 
 def identity_stacks(lifts):

@@ -13,8 +13,11 @@ from aluthge.generate import (
     KIND_NORMAL_PAIR,
     KINDS,
     GenerationError,
+    _distinct_in_sector,
+    _nonnormal_block,
     draw,
     generate,
+    ginibre,
 )
 from aluthge.linalg import op_norm, singular_values
 
@@ -112,3 +115,22 @@ def test_invertible_fp_pair_can_be_nonnormal():
         if op_norm(A @ A.conj().T - A.conj().T @ A) > 1e-6:
             hits += 1
     assert hits > 0
+
+
+def loop_nonnormal_block(rng, sector, size):
+    """The reference draw of a non-normal block: one ginibre(rng, 1) per strict upper entry, row by row."""
+    M = np.diag(_distinct_in_sector(rng, size, sector, (0.6, 1.8)))
+    for i in range(size):
+        for j in range(i + 1, size):
+            M[i, j] = ginibre(rng, 1)[0, 0]
+    return M
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_nonnormal_block_draws_the_per_entry_stream(size):
+    sector = (2.0, 4.0)
+    for seed in range(300):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _nonnormal_block(rng, sector, size).tobytes() == loop_nonnormal_block(reference, sector, size).tobytes()
+        # Both leave the stream at the same point.
+        assert rng.bit_generator.state == reference.bit_generator.state

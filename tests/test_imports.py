@@ -3,7 +3,8 @@
 Every name a module exports must resolve, and every module-level import
 must be used or re-exported, so a deletion cannot leave a stale name
 behind. Every SVD is taken in one of a few named functions, so a new
-private factorization shows up here. Every export is either called
+private factorization shows up here, and scipy is imported only by the
+Schur builder of the commutant groups. Every export is either called
 inside the package or named here as API for its users.
 """
 
@@ -51,8 +52,8 @@ SVD_SITES = [
 ]
 
 
-def _calls_by_function(tree: ast.AST, name: str) -> list[str]:
-    """The enclosing function of every call to a function called ``name`` (``<module>`` outside any)."""
+def _owners(tree: ast.AST, match) -> list[str]:
+    """The enclosing function of every node that ``match`` accepts (``<module>`` outside any)."""
     found = []
 
     def visit(node, owner):
@@ -60,12 +61,17 @@ def _calls_by_function(tree: ast.AST, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == name:
+            if match(child):
                 found.append(owner)
             visit(child, owner)
 
     visit(tree, "<module>")
     return found
+
+
+def _calls_by_function(tree: ast.AST, name: str) -> list[str]:
+    """The enclosing function of every call to a function called ``name`` (``<module>`` outside any)."""
+    return _owners(tree, lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name)
 
 
 def test_svd_is_called_only_in_its_named_sites():
@@ -75,6 +81,27 @@ def test_svd_is_called_only_in_its_named_sites():
         for owner in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")), "svd")
     ]
     assert sorted(sites) == SVD_SITES
+
+
+# The functions that may import scipy: the Schur builder of the spectral
+# groups and its eigenvector helper. Every other path, diagonalizable pairs
+# above the Kronecker crossover included, runs on numpy alone.
+SCIPY_SITES = ["commutant._schur_groups", "commutant._simple_eigenvectors"]
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def test_scipy_is_imported_only_by_the_schur_builder():
+    sites = {
+        f"{path.stem}.{owner}"
+        for path in SOURCES
+        for owner in _owners(ast.parse(path.read_text(encoding="utf-8")), _imports_scipy)
+    }
+    assert sorted(sites) == SCIPY_SITES
 
 
 def _package_imports(tree: ast.AST) -> set[str]:

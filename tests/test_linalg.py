@@ -53,7 +53,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="square"):
             hermitian_part(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("field", ["rank_rel", "residual_rel", "angle_abs"])
+    @pytest.mark.parametrize("field", ["rank_rel", "residual_rel"])
     def test_tolerances_range(self, field):
         with pytest.raises(ValueError, match=field):
             Tolerances(**{field: 1.5})
