@@ -4,9 +4,9 @@ Com(A, B) is the linear space of matrices X with AX = XB. Small pairs
 take the numerical nullspace of the Kronecker linearization of
 X -> AX - XB; larger ones split both spectra into groups and solve only
 the pairs of groups that the two spectra may share (Bartels-Stewart; by
-Rosenblum's theorem the other pairs contribute nothing). The groups
-come from numpy's eigenvectors when those are well conditioned, and
-from a reordered scipy Schur form otherwise. On top of the basis sit
+Rosenblum's theorem the other pairs contribute nothing). One numpy
+``eig`` decides each group, and a reordered scipy Schur form re-bases
+the groups its eigenvectors cannot give. On top of the basis sit
 the adjoint-intertwining (FP-property) verdict, subspace inclusion
 tests, the polar-part intertwining identities and the spectral tests on
 angular parts. Each check takes an operator that it factors either as a
@@ -32,7 +32,6 @@ from .linalg import (
     fro_norm,
     op_norm,
     rank_cut,
-    singular_values,
 )
 from .polar import PolarFactors, polar_factors
 
@@ -204,16 +203,16 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     """Solve AX = XB group by group on the spectral groups of A and B*.
 
     The spectra of A and of B* are split into well-conditioned groups
-    (see :func:`_spectral_groups`): each group's spectral projector has
-    norm at most 1 / s_min, s_min = ``rank_rel**0.25``. The groups come
-    from one ``eig`` when the unit eigenvectors V have kappa_2(V) <=
-    1 / s_min, since then every projector V E_G V^-1 has norm at most
-    kappa_2(V), and from a reordered Schur form, whose s test bounds the
-    same norm group by group, otherwise. For a group of A with invariant
-    basis R and compression T = R*AR, and one of B* with basis K and
-    S = K*BK, X = R Z K* solves the pair exactly when T Z = Z S. A pair
-    of groups is dropped only when ``|c - d| - ||T - cI||_F -
-    ||S - dI||_F`` (c, d the mean eigenvalues) exceeds the gap
+    (see :func:`_spectral_groups`): each group's reciprocal condition
+    number s, ``ztrsen``'s, is at least s_min = ``rank_rel**0.25``, so its
+    spectral projector has norm at most 1 / s_min. One ``eig`` and the
+    inverse of its eigenvectors give each group's s, and the groups that
+    fail, or whose eigenvectors are dependent, are re-based on a
+    reordered Schur form and merged until each passes. For a group of A
+    with invariant basis R and compression T = R*AR, and one of B* with
+    basis K and S = K*BK, X = R Z K* solves the pair exactly when
+    T Z = Z S. A pair of groups is dropped only when ``|c - d| -
+    ||T - cI||_F - ||S - dI||_F`` (c, d the mean eigenvalues) exceeds the gap
     ``rank_rel**0.25 * scale``. That is a lower bound on the smallest
     singular value of Z -> TZ - ZS however roundoff scatters the
     eigenvalues, and the well-conditioned groups keep the pairs
@@ -359,119 +358,110 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     ||T - cI||_F. A single eigenvalue lambda is (x, [[lambda]], lambda,
     0), x its unit eigenvector, with no arithmetic. Eigenvalues start in
     single-linkage clusters within ``gap``, and every group's
-    reciprocal condition number (1 / the norm of its spectral
-    projector) is at least ``s_min``. One ``eig`` of M comes first. When
-    its unit eigenvectors V have sigma_min(V) >= s_min * sigma_max(V),
-    the groups are the clusters themselves, read from V: a group G's
-    spectral projector is V E_G V^-1, of 2-norm at most kappa_2(V) <= 1
-    / s_min. A cluster's R comes from a QR of its eigenvector columns;
-    the clusters of one size share one stacked QR and one stacked
-    product, since a QR call costs several times the arithmetic of a
-    small cluster. Singles come first, then the clusters by size.
-    Otherwise, or when ``eig`` fails, one reordered Schur form gives the
-    groups (:func:`_schur_groups`), merging clusters until each passes.
-    Its s reads the projector's norm as sqrt(1 + ||Y||_F^2), Y the
-    solution of the group's Sylvester equation, against the 2-norm
-    sqrt(1 + ||Y||_2^2): the stricter test, by at most sqrt(m).
+    reciprocal condition number s is at least ``s_min``. One ``eig`` of
+    M and the inverse W of its unit eigenvectors V decide each cluster G
+    on its own: its spectral projector is P = V_G W_G, and s = (||P||_F^2
+    - m + 1)^(-1/2) is the s that ``ztrsen`` gives the group (1 /
+    ||w_p|| for a single eigenvalue), with ||P||_F^2 read from the m x m
+    products V_G*V_G and W_G W_G*. A cluster also needs independent
+    eigenvector columns: the smallest |diagonal| of their QR at least
+    ``s_min`` times the largest. A cluster that passes is read from V,
+    its R from that QR; the clusters of one size share one stacked QR
+    and one stacked product, since a QR call costs several times the
+    arithmetic of a small cluster. Singles come first, then the clusters
+    by size. The clusters that fail, or every cluster when ``eig`` or the
+    inverse fails, take a reordered Schur form (:func:`_schur_groups`).
     """
     try:
         w, V = np.linalg.eig(M)
+        W = np.linalg.inv(V)
     except np.linalg.LinAlgError:
-        return _schur_groups(M, gap, s_min)
-    s = singular_values(V)
-    if s[-1] < s_min * s[0]:
         return _schur_groups(M, gap, s_min)
     masks = _linked_clusters(np.abs(w[:, None] - w[None, :]) <= gap)
     sizes = masks.sum(axis=1)
-    groups = [(V[:, p : p + 1], w[p : p + 1, None], w[p], 0.0) for p in masks[sizes == 1].argmax(axis=1).tolist()]
-    for m in sorted(set(sizes.tolist()) - {1}):
-        members = np.nonzero(masks[sizes == m])[1].reshape(-1, m)
-        R = np.linalg.qr(V[:, members].transpose(1, 0, 2))[0]
-        T = R.conj().transpose(0, 2, 1) @ (M @ R)
-        groups += zip(R, T, *_centres_and_radii(T))
-    return groups
+    groups, failed = [], []
+    for m in sorted(set(sizes.tolist())):
+        same = masks[sizes == m]
+        members = np.nonzero(same)[1].reshape(-1, m)
+        VG, WG = V[:, members].transpose(1, 0, 2), W[members]
+        # s >= s_min read as ||P||_F^2 - m + 1 <= 1 / s_min^2. A defective V
+        # makes W overflow, and the NaN or inf that follows fails.
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = np.einsum("gij,gji->g", VG.conj().swapaxes(1, 2) @ VG, WG @ WG.conj().swapaxes(1, 2)).real
+            ok = square - m + 1 <= s_min**-2
+        if m == 1:
+            singles = zip(same[ok], members[ok, 0])
+            groups += [(mask, V[:, p : p + 1], w[p : p + 1, None], w[p], 0.0) for mask, p in singles]
+        else:
+            R, diagonal = np.linalg.qr(VG)
+            diagonal = np.abs(diagonal.diagonal(axis1=1, axis2=2))
+            ok &= diagonal.min(axis=1) >= s_min * diagonal.max(axis=1)
+            R = R[ok]
+            T = R.conj().swapaxes(1, 2) @ (M @ R)
+            groups += zip(same[ok], R, T, *_centres_and_radii(T))
+        failed += list(same[~ok])
+    if failed:
+        return _schur_groups(M, gap, s_min, w, failed, groups)
+    return [group[1:] for group in groups]
 
 
 def _centres_and_radii(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """c = tr T / m and r = ||T - cI||_F for every compression of the (count, m, m) stack T."""
-    m = T.shape[-1]
+    count, m = T.shape[:2]
     c = T.trace(axis1=1, axis2=2) / m
-    return c, np.sqrt(_squares((T - c[:, None, None] * np.eye(m)).reshape(len(T), -1), axis=1))
+    return c, np.sqrt(_squares((T - c[:, None, None] * np.eye(m)).reshape(count, m * m), axis=1))
 
 
-def _schur_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.ndarray, np.ndarray, complex, float]]:
-    """The groups of :func:`_spectral_groups` read from one Schur form of M, reordered by ``ztrsen``.
+def _schur_groups(
+    M: np.ndarray,
+    gap: float,
+    s_min: float,
+    w: np.ndarray | None = None,
+    pending: list | None = None,
+    groups: list | tuple = (),
+) -> list[tuple[np.ndarray, np.ndarray, complex, float]]:
+    """The groups of :func:`_spectral_groups` that its eigenvectors cannot give, from one Schur form of M.
 
-    A group whose reciprocal condition number is below ``s_min`` merges
-    with its nearest group and is tested again. That keeps together the
-    eigenvalues a defective eigenvalue splits into, however far roundoff
-    scatters them, and keeps the block diagonalization behind the drop
-    rule well conditioned. Single eigenvalues are tested all at once
-    from eigenvectors (:func:`_simple_eigenvectors`); the rest, and any
-    single eigenvalue below ``s_min``, take ``ztrsen`` one group at a
-    time, and a cluster's c and r are computed once, when it is kept.
-    Only this builder and its :func:`_simple_eigenvectors` import scipy.
+    ``pending`` lists the groups to build and ``groups`` those already
+    built, each as (mask, R, T, c, r), the masks over the eigenvalues
+    ``w``; by default w is the Schur diagonal, every cluster pending. A
+    diagonal entry of the Schur form belongs to the group of its nearest
+    eigenvalue in w. A pending group takes ``ztrsen`` on its entries,
+    and one with no entry, or with s below ``s_min``, merges with its
+    nearest group, built ones included, and is tested again. That keeps
+    together the eigenvalues a defective eigenvalue splits into, however
+    far roundoff scatters them, and keeps the block diagonalization
+    behind the drop rule well conditioned. Only this builder imports
+    scipy.
     """
     from scipy.linalg import schur
     from scipy.linalg.lapack import ztrsen
 
     T, Q = schur(M, output="complex", check_finite=False)
     n = len(T)
-    ev = np.diag(T)
-    dist = np.abs(ev[:, None] - ev[None, :])
-    masks = _linked_clusters(dist <= gap)
-    sizes = masks.sum(axis=1)
-    clusters = list(masks[sizes > 1])
-    groups = []
-    singles = masks[sizes == 1]
-    if len(singles):
-        positions = singles.argmax(axis=1)
-        x, s = _simple_eigenvectors(T, positions)
-        R = Q @ x
-        for col, (members, p) in enumerate(zip(singles, positions)):
-            if s[col] >= s_min:
-                groups.append((members, R[:, col : col + 1], T[p : p + 1, p : p + 1].copy(), T[p, p], 0.0))
-            else:
-                clusters.append(members)
-    while clusters:
-        members = clusters.pop()
-        m = int(members.sum())
+    w = np.diag(T) if w is None else w
+    dist = np.abs(w[:, None] - w[None, :])
+    pending = list(_linked_clusters(dist <= gap) if pending is None else pending)
+    owner = np.abs(np.diag(T)[:, None] - w[None, :]).argmin(axis=1)
+    groups = list(groups)
+    while pending:
+        members = pending.pop()
+        select = members[owner]
+        m = int(select.sum())
         # s is 1 when the group holds the whole spectrum, so a merge always has a partner.
-        Ts, Qs, _, _, s, _, _ = ztrsen(members.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (n - m)))
-        if s >= s_min:
+        if m:
+            Ts, Qs, _, _, s, _, _ = ztrsen(select.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (n - m)))
+        if m and s >= s_min:
             # Copies, so a group does not keep the whole reordered Schur form alive.
             TR = Ts[:m, :m].copy()
             (c,), (r,) = _centres_and_radii(TR[None])
             groups.append((members, Qs[:, :m].copy(), TR, c, r))
             continue
-        others = clusters + [g[0] for g in groups]
+        others = pending + [group[0] for group in groups]
         k = int(np.argmin([dist[np.ix_(members, other)].min() for other in others]))
-        other = clusters.pop(k) if k < len(clusters) else groups.pop(k - len(clusters))[0]
-        clusters.append(members | other)
+        other = pending.pop(k) if k < len(pending) else groups.pop(k - len(pending))[0]
+        pending.append(members | other)
     return [group[1:] for group in groups]
-
-
-def _simple_eigenvectors(T: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit right eigenvectors of the upper triangular T for the eigenvalues T[p, p], and their s.
-
-    One ``eig`` of T gives unit right vectors x and unit left vectors y,
-    with y* T = lambda y*, and one array of eigenvalues. T is triangular,
-    so these are its diagonal entries exactly, in an order of their own:
-    each is matched to its position by exact value, never by index.
-    s = |y* x| is the reciprocal condition number of a simple
-    eigenvalue, the s that ``ztrsen(job="E")`` gives a one-element
-    group. A position whose value ``eig`` does not return exactly gets
-    s = 0, which sends it to ``ztrsen``.
-    """
-    from scipy.linalg import eig
-
-    w, vl, vr = eig(T, left=True, right=True, check_finite=False)
-    index = {v: i for i, v in enumerate(w.tolist())}
-    cols = np.array([index.get(v, -1) for v in np.diag(T)[positions].tolist()], dtype=int)
-    x = vr[:, cols]
-    s = np.abs(np.einsum("ij,ij->j", vl[:, cols].conj(), x))
-    s[cols < 0] = 0.0
-    return x, s
 
 
 def _linked_clusters(near: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from aluthge.commutant import (
     _residual_norms,
     _schur_commutant,
     _schur_groups,
-    _simple_eigenvectors,
     _spectral_groups,
     _sylvester_matrix,
     aluthge_intertwiner_map,
@@ -631,9 +630,6 @@ class TestEigenvectorGroups:
         for M in (A, adjoint(B)):
             size = op_norm(M)
             gap, s_min = DEFAULT_TOL.rank_rel**0.25 * 2 * size, DEFAULT_TOL.rank_rel**0.25
-            s = np.linalg.svd(np.linalg.eig(M)[1], compute_uv=False)
-            # The condition that sends M to the eigenvector builder.
-            assert s[-1] >= s_min * s[0]
             with monkeypatch.context() as patched:
                 patched.setattr("aluthge.commutant._schur_groups", refuse_schur_groups)
                 fast = _spectral_groups(M, gap, s_min)
@@ -651,12 +647,128 @@ class TestEigenvectorGroups:
         assert commutant_basis(A, B).nullity == nullity
 
     def test_a_jordan_block_takes_the_schur_builder(self, monkeypatch):
-        # Its eigenvectors are numerically parallel, so sigma_min(V) is far below the bound.
+        # The block's eigenvector columns are numerically parallel, so its
+        # cluster fails the independence test; the simple eigenvalues pass
+        # and are only merge partners for the Schur builder.
         J = conjugated(np.random.default_rng(121), jordan_plus(4, 0.5, separated(np.random.default_rng(122), 12)))[0]
         calls = count_schur_groups(monkeypatch)
         groups = _spectral_groups(J, DEFAULT_TOL.rank_rel**0.25 * op_norm(J), DEFAULT_TOL.rank_rel**0.25)
         assert calls == [16]
         assert sorted(len(T) for _, T, _, _ in groups) == [1] * 12 + [4]
+
+    @pytest.mark.parametrize("factor", [1.05, 0.95])
+    def test_the_condition_threshold_from_both_sides(self, factor, monkeypatch):
+        # M = Q [[I_4, -X], [0, 2 I_3]] Q* with ||X||_F^2 = 1 / s^2 - 1, so
+        # ztrsen's s of either cluster is s, read from V and V^-1 alone.
+        s_min = DEFAULT_TOL.rank_rel**0.25
+        rng = np.random.default_rng(123)
+        X = ginibre(rng, 4, 3)
+        X *= np.sqrt(1 / (factor * s_min) ** 2 - 1) / np.linalg.norm(X)
+        Q = random_unitary(rng, 7)
+        M = Q @ np.block([[np.eye(4), -X], [np.zeros((3, 4)), 2.0 * np.eye(3)]]) @ adjoint(Q)
+        gap = s_min * op_norm(M)
+        if factor > 1:
+            monkeypatch.setattr("aluthge.commutant._schur_groups", refuse_schur_groups)
+            calls = None
+        else:
+            calls = count_schur_groups(monkeypatch)
+        groups = _spectral_groups(M, gap, s_min)
+        assert sorted(len(T) for _, T, _, _ in groups) == ([3, 4] if factor > 1 else [7])
+        assert calls in (None, [7])
+        for R, T, _, _ in groups:
+            np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * op_norm(M))
+
+    def test_schur_entries_are_matched_by_value(self):
+        # The Schur diagonal comes in an order of its own, so each entry is
+        # owned by its nearest eigenvalue in w: reordering w and the masks
+        # with it names the same groups.
+        rng = np.random.default_rng(124)
+        pool = separated(rng, 7)
+        M = conjugated(rng, jordan_plus(3, pool[6], np.concatenate([pool[:5], np.full(4, pool[5])])))[0]
+        size = op_norm(M)
+        gap, s_min = DEFAULT_TOL.rank_rel**0.25 * size, DEFAULT_TOL.rank_rel**0.25
+        w = np.linalg.eigvals(M)
+        masks = _linked_clusters(np.abs(w[:, None] - w[None, :]) <= gap)
+        perm = rng.permutation(len(w))
+        found = []
+        for order in (np.arange(len(w)), perm):
+            groups = _schur_groups(M, gap, s_min, w[order], list(masks[:, order]))
+            found.append(sorted((len(T), c.real, c.imag) for _, T, c, _ in groups))
+        assert [m for m, _, _ in found[0]] == [1] * 5 + [3, 4]
+        assert [m for m, _, _ in found[1]] == [m for m, _, _ in found[0]]
+        np.testing.assert_allclose(np.array(found[1])[:, 1:], np.array(found[0])[:, 1:], rtol=0, atol=1e-12 * size)
+
+    def test_an_eigenvalue_that_owns_no_entry_merges(self):
+        # Move one of two pending singles of w far from the spectrum: its
+        # Schur entry goes to the other, its nearest, and the moved single,
+        # owning nothing, merges with the built group nearest its new place.
+        rng = np.random.default_rng(125)
+        M = conjugated(rng, np.diag(separated(rng, 12)))[0]
+        size = op_norm(M)
+        gap, s_min = DEFAULT_TOL.rank_rel**0.25 * size, DEFAULT_TOL.rank_rel**0.25
+        w, V = np.linalg.eig(M)
+        p = int(np.argmin(w.real))
+        q = int(np.argsort(np.abs(w - w[p]))[1])
+        masks = np.eye(12, dtype=bool)
+        built = [(masks[k], V[:, k : k + 1], w[k : k + 1, None], w[k], 0.0) for k in range(12) if k not in (p, q)]
+        w = w.copy()
+        w[p] += 10 * size
+        groups = _schur_groups(M, gap, s_min, w, [masks[p], masks[q]], built)
+        assert sum(len(T) for _, T, _, _ in groups) == 12
+        for R, T, _, _ in groups:
+            assert R.shape[1] == len(T) >= 1
+            np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * size)
+
+    def test_one_eigendecomposition_per_operand(self, monkeypatch):
+        # A defective pair: its singles are read from V and only its Jordan
+        # clusters take ztrsen, with no second eig of the Schur factor.
+        import scipy.linalg
+
+        A, B, nullity = jordan_pair(np.random.default_rng(95), 20, 3, 2)
+        eig, calls = np.linalg.eig, []
+
+        def spy(M):
+            calls.append(len(M))
+            return eig(M)
+
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        monkeypatch.setattr(scipy.linalg, "eig", refuse_schur_groups)
+        assert assert_routes_agree(A, B).nullity == nullity
+        assert calls == [20, 20]
+
+    def test_eigenvector_groups_take_no_svd(self, monkeypatch):
+        # A similarity pair's groups are all single eigenvalues and its kept
+        # blocks all full, so its SVDs are the two norms of ``scale``.
+        _, ((A, B), nullity) = benchmark_pairs(np.random.default_rng(126), 16)
+        svd, calls = np.linalg.svd, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert commutant_basis(A, B).nullity == nullity
+        assert calls == [(16, 16), (16, 16)]
+
+    def test_a_failed_inverse_takes_the_standalone_schur_builder(self, monkeypatch):
+        A, B, nullity = jordan_pair(np.random.default_rng(95), 20, 3, 2)
+        pairs = [*benchmark_pairs(np.random.default_rng(127), 16), ((A, B), nullity)]
+        M = A
+        size = op_norm(M)
+        gap, s_min = DEFAULT_TOL.rank_rel**0.25 * size, DEFAULT_TOL.rank_rel**0.25
+        expected = _schur_groups(M, gap, s_min)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        groups = _spectral_groups(M, gap, s_min)
+        assert len(groups) == len(expected)
+        for got, want in zip(groups, expected):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        for (A, B), nullity in pairs:
+            assert commutant_basis(A, B).nullity == nullity
 
 
 def refuse_schur_groups(*args):
@@ -667,9 +779,9 @@ def count_schur_groups(monkeypatch):
     """Record the size of every matrix the Schur builder splits from here on."""
     calls = []
 
-    def spy(M, gap, s_min):
+    def spy(M, *args):
         calls.append(len(M))
-        return _schur_groups(M, gap, s_min)
+        return _schur_groups(M, *args)
 
     monkeypatch.setattr("aluthge.commutant._schur_groups", spy)
     return calls
@@ -851,58 +963,6 @@ class TestFactoredElements:
         # Built once, on first access.
         monkeypatch.setattr("aluthge.commutant._lift_all", None)
         assert cb.basis[0] is cb.basis[0]
-
-    def test_simple_eigenvalue_conditions_match_ztrsen(self):
-        from scipy.linalg import schur
-        from scipy.linalg.lapack import ztrsen
-
-        rng = np.random.default_rng(93)
-        for n in (2, 7, 20):
-            for strength in (0.0, 3.0, 30.0):
-                M = ginibre(rng, n) + strength * np.triu(ginibre(rng, n), 1)
-                T, Q = schur(M, output="complex")
-                x, s = _simple_eigenvectors(T, list(range(n)))
-                for p in range(n):
-                    select = np.zeros(n, dtype=np.int32)
-                    select[p] = 1
-                    _, Qs, _, _, sp, _, _ = ztrsen(select, T, Q, job="E", lwork=max(1, 2 * (n - 1)))
-                    assert s[p] == pytest.approx(sp, rel=1e-12)
-                    assert abs(np.vdot(Qs[:, 0], Q @ x[:, p])) == pytest.approx(1.0, abs=1e-10)
-
-    def test_inexact_eigenvalues_fall_back_to_ztrsen(self, monkeypatch):
-        # If eig ever returns a diagonal entry inexactly, that eigenvalue
-        # gets s = 0 and takes the per-group path, with the same commutant.
-        import scipy.linalg
-
-        eig = scipy.linalg.eig
-
-        def shifted(T, **kwargs):
-            w, *vectors = eig(T, **kwargs)
-            return w * (1 + 4 * np.finfo(float).eps), *vectors
-
-        rng = np.random.default_rng(94)
-        (_, ((A, B), nullity)) = benchmark_pairs(rng, 16)
-        monkeypatch.setattr(scipy.linalg, "eig", shifted)
-        T = np.triu(ginibre(rng, 5)) + np.diag(np.arange(5.0))
-        assert not _simple_eigenvectors(T, list(range(5)))[1].any()
-        assert assert_routes_agree(A, B).nullity == nullity
-
-    def test_inexact_eigenvalues_fall_back_to_ztrsen_in_a_defective_pair(self, monkeypatch):
-        # A pair with a Jordan block takes the Schur builder, whose simple
-        # eigenvalues then all get s = 0 and the per-group path.
-        import scipy.linalg
-
-        eig = scipy.linalg.eig
-
-        def shifted(T, **kwargs):
-            w, *vectors = eig(T, **kwargs)
-            return w * (1 + 4 * np.finfo(float).eps), *vectors
-
-        A, B, nullity = jordan_pair(np.random.default_rng(95), 20, 3, 2)
-        monkeypatch.setattr(scipy.linalg, "eig", shifted)
-        calls = count_schur_groups(monkeypatch)
-        assert assert_routes_agree(A, B).nullity == nullity
-        assert calls == [20, 20]
 
 
 def identity_stacks(lifts):

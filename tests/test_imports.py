@@ -83,10 +83,24 @@ def test_svd_is_called_only_in_its_named_sites():
     assert sorted(sites) == SVD_SITES
 
 
+# The one function that may take an eigendecomposition with eigenvectors:
+# the spectral groups, one per operand above the Kronecker crossover.
+EIG_SITES = ["commutant._spectral_groups"]
+
+
+def test_eig_is_called_only_in_its_named_site():
+    sites = [
+        f"{path.stem}.{owner}"
+        for path in SOURCES
+        for owner in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")), "eig")
+    ]
+    assert sorted(sites) == EIG_SITES
+
+
 # The functions that may import scipy: the Schur builder of the spectral
-# groups and its eigenvector helper. Every other path, diagonalizable pairs
-# above the Kronecker crossover included, runs on numpy alone.
-SCIPY_SITES = ["commutant._schur_groups", "commutant._simple_eigenvectors"]
+# groups. Every other path, diagonalizable pairs above the Kronecker
+# crossover included, runs on numpy alone.
+SCIPY_SITES = ["commutant._schur_groups"]
 
 
 def _imports_scipy(node: ast.AST) -> bool:

@@ -339,6 +339,24 @@ class TestCli:
         assert doc["holds"] is True and doc["com_dim"] == 1
         assert doc["max_residual"] <= doc["threshold"] == pytest.approx(1e-8 * (2.0 + 3.0))
 
+    def test_exactly_defective_pairs_on_the_group_route(self, tmp_path, capsys):
+        # J_13(0.5) has one eigenvector, so V^-1 overflows while its groups
+        # are tested; the CLI's overflow check must not see that, and the
+        # Schur builder answers.
+        J = 0.5 * np.eye(13) + np.eye(13, k=1)
+        E = 2.0 * np.eye(13)
+        E[0, 12] = 1.0
+        write_matrices(tmp_path / "jordan.json", {"A": J, "B": J})
+        write_matrices(tmp_path / "corner.json", {"A": E, "B": 2.0 * np.eye(13)})
+        for argv, expected, field, value in (
+            (["commutant", "jordan.json"], 0, "nullity", 13),
+            (["fp-check", "jordan.json"], 1, "com_dim", 13),
+            (["commutant", "corner.json"], 0, "nullity", 156),
+        ):
+            code, out, err = run_cli([argv[0], str(tmp_path / argv[1])], capsys)
+            assert (code, err) == (expected, "")
+            assert json.loads(out)[field] == value
+
     def test_schatten(self, cube_root_file, capsys):
         assert main(["schatten", cube_root_file, "--p", "inf"]) == 0
         doc = json.loads(capsys.readouterr().out)
