@@ -4,9 +4,10 @@ Com(A, B) is the linear space of matrices X with AX = XB. Small pairs
 take the numerical nullspace of the Kronecker linearization of
 X -> AX - XB; larger ones split both spectra into groups and solve only
 the pairs of groups that the two spectra may share (Bartels-Stewart; by
-Rosenblum's theorem the other pairs contribute nothing). One numpy
-``eig`` decides each group, and a reordered scipy Schur form re-bases
-the groups its eigenvectors cannot give. On top of the basis sit
+Rosenblum's theorem the other pairs contribute nothing). One function
+builds each operand's groups in two phases: a numpy ``eig`` decides
+each group, and a reordered scipy Schur form re-bases those its
+eigenvectors cannot give. On top of the basis sit
 the adjoint-intertwining (FP-property) verdict, subspace inclusion
 tests, the polar-part intertwining identities and the spectral tests on
 angular parts. Each check takes an operator that it factors either as a
@@ -196,7 +197,7 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
 
 def _kronecker_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
     """The whole pair as the one block (A, B) of :func:`_block_null_vectors`, with no bound on ||L||_2."""
-    return CommutantBasis(A, B, _dense_lifts(_block_null_vectors([(A, B)], tol.rank_rel)[0]))
+    return CommutantBasis(A, B, _dense_lifts(_block_null_vectors(A, B, tol.rank_rel)))
 
 
 def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
@@ -208,7 +209,8 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     spectral projector has norm at most 1 / s_min. One ``eig`` and the
     inverse of its eigenvectors give each group's s, and the groups that
     fail, or whose eigenvectors are dependent, are re-based on a
-    reordered Schur form and merged until each passes. For a group of A
+    reordered Schur form and merged until each passes, both phases of
+    that one function. For a group of A
     with invariant basis R and compression T = R*AR, and one of B* with
     basis K and S = K*BK, X = R Z K* solves the pair exactly when
     T Z = Z S. A pair of groups is dropped only when ``|c - d| -
@@ -224,10 +226,10 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     matrix is scalar, so the repeated eigenvalues of unitary, Hermitian
     and involutive pairs land here, at no O((m k)^3) cost. Such a pair
     is a full block (:class:`Lifts`) whose elements r_a k_b* are never
-    stored. Every other kept pair takes the SVD of its small Kronecker
-    block, one SVD per block (:func:`_block_null_vectors`), which makes
-    the rank decision with ``scale`` as the bound on the block's norm;
-    only these blocks count against the 4096-row cap. The lift is an
+    stored. Every other kept pair, in pair order, is one call of
+    :func:`_block_null_vectors`, the SVD of its small Kronecker block with
+    ``scale`` as the bound on its norm; only these blocks count against
+    the 4096-row cap, and all are sized before the first is solved. The lift is an
     isometry, so the lifts of one pair are orthonormal. Lifts of different pairs are orthogonal when their
     groups' invariant subspaces are, as for a normal pair;
     :func:`_cross_gram_bound` decides that from the small factors. Then
@@ -250,12 +252,13 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     pairs = np.argwhere(distance - spread <= gap)
     full = (distance + spread <= tol.rank_rel * scale)[pairs[:, 0], pairs[:, 1]]
     # Every block to solve is sized before any is solved, so a refusal costs no solve.
-    solve = [(groups_a[i][1], groups_b[j][1]) for i, j in pairs[~full]]
-    rows = max((len(T) * len(S) for T, S in solve), default=0)
+    rows = max((len(groups_a[i][1]) * len(groups_b[j][1]) for i, j in pairs[~full]), default=0)
     if rows > _BLOCK_MAX:
         raise ValueError(f"commutant group block has {rows} rows, above the {_BLOCK_MAX} the Schur route solves")
-    solutions = iter(_block_null_vectors(solve, tol.rank_rel, scale))
-    blocks = [(i, j, None if f else next(solutions)) for (i, j), f in zip(pairs, full)]
+    blocks = [
+        (i, j, None if f else _block_null_vectors(groups_a[i][1], groups_b[j][1], tol.rank_rel, scale))
+        for (i, j), f in zip(pairs, full)
+    ]
     solved = [(i, j, Z) for i, j, Z in blocks if Z is None or len(Z)]
     # Only the groups that hold a solution become factors of the lifts.
     used_a = {i: p for p, i in enumerate(dict.fromkeys(i for i, _, _ in solved))}
@@ -272,23 +275,17 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     return CommutantBasis(A, B, lifts)
 
 
-def _block_null_vectors(
-    blocks: list[tuple[np.ndarray, np.ndarray]], rank_rel: float, bound: float = 0.0
-) -> list[np.ndarray]:
-    """Orthonormal solutions Z of T Z = Z S for every block (T, S), in the order given.
+def _block_null_vectors(T: np.ndarray, S: np.ndarray, rank_rel: float, bound: float = 0.0) -> np.ndarray:
+    """Orthonormal solutions Z of T Z = Z S for the (m, m) T and the (k, k) S, from one SVD.
 
-    Each is a (count, m, k) stack read, column-major, from the right
+    They are a (count, m, k) stack read, column-major, from the right
     singular vectors of L = I (x) T - S^T (x) I whose singular values
     s are at most ``rank_cut(s, rank_rel, bound)``, that is
     ``rank_rel * max(||L||_2, bound)``: ``bound`` is a bound on ||L||_2
-    that the caller holds for every block, or 0 for none. Each block
-    takes one SVD of its own.
+    that the caller holds, or 0 for none.
     """
-    out = []
-    for T, S in blocks:
-        _, s, Vh = np.linalg.svd(_sylvester_matrix(T, S))
-        out.append(Vh[s <= rank_cut(s, rank_rel, bound)].conj().reshape((-1, len(S), len(T))).transpose(0, 2, 1))
-    return out
+    _, s, Vh = np.linalg.svd(_sylvester_matrix(T, S))
+    return Vh[s <= rank_cut(s, rank_rel, bound)].conj().reshape((-1, len(S), len(T))).transpose(0, 2, 1)
 
 
 def _sylvester_matrix(T: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -358,92 +355,71 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     ||T - cI||_F. A single eigenvalue lambda is (x, [[lambda]], lambda,
     0), x its unit eigenvector, with no arithmetic. Eigenvalues start in
     single-linkage clusters within ``gap``, and every group's
-    reciprocal condition number s is at least ``s_min``. One ``eig`` of
-    M and the inverse W of its unit eigenvectors V decide each cluster G
-    on its own: its spectral projector is P = V_G W_G, and s = (||P||_F^2
-    - m + 1)^(-1/2) is the s that ``ztrsen`` gives the group (1 /
-    ||w_p|| for a single eigenvalue), with ||P||_F^2 read from the m x m
-    products V_G*V_G and W_G W_G*. A cluster also needs independent
-    eigenvector columns: the smallest |diagonal| of their QR at least
-    ``s_min`` times the largest. A cluster that passes is read from V,
-    its R from that QR; the clusters of one size share one stacked QR
-    and one stacked product, since a QR call costs several times the
-    arithmetic of a small cluster. Singles come first, then the clusters
-    by size. The clusters that fail, or every cluster when ``eig`` or the
-    inverse fails, take a reordered Schur form (:func:`_schur_groups`).
+    reciprocal condition number s is at least ``s_min``. In phase one,
+    one ``eig`` of M and the inverse W of its unit eigenvectors V decide
+    each cluster G on its own: its spectral projector is P = V_G W_G,
+    and s = (||P||_F^2 - m + 1)^(-1/2) is the s that ``ztrsen`` gives
+    the group (1 / ||w_p|| for a single eigenvalue), with ||P||_F^2 read
+    from the m x m products V_G*V_G and W_G W_G*. A cluster also needs
+    independent eigenvector columns: the smallest |diagonal| of their QR
+    at least ``s_min`` times the largest. A cluster that passes is read
+    from V, its R from that QR; the clusters of one size share one
+    stacked QR and one stacked product, since a QR call costs several
+    times the arithmetic of a small cluster. Singles come first, then
+    the clusters by size. Phase two, the only code that imports scipy,
+    re-bases the clusters that fail, or every cluster of the Schur
+    diagonal when ``eig`` or the inverse raises, on one complex Schur
+    form of M. A diagonal entry belongs to the group of its nearest
+    eigenvalue, a pending group takes ``ztrsen`` on its entries, and
+    one with no entry, or with s below ``s_min``, merges with its
+    nearest group, built ones included, and is tested again. That keeps
+    together the eigenvalues a defective eigenvalue splits into, however
+    far roundoff scatters them, and keeps the block diagonalization
+    behind the drop rule well conditioned.
     """
     try:
         w, V = np.linalg.eig(M)
         W = np.linalg.inv(V)
     except np.linalg.LinAlgError:
-        return _schur_groups(M, gap, s_min)
-    masks = _linked_clusters(np.abs(w[:, None] - w[None, :]) <= gap)
-    sizes = masks.sum(axis=1)
-    groups, failed = [], []
-    for m in sorted(set(sizes.tolist())):
-        same = masks[sizes == m]
-        members = np.nonzero(same)[1].reshape(-1, m)
-        VG, WG = V[:, members].transpose(1, 0, 2), W[members]
-        # s >= s_min read as ||P||_F^2 - m + 1 <= 1 / s_min^2. A defective V
-        # makes W overflow, and the NaN or inf that follows fails.
-        with np.errstate(over="ignore", invalid="ignore"):
-            square = np.einsum("gij,gji->g", VG.conj().swapaxes(1, 2) @ VG, WG @ WG.conj().swapaxes(1, 2)).real
-            ok = square - m + 1 <= s_min**-2
-        if m == 1:
-            singles = zip(same[ok], members[ok, 0])
-            groups += [(mask, V[:, p : p + 1], w[p : p + 1, None], w[p], 0.0) for mask, p in singles]
-        else:
-            R, diagonal = np.linalg.qr(VG)
-            diagonal = np.abs(diagonal.diagonal(axis1=1, axis2=2))
-            ok &= diagonal.min(axis=1) >= s_min * diagonal.max(axis=1)
-            R = R[ok]
-            T = R.conj().swapaxes(1, 2) @ (M @ R)
-            groups += zip(same[ok], R, T, *_centres_and_radii(T))
-        failed += list(same[~ok])
-    if failed:
-        return _schur_groups(M, gap, s_min, w, failed, groups)
-    return [group[1:] for group in groups]
-
-
-def _centres_and_radii(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c = tr T / m and r = ||T - cI||_F for every compression of the (count, m, m) stack T."""
-    count, m = T.shape[:2]
-    c = T.trace(axis1=1, axis2=2) / m
-    return c, np.sqrt(_squares((T - c[:, None, None] * np.eye(m)).reshape(count, m * m), axis=1))
-
-
-def _schur_groups(
-    M: np.ndarray,
-    gap: float,
-    s_min: float,
-    w: np.ndarray | None = None,
-    pending: list | None = None,
-    groups: list | tuple = (),
-) -> list[tuple[np.ndarray, np.ndarray, complex, float]]:
-    """The groups of :func:`_spectral_groups` that its eigenvectors cannot give, from one Schur form of M.
-
-    ``pending`` lists the groups to build and ``groups`` those already
-    built, each as (mask, R, T, c, r), the masks over the eigenvalues
-    ``w``; by default w is the Schur diagonal, every cluster pending. A
-    diagonal entry of the Schur form belongs to the group of its nearest
-    eigenvalue in w. A pending group takes ``ztrsen`` on its entries,
-    and one with no entry, or with s below ``s_min``, merges with its
-    nearest group, built ones included, and is tested again. That keeps
-    together the eigenvalues a defective eigenvalue splits into, however
-    far roundoff scatters them, and keeps the block diagonalization
-    behind the drop rule well conditioned. Only this builder imports
-    scipy.
-    """
+        w = None
+    # Each group is (mask, R, T, c, r), the mask over the eigenvalues w.
+    groups, pending = [], []
+    if w is not None:
+        dist = np.abs(w[:, None] - w[None, :])
+        masks = _linked_clusters(dist <= gap)
+        sizes = masks.sum(axis=1)
+        for m in sorted(set(sizes.tolist())):
+            same = masks[sizes == m]
+            members = np.nonzero(same)[1].reshape(-1, m)
+            VG, WG = V[:, members].transpose(1, 0, 2), W[members]
+            # s >= s_min read as ||P||_F^2 - m + 1 <= 1 / s_min^2. A defective V
+            # makes W overflow, and the NaN or inf that follows fails.
+            with np.errstate(over="ignore", invalid="ignore"):
+                square = np.einsum("gij,gji->g", VG.conj().swapaxes(1, 2) @ VG, WG @ WG.conj().swapaxes(1, 2)).real
+                ok = square - m + 1 <= s_min**-2
+            if m == 1:
+                singles = zip(same[ok], members[ok, 0])
+                groups += [(mask, V[:, p : p + 1], w[p : p + 1, None], w[p], 0.0) for mask, p in singles]
+            else:
+                R, diagonal = np.linalg.qr(VG)
+                diagonal = np.abs(diagonal.diagonal(axis1=1, axis2=2))
+                ok &= diagonal.min(axis=1) >= s_min * diagonal.max(axis=1)
+                R = R[ok]
+                T = R.conj().swapaxes(1, 2) @ (M @ R)
+                groups += zip(same[ok], R, T, *_centres_and_radii(T))
+            pending += list(same[~ok])
+        if not pending:
+            return [group[1:] for group in groups]
     from scipy.linalg import schur
     from scipy.linalg.lapack import ztrsen
 
     T, Q = schur(M, output="complex", check_finite=False)
     n = len(T)
-    w = np.diag(T) if w is None else w
-    dist = np.abs(w[:, None] - w[None, :])
-    pending = list(_linked_clusters(dist <= gap) if pending is None else pending)
+    if w is None:
+        w = np.diag(T)
+        dist = np.abs(w[:, None] - w[None, :])
+        pending = list(_linked_clusters(dist <= gap))
     owner = np.abs(np.diag(T)[:, None] - w[None, :]).argmin(axis=1)
-    groups = list(groups)
     while pending:
         members = pending.pop()
         select = members[owner]
@@ -462,6 +438,13 @@ def _schur_groups(
         other = pending.pop(k) if k < len(pending) else groups.pop(k - len(pending))[0]
         pending.append(members | other)
     return [group[1:] for group in groups]
+
+
+def _centres_and_radii(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c = tr T / m and r = ||T - cI||_F for every compression of the (count, m, m) stack T."""
+    count, m = T.shape[:2]
+    c = T.trace(axis1=1, axis2=2) / m
+    return c, np.sqrt(_squares((T - c[:, None, None] * np.eye(m)).reshape(count, m * m), axis=1))
 
 
 def _linked_clusters(near: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from aluthge.commutant import (
     _linked_clusters,
     _residual_norms,
     _schur_commutant,
-    _schur_groups,
     _spectral_groups,
     _sylvester_matrix,
     aluthge_intertwiner_map,
@@ -349,19 +348,19 @@ class TestBlockNullVectors:
     def test_cut_follows_a_block_norm_above_the_bound(self):
         # With bound 1 the cut is rank_rel * ||L||_2 = 1e-9, which keeps
         # d = 5e-10 as a null value; rank_rel * bound would be 1e-10.
-        (Z,) = _block_null_vectors([diagonal_block(10.0, 5e-10)], DEFAULT_TOL.rank_rel, 1.0)
+        Z = _block_null_vectors(*diagonal_block(10.0, 5e-10), DEFAULT_TOL.rank_rel, 1.0)
         assert Z.shape == (1, 2, 1)
         np.testing.assert_allclose(np.abs(Z[0]), [[1.0], [0.0]], atol=1e-12)
 
     def test_cut_is_taken_per_block(self):
-        # One call, d = 5e-9 in both: null only in the block with ||L||_2 = 1000.
+        # d = 5e-9 in both: null only in the block with ||L||_2 = 1000.
         blocks = [diagonal_block(10.0, 5e-9), diagonal_block(1000.0, 5e-9)]
-        assert [len(Z) for Z in _block_null_vectors(blocks, DEFAULT_TOL.rank_rel)] == [0, 1]
+        assert [len(_block_null_vectors(T, S, DEFAULT_TOL.rank_rel)) for T, S in blocks] == [0, 1]
 
     def test_bound_above_the_block_norm_raises_the_cut(self):
         block = diagonal_block(10.0, 5e-9)
-        assert len(_block_null_vectors([block], DEFAULT_TOL.rank_rel)[0]) == 0
-        assert len(_block_null_vectors([block], DEFAULT_TOL.rank_rel, 100.0)[0]) == 1
+        assert len(_block_null_vectors(*block, DEFAULT_TOL.rank_rel)) == 0
+        assert len(_block_null_vectors(*block, DEFAULT_TOL.rank_rel, 100.0)) == 1
 
 
 class TestCommutantRoutes:
@@ -619,7 +618,7 @@ def parity_pair(name):
 
 
 class TestEigenvectorGroups:
-    """Groups read from one eig agree with those of the Schur builder where the eigenvectors are well conditioned."""
+    """Groups read from one eig agree with those of the Schur phase where the eigenvectors are well conditioned."""
 
     @pytest.mark.parametrize(
         "name",
@@ -631,9 +630,9 @@ class TestEigenvectorGroups:
             size = op_norm(M)
             gap, s_min = DEFAULT_TOL.rank_rel**0.25 * 2 * size, DEFAULT_TOL.rank_rel**0.25
             with monkeypatch.context() as patched:
-                patched.setattr("aluthge.commutant._schur_groups", refuse_schur_groups)
+                refuse_schur_phase(patched)
                 fast = _spectral_groups(M, gap, s_min)
-            slow = _schur_groups(M, gap, s_min)
+            slow = schur_phase_groups(M, gap, s_min)
             assert sorted(len(T) for _, T, _, _ in fast) == sorted(len(T) for _, T, _, _ in slow)
             for R, T, _, _ in fast + slow:
                 np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * size)
@@ -643,15 +642,15 @@ class TestEigenvectorGroups:
                 assert len(T2) == len(T)
                 assert abs(c2 - c) <= 1e-12 * size and abs(r2 - r) <= 1e-12 * size
         nullity = commutant_basis(A, B).nullity
-        monkeypatch.setattr("aluthge.commutant._spectral_groups", _schur_groups)
+        eig_raises(monkeypatch)
         assert commutant_basis(A, B).nullity == nullity
 
     def test_a_jordan_block_takes_the_schur_builder(self, monkeypatch):
         # The block's eigenvector columns are numerically parallel, so its
         # cluster fails the independence test; the simple eigenvalues pass
-        # and are only merge partners for the Schur builder.
+        # and are only merge partners for the Schur phase.
         J = conjugated(np.random.default_rng(121), jordan_plus(4, 0.5, separated(np.random.default_rng(122), 12)))[0]
-        calls = count_schur_groups(monkeypatch)
+        calls = count_schur_phase(monkeypatch)
         groups = _spectral_groups(J, DEFAULT_TOL.rank_rel**0.25 * op_norm(J), DEFAULT_TOL.rank_rel**0.25)
         assert calls == [16]
         assert sorted(len(T) for _, T, _, _ in groups) == [1] * 12 + [4]
@@ -668,56 +667,93 @@ class TestEigenvectorGroups:
         M = Q @ np.block([[np.eye(4), -X], [np.zeros((3, 4)), 2.0 * np.eye(3)]]) @ adjoint(Q)
         gap = s_min * op_norm(M)
         if factor > 1:
-            monkeypatch.setattr("aluthge.commutant._schur_groups", refuse_schur_groups)
+            refuse_schur_phase(monkeypatch)
             calls = None
         else:
-            calls = count_schur_groups(monkeypatch)
+            calls = count_schur_phase(monkeypatch)
         groups = _spectral_groups(M, gap, s_min)
         assert sorted(len(T) for _, T, _, _ in groups) == ([3, 4] if factor > 1 else [7])
         assert calls in (None, [7])
         for R, T, _, _ in groups:
             np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * op_norm(M))
 
-    def test_schur_entries_are_matched_by_value(self):
+    def test_schur_entries_are_matched_by_value(self, monkeypatch):
         # The Schur diagonal comes in an order of its own, so each entry is
-        # owned by its nearest eigenvalue in w: reordering w and the masks
-        # with it names the same groups.
+        # owned by its nearest eigenvalue in w: reordering the eigenvalues
+        # and eigenvectors that eig returns names the same groups. The
+        # defective 3-cluster fails the independence test, so the Schur
+        # phase builds it.
         rng = np.random.default_rng(124)
         pool = separated(rng, 7)
         M = conjugated(rng, jordan_plus(3, pool[6], np.concatenate([pool[:5], np.full(4, pool[5])])))[0]
         size = op_norm(M)
         gap, s_min = DEFAULT_TOL.rank_rel**0.25 * size, DEFAULT_TOL.rank_rel**0.25
-        w = np.linalg.eigvals(M)
-        masks = _linked_clusters(np.abs(w[:, None] - w[None, :]) <= gap)
+        w, V = np.linalg.eig(M)
         perm = rng.permutation(len(w))
         found = []
         for order in (np.arange(len(w)), perm):
-            groups = _schur_groups(M, gap, s_min, w[order], list(masks[:, order]))
+            with monkeypatch.context() as patched:
+                patched.setattr(np.linalg, "eig", lambda M, order=order: (w[order], V[:, order]))
+                calls = count_schur_phase(patched)
+                groups = _spectral_groups(M, gap, s_min)
+            assert calls == [len(M)]
             found.append(sorted((len(T), c.real, c.imag) for _, T, c, _ in groups))
         assert [m for m, _, _ in found[0]] == [1] * 5 + [3, 4]
         assert [m for m, _, _ in found[1]] == [m for m, _, _ in found[0]]
         np.testing.assert_allclose(np.array(found[1])[:, 1:], np.array(found[0])[:, 1:], rtol=0, atol=1e-12 * size)
 
-    def test_an_eigenvalue_that_owns_no_entry_merges(self):
-        # Move one of two pending singles of w far from the spectrum: its
-        # Schur entry goes to the other, its nearest, and the moved single,
-        # owning nothing, merges with the built group nearest its new place.
+    def test_an_eigenvalue_that_owns_no_entry_merges(self, monkeypatch):
+        # Two neighbouring singles fail the condition test, their rows of W
+        # scaled by 1e4, and eig moves one of them far from the spectrum:
+        # its Schur entry goes to the other, its nearest, and the moved
+        # single, owning nothing, merges with the group nearest its new
+        # place.
         rng = np.random.default_rng(125)
         M = conjugated(rng, np.diag(separated(rng, 12)))[0]
         size = op_norm(M)
         gap, s_min = DEFAULT_TOL.rank_rel**0.25 * size, DEFAULT_TOL.rank_rel**0.25
         w, V = np.linalg.eig(M)
+        W = np.linalg.inv(V)
         p = int(np.argmin(w.real))
         q = int(np.argsort(np.abs(w - w[p]))[1])
-        masks = np.eye(12, dtype=bool)
-        built = [(masks[k], V[:, k : k + 1], w[k : k + 1, None], w[k], 0.0) for k in range(12) if k not in (p, q)]
-        w = w.copy()
-        w[p] += 10 * size
-        groups = _schur_groups(M, gap, s_min, w, [masks[p], masks[q]], built)
+        moved = w.copy()
+        moved[p] += 10 * size
+        W[[p, q]] *= 1e4
+        monkeypatch.setattr(np.linalg, "eig", lambda M: (moved, V))
+        monkeypatch.setattr(np.linalg, "inv", lambda V: W)
+        calls = count_schur_phase(monkeypatch)
+        groups = _spectral_groups(M, gap, s_min)
+        assert calls == [12]
         assert sum(len(T) for _, T, _, _ in groups) == 12
         for R, T, _, _ in groups:
             assert R.shape[1] == len(T) >= 1
             np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * size)
+
+    def test_a_failed_group_merges_with_a_nearby_group_read_from_v(self, monkeypatch):
+        # A 3-fold eigenvalue 0 whose invariant subspace tilts, at angle
+        # theta with sin(theta) = s_min / 1.2, toward the eigenvectors of
+        # 0.3 and -0.5: the cluster's s is sin(theta) and fails, while each
+        # of the two singles has s near sqrt(2) tan(theta) and is read from
+        # V. A J_2(5) far away fails the independence test, and comes
+        # before the 3-cluster among the failed groups, so the Schur phase
+        # takes the 3-cluster first. Its nearest group is the single 0.3,
+        # and the union passes; the far J_2(5) passes alone. The gap keeps
+        # 0, 0.3 and -0.5 in clusters of their own.
+        s_min = DEFAULT_TOL.rank_rel**0.25
+        sin = s_min / 1.2
+        S = np.eye(10, dtype=complex)
+        S[:, 2] = [0, 0, sin, np.sqrt((1 - sin**2) / 2), np.sqrt((1 - sin**2) / 2), 0, 0, 0, 0, 0]
+        D = np.diag([0, 0, 0, 0.3, -0.5, 5, 5, 2, -2, 2j]).astype(complex)
+        D[5, 6] = 1.0
+        Q = random_unitary(np.random.default_rng(128), 10)
+        M = Q @ S @ D @ np.linalg.solve(S, adjoint(Q))
+        calls = count_schur_phase(monkeypatch)
+        groups = _spectral_groups(M, 1e-2, s_min)
+        assert calls == [10]
+        assert sorted((len(T), round(c.real, 6)) for _, T, c, _ in groups if len(T) > 1) == [(2, 5.0), (4, 0.075)]
+        assert sorted(len(T) for _, T, _, _ in groups) == [1] * 4 + [2, 4]
+        for R, T, _, _ in groups:
+            np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * op_norm(M))
 
     def test_one_eigendecomposition_per_operand(self, monkeypatch):
         # A defective pair: its singles are read from V and only its Jordan
@@ -732,7 +768,7 @@ class TestEigenvectorGroups:
             return eig(M)
 
         monkeypatch.setattr(np.linalg, "eig", spy)
-        monkeypatch.setattr(scipy.linalg, "eig", refuse_schur_groups)
+        monkeypatch.setattr(scipy.linalg, "eig", refusal("scipy's eig"))
         assert assert_routes_agree(A, B).nullity == nullity
         assert calls == [20, 20]
 
@@ -751,12 +787,13 @@ class TestEigenvectorGroups:
         assert calls == [(16, 16), (16, 16)]
 
     def test_a_failed_inverse_takes_the_standalone_schur_builder(self, monkeypatch):
+        # A failed inverse sends every cluster to the Schur phase, as a failed eig does.
         A, B, nullity = jordan_pair(np.random.default_rng(95), 20, 3, 2)
         pairs = [*benchmark_pairs(np.random.default_rng(127), 16), ((A, B), nullity)]
         M = A
         size = op_norm(M)
         gap, s_min = DEFAULT_TOL.rank_rel**0.25 * size, DEFAULT_TOL.rank_rel**0.25
-        expected = _schur_groups(M, gap, s_min)
+        expected = schur_phase_groups(M, gap, s_min)
 
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -771,20 +808,48 @@ class TestEigenvectorGroups:
             assert commutant_basis(A, B).nullity == nullity
 
 
-def refuse_schur_groups(*args):
-    raise AssertionError("the Schur builder ran")
+def refusal(name):
+    """A stand-in for ``name`` that fails the test when called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    return refuse
 
 
-def count_schur_groups(monkeypatch):
-    """Record the size of every matrix the Schur builder splits from here on."""
-    calls = []
+def refuse_schur_phase(monkeypatch):
+    """Fail the test if _spectral_groups enters its Schur phase from here on."""
+    monkeypatch.setattr("scipy.linalg.schur", refusal("the Schur phase"))
 
-    def spy(M, *args):
+
+def count_schur_phase(monkeypatch):
+    """Record the size of every matrix whose Schur form the Schur phase takes from here on."""
+    import scipy.linalg
+
+    schur, calls = scipy.linalg.schur, []
+
+    def spy(M, *args, **kwargs):
         calls.append(len(M))
-        return _schur_groups(M, *args)
+        return schur(M, *args, **kwargs)
 
-    monkeypatch.setattr("aluthge.commutant._schur_groups", spy)
+    monkeypatch.setattr(scipy.linalg, "schur", spy)
     return calls
+
+
+def eig_raises(monkeypatch):
+    """Make ``np.linalg.eig`` raise from here on, so _spectral_groups builds every group in its Schur phase."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+
+
+def schur_phase_groups(M, gap, s_min):
+    """The groups of M from the Schur phase alone: _spectral_groups with eig raising."""
+    with pytest.MonkeyPatch.context() as patched:
+        eig_raises(patched)
+        return _spectral_groups(M, gap, s_min)
 
 
 def count_qr_calls(monkeypatch):
@@ -853,11 +918,15 @@ def jordan_normal_pair(rng, n):
 
 
 def assert_factored_matches_dense(cb, M, N):
-    """The factored residual of every element against (M, N) equals the dense ||M X - X N||_F."""
+    """The factored residual of every element against (M, N) equals the dense ||M X - X N||_F of its lift.
+
+    The dense side is read twice: by ``fro_norm`` on each lift, and by the
+    chunked dense path of ``_residual_norms``.
+    """
     assert cb.lifts.factored
     fast = _residual_norms(M, N, cb.lifts)
-    dense = [fro_norm(M @ X - X @ N) for X in cb.basis]
-    np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12 * (op_norm(M) + op_norm(N)))
+    for dense in (_residual_norms(M, N, _dense_lifts(np.stack(cb.basis))), [fro_norm(M @ X - X @ N) for X in cb.basis]):
+        np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12 * (op_norm(M) + op_norm(N)))
 
 
 class TestFactoredElements:
@@ -872,7 +941,8 @@ class TestFactoredElements:
         assert all(Z is None for _, _, Z in cb.lifts.blocks)
         assert sorted({block_shape(cb.lifts, b) for b in range(len(cb.lifts.blocks))}) == [(4, 1), (4, 2)]
         U, V = polar_factors(A).angular(), polar_factors(B).angular()
-        # A chunk of one entry puts every block in a chunk of its own.
+        # The dense side checks the lifted basis in chunks of _RESIDUAL_CHUNK
+        # entries: all elements in one chunk, or one element per chunk.
         for chunk in (2**19, 1):
             monkeypatch.setattr("aluthge.commutant._RESIDUAL_CHUNK", chunk)
             for M, N in ((A, B), (adjoint(A), adjoint(B)), (U @ U, V @ V)):
@@ -1156,7 +1226,7 @@ class TestComInclusion:
         assert rev.com_dim == 4 and rev.witness is not None
 
     def test_shape_mismatch(self, monkeypatch):
-        def no_solve(*args):
+        def no_solve(T, S, *args):
             raise AssertionError("the commutant was solved")
 
         # the spaces are compared before Com(A1, B1) is solved

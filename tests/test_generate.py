@@ -82,9 +82,9 @@ def test_invertible_fp_draw_solves_once_per_attempt(monkeypatch):
     counts = {"solve": 0, "basis": 0}
     solve, basis = commutant_module._block_null_vectors, generate_module.commutant_basis
 
-    def counted_solve(blocks, *args):
+    def counted_solve(T, S, *args):
         counts["solve"] += 1
-        return solve(blocks, *args)
+        return solve(T, S, *args)
 
     def counted_basis(A, B, tol):
         counts["basis"] += 1

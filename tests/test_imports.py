@@ -4,7 +4,7 @@ Every name a module exports must resolve, and every module-level import
 must be used or re-exported, so a deletion cannot leave a stale name
 behind. Every SVD is taken in one of a few named functions, so a new
 private factorization shows up here, and scipy is imported only by the
-Schur builder of the commutant groups. Every export is either called
+Schur phase of the commutant groups. Every export is either called
 inside the package or named here as API for its users.
 """
 
@@ -97,10 +97,10 @@ def test_eig_is_called_only_in_its_named_site():
     assert sorted(sites) == EIG_SITES
 
 
-# The functions that may import scipy: the Schur builder of the spectral
-# groups. Every other path, diagonalizable pairs above the Kronecker
+# The functions that may import scipy: the spectral groups, in their Schur
+# phase. Every other path, diagonalizable pairs above the Kronecker
 # crossover included, runs on numpy alone.
-SCIPY_SITES = ["commutant._schur_groups"]
+SCIPY_SITES = ["commutant._spectral_groups"]
 
 
 def _imports_scipy(node: ast.AST) -> bool:

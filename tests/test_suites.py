@@ -121,9 +121,9 @@ def test_example_fp_fail_solves_each_pair_once(monkeypatch):
     calls = []
     solve = commutant_module._block_null_vectors
 
-    def counted(blocks, *args):
-        calls.extend(T.shape for T, _ in blocks)
-        return solve(blocks, *args)
+    def counted(T, S, *args):
+        calls.append(T.shape)
+        return solve(T, S, *args)
 
     monkeypatch.setattr(commutant_module, "_block_null_vectors", counted)
     assert run_suite("example_fp_fail", seed=0, trials=1).passed
@@ -135,9 +135,9 @@ def test_each_pair_solved_once_per_case(suite_id, monkeypatch):
     solved = []
     solve = commutant_module._block_null_vectors
 
-    def recorded(blocks, *args):
-        solved.extend((T.tobytes(), S.tobytes()) for T, S in blocks)
-        return solve(blocks, *args)
+    def recorded(T, S, *args):
+        solved.append((T.tobytes(), S.tobytes()))
+        return solve(T, S, *args)
 
     monkeypatch.setattr(commutant_module, "_block_null_vectors", recorded)
     for case_id in range(8):
