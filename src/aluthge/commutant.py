@@ -30,9 +30,16 @@ from .linalg import (
     adjoint,
     as_intertwiner,
     as_square,
+    eig,
+    eigvals,
     fro_norm,
+    inv,
     op_norm,
+    qr,
     rank_cut,
+    schur,
+    svd,
+    ztrsen,
 )
 from .polar import PolarFactors, polar_factors
 
@@ -270,7 +277,7 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     )
     nullity = sum(lifts.counts())
     if _cross_gram_bound(lifts) > nullity * np.finfo(float).eps:
-        Q, _ = np.linalg.qr(_lift_all(lifts, n1, n2, nullity).reshape(nullity, -1).T)
+        Q, _ = qr(_lift_all(lifts, n1, n2, nullity).reshape(nullity, -1).T)
         return CommutantBasis(A, B, _dense_lifts(Q.T.reshape(-1, n1, n2)))
     return CommutantBasis(A, B, lifts)
 
@@ -284,7 +291,7 @@ def _block_null_vectors(T: np.ndarray, S: np.ndarray, rank_rel: float, bound: fl
     ``rank_rel * max(||L||_2, bound)``: ``bound`` is a bound on ||L||_2
     that the caller holds, or 0 for none.
     """
-    _, s, Vh = np.linalg.svd(_sylvester_matrix(T, S))
+    _, s, Vh = svd(_sylvester_matrix(T, S))
     return Vh[s <= rank_cut(s, rank_rel, bound)].conj().reshape((-1, len(S), len(T))).transpose(0, 2, 1)
 
 
@@ -366,7 +373,7 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     from V, its R from that QR; the clusters of one size share one
     stacked QR and one stacked product, since a QR call costs several
     times the arithmetic of a small cluster. Singles come first, then
-    the clusters by size. Phase two, the only code that imports scipy,
+    the clusters by size. Phase two, the only code that calls scipy,
     re-bases the clusters that fail, or every cluster of the Schur
     diagonal when ``eig`` or the inverse raises, on one complex Schur
     form of M. A diagonal entry belongs to the group of its nearest
@@ -378,8 +385,8 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
     behind the drop rule well conditioned.
     """
     try:
-        w, V = np.linalg.eig(M)
-        W = np.linalg.inv(V)
+        w, V = eig(M)
+        W = inv(V)
     except np.linalg.LinAlgError:
         w = None
     # Each group is (mask, R, T, c, r), the mask over the eigenvalues w.
@@ -401,7 +408,7 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
                 singles = zip(same[ok], members[ok, 0])
                 groups += [(mask, V[:, p : p + 1], w[p : p + 1, None], w[p], 0.0) for mask, p in singles]
             else:
-                R, diagonal = np.linalg.qr(VG)
+                R, diagonal = qr(VG)
                 diagonal = np.abs(diagonal.diagonal(axis1=1, axis2=2))
                 ok &= diagonal.min(axis=1) >= s_min * diagonal.max(axis=1)
                 R = R[ok]
@@ -410,11 +417,7 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
             pending += list(same[~ok])
         if not pending:
             return [group[1:] for group in groups]
-    from scipy.linalg import schur
-    from scipy.linalg.lapack import ztrsen
-
     T, Q = schur(M, output="complex", check_finite=False)
-    n = len(T)
     if w is None:
         w = np.diag(T)
         dist = np.abs(w[:, None] - w[None, :])
@@ -426,7 +429,7 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
         m = int(select.sum())
         # s is 1 when the group holds the whole spectrum, so a merge always has a partner.
         if m:
-            Ts, Qs, _, _, s, _, _ = ztrsen(select.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (n - m)))
+            Ts, Qs, s = ztrsen(T, Q, select)
         if m and s >= s_min:
             # Copies, so a group does not keep the whole reordered Schur form alive.
             TR = Ts[:m, :m].copy()
@@ -841,7 +844,7 @@ def semicircle_check(U, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     U = as_square(U)
     _require_unitary(U, tol)
-    phases = np.sort(np.angle(np.linalg.eigvals(U)))
+    phases = np.sort(np.angle(eigvals(U)))
     gaps = np.diff(phases)
     wrap = phases[0] + 2.0 * np.pi - phases[-1]
     widest = max(float(gaps.max(initial=0.0)), float(wrap))

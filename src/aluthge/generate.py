@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .commutant import basis_inclusion, commutant_basis
-from .linalg import DEFAULT_TOL, Tolerances, hermitian_part, op_norm
+from .linalg import DEFAULT_TOL, Tolerances, hermitian_part, inv, op_norm, qr
 from .polar import PolarFactors, polar_factors
 
 __all__ = [
@@ -58,7 +58,7 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary from a QR factorization with phase fixing."""
-    Q, R = np.linalg.qr(ginibre(rng, n))
+    Q, R = qr(ginibre(rng, n))
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
 
@@ -154,8 +154,8 @@ def similarity_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nd
     ev = _distinct_in_sector(rng, n, (0.0, 2.0 * np.pi), (0.5, 2.0))
     S1 = well_conditioned(rng, n, (0.6, 1.6))
     S2 = well_conditioned(rng, n, (0.6, 1.6))
-    A = S1 @ (ev[:, None] * np.linalg.inv(S1))
-    B = S2 @ (rng.permutation(ev)[:, None] * np.linalg.inv(S2))
+    A = S1 @ (ev[:, None] * inv(S1))
+    B = S2 @ (rng.permutation(ev)[:, None] * inv(S2))
     return A, B
 
 
@@ -171,7 +171,7 @@ def involution(rng: np.random.Generator, n: int) -> np.ndarray:
     """Matrix squaring to the identity: signs conjugated by a mild similarity."""
     signs = rng.choice([1.0, -1.0], size=n)
     S = well_conditioned(rng, n)
-    return (S * signs) @ np.linalg.inv(S)
+    return (S * signs) @ inv(S)
 
 
 def _is_normal(f: PolarFactors) -> bool:

@@ -1,14 +1,20 @@
 """Dense complex-matrix primitives: adjoints, Hermitian parts, norms, spectra and the rank cut.
 
 Everything downstream (polar decompositions, commutant solvers, norm
-inequalities) is built on the handful of operations in this module, and
-every rank decision reads the one rule :func:`rank_cut`. All functions
-are pure and accept anything `np.asarray` turns into a 2-D complex array.
+inequalities) is built on the handful of operations in this module, the
+package's only way into LAPACK: every factorization goes through one of
+its entries, which :func:`counting` records. Every rank decision reads
+the one rule :func:`rank_cut`. All functions are pure and accept
+anything `np.asarray` turns into a 2-D complex array.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any
 
 import numpy as np
@@ -56,6 +62,40 @@ DEFAULT_TOL = Tolerances()
 # times that, or on access to CommutantBasis.basis), or the iterates of
 # aluthge_iterate. That stays well inside a machine with a few GB of memory.
 _DENSE_MAX = 2**25
+
+# The list of the innermost counting() block; outside every block, a deque that keeps nothing.
+_CALLS: ContextVar = ContextVar("aluthge_factorizations", default=deque(maxlen=0))
+
+
+@contextmanager
+def counting():
+    """Yield the list of (kind, operand) of the factorizations taken in the block, each operand the array itself."""
+    token = _CALLS.set([])
+    try:
+        yield _CALLS.get()
+    finally:
+        _CALLS.reset(token)
+
+
+def _entry(kind: str, scipy_module: str = ""):
+    """The entry for ``kind`` of numpy.linalg, or of a scipy module: looked up on each call, never at import."""
+    def entry(a, *args, **kwargs):
+        _CALLS.get().append((kind, a))
+        return getattr(import_module(scipy_module) if scipy_module else np.linalg, kind)(a, *args, **kwargs)
+    return entry
+
+
+svd, eig, eigvals, eigvalsh, inv, qr = map(_entry, ("svd", "eig", "eigvals", "eigvalsh", "inv", "qr"))
+schur = _entry("schur", "scipy.linalg")
+
+
+def ztrsen(T: np.ndarray, Q: np.ndarray, select: np.ndarray):
+    """Reorder the Schur form (T, Q) so the selected eigenvalues lead: (Ts, Qs, s), s their reciprocal condition."""
+    _CALLS.get().append(("ztrsen", T))
+    m = int(select.sum())
+    lapack = import_module("scipy.linalg.lapack")
+    Ts, Qs, _, _, s, _, _ = lapack.ztrsen(select.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (len(T) - m)))
+    return Ts, Qs, s
 
 
 def rank_cut(s: np.ndarray, rank_rel: float, bound: float = 0.0) -> float:
@@ -128,7 +168,7 @@ def hermitian_part(M) -> np.ndarray:
 
 def min_hermitian_eigenvalue(M) -> float:
     """Smallest eigenvalue of the Hermitian part of M."""
-    return float(np.linalg.eigvalsh(hermitian_part(M))[0])
+    return float(eigvalsh(hermitian_part(M))[0])
 
 
 def op_norm(M) -> float:
@@ -143,9 +183,9 @@ def fro_norm(M) -> float:
 
 def singular_values(M) -> np.ndarray:
     """Singular values in decreasing order (length min(rows, cols))."""
-    return np.linalg.svd(as_matrix(M), compute_uv=False)
+    return svd(as_matrix(M), compute_uv=False)
 
 
 def spectral_radius(M) -> float:
     """Largest eigenvalue modulus of a square matrix."""
-    return float(np.abs(np.linalg.eigvals(as_square(M))).max())
+    return float(np.abs(eigvals(as_square(M))).max())

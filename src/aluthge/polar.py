@@ -26,6 +26,7 @@ from .linalg import (
     op_norm,
     rank_cut,
     spectral_radius,
+    svd,
 )
 
 __all__ = [
@@ -147,7 +148,7 @@ def polar_factors(A, tol: Tolerances = DEFAULT_TOL) -> PolarFactors:
         rank = int(np.count_nonzero(A.s > rank_cut(A.s, tol.rank_rel)))
         return A if rank == A.rank else replace(A, rank=rank)
     A = as_square(A)
-    W, s, Qh = np.linalg.svd(A)
+    W, s, Qh = svd(A)
     rank = int(np.count_nonzero(s > rank_cut(s, tol.rank_rel)))
     return PolarFactors(matrix=A, W=W, s=s, Qh=Qh, rank=rank)
 

@@ -1,6 +1,7 @@
 """Tests for commutant spaces, FP verdicts and the related classifiers."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from aluthge.generate import (
     similarity_pair,
     well_conditioned,
 )
-from aluthge.linalg import _DENSE_MAX, DEFAULT_TOL, Tolerances, adjoint, fro_norm, hermitian_part, op_norm
+from aluthge.linalg import _DENSE_MAX, DEFAULT_TOL, Tolerances, adjoint, counting, fro_norm, hermitian_part, op_norm
 from aluthge.polar import (
     MODE_PARTIAL,
     aluthge,
@@ -457,6 +458,28 @@ class TestCommutantRoutes:
         for (A, B), nullity in benchmark_pairs(rng, n):
             assert assert_routes_agree(A, B).nullity == nullity
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_what_each_benchmark_op_factors(self, seed):
+        # Exact counts for the op kinds of the commutant_scaling benchmark, so
+        # a new factorization on its solver path shows here. fp_property
+        # factors both operands of its normal pair, then takes the Kronecker
+        # SVD at n = 8; above the crossover, each operand's eig, inverse and
+        # stacked QR of its 4-fold clusters, and the two SVDs of ``scale``.
+        # commutant_basis of a similarity pair takes neither the operands'
+        # SVDs nor the cluster QRs, but one QR of its oblique lifts.
+        expected = {
+            (fp_property, 8): {"svd": 3},
+            (commutant_basis, 8): {"svd": 1},
+            **{(fp_property, n): {"eig": 2, "inv": 2, "qr": 2, "svd": 4} for n in (16, 24, 32)},
+            **{(commutant_basis, n): {"eig": 2, "inv": 2, "qr": 1, "svd": 2} for n in (16, 24)},
+        }
+        for (check, n), counts in expected.items():
+            normal, similar = benchmark_pairs(np.random.default_rng(seed), n)
+            (A, B), _ = normal if check is fp_property else similar
+            with counting() as calls:
+                check(A, B)
+            assert Counter(kind for kind, _ in calls) == counts, (check.__name__, n)
+
     def test_similarity_invariance(self):
         # nullity of Com(S A S^-1, B) = nullity of Com(A, B), on the Schur route
         rng = np.random.default_rng(70)
@@ -480,7 +503,7 @@ class TestCommutantRoutes:
 
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("multiplicity", [1, 4])
-    def test_large_normal_pairs_skip_the_qr(self, n, multiplicity, monkeypatch):
+    def test_large_normal_pairs_skip_the_qr(self, n, multiplicity):
         # The invariant subspaces of a normal pair are orthogonal, so the
         # lifts of different group pairs already are: no QR, and the basis is
         # still orthonormal with every residual in tolerance.
@@ -489,10 +512,10 @@ class TestCommutantRoutes:
         Qa, Qb = random_unitary(rng, n), random_unitary(rng, n)
         A = Qa @ (ev[:, None] * Qa.conj().T)
         B = Qb @ (rng.permutation(ev)[:, None] * Qb.conj().T)
-        qr_calls = count_qr_calls(monkeypatch)
-        cb = _schur_commutant(A, B, DEFAULT_TOL)
+        with counting() as calls:
+            cb = _schur_commutant(A, B, DEFAULT_TOL)
         # The QR of the lifted basis has n1 * n2 rows; a group's basis may take a QR of its own.
-        assert not [shape for shape in qr_calls if shape[0] == n * n]
+        assert not [Q for Q in operands(calls, "qr") if len(Q) == n * n]
         assert cb.nullity == len(cb.basis) == n * multiplicity
         V = stacked(cb.basis)
         np.testing.assert_allclose(V.conj() @ V.T, np.eye(cb.nullity), atol=1e-12)
@@ -500,15 +523,15 @@ class TestCommutantRoutes:
         assert max(cb.residuals) <= thr
         assert max(fro_norm(A @ X - X @ B) for X in cb.basis) <= thr
 
-    def test_non_orthogonal_lifts_take_the_qr(self, monkeypatch):
+    def test_non_orthogonal_lifts_take_the_qr(self):
         # The invariant subspaces of a similarity pair are oblique, so the
         # lifts of different group pairs overlap and only the QR makes them
         # orthonormal.
         rng = np.random.default_rng(64)
         _, ((A, B), nullity) = benchmark_pairs(rng, 24)
-        qr_calls = count_qr_calls(monkeypatch)
-        assert assert_routes_agree(A, B).nullity == nullity
-        assert len(qr_calls) == 1
+        with counting() as calls:
+            assert assert_routes_agree(A, B).nullity == nullity
+        assert len(operands(calls, "qr")) == 1
 
     def test_refuses_oversized_basis(self, monkeypatch):
         # A normal pair at n = 24 with multiplicity 4 has 96 elements of
@@ -535,21 +558,15 @@ class TestCommutantRoutes:
         commutant_basis(np.eye(12), np.eye(13))
         assert routes == ["kronecker", "schur"]
 
-    def test_a_self_pair_takes_one_svd_fewer(self, monkeypatch):
+    def test_a_self_pair_takes_one_svd_fewer(self):
         # B is A shares ||A - cI||_2 between both halves of scale; a copy of A does not.
         (normal, _), _ = benchmark_pairs(np.random.default_rng(96), 16)
         A = normal[0]
-        svd, calls = np.linalg.svd, []
-
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        cb = commutant_basis(A, A)
-        self_pair = len(calls)
-        copy = commutant_basis(A, A.copy())
-        assert len(calls) - self_pair == self_pair + 1
+        with counting() as self_pair:
+            cb = commutant_basis(A, A)
+        with counting() as calls:
+            copy = commutant_basis(A, A.copy())
+        assert len(operands(calls, "svd")) == len(operands(self_pair, "svd")) + 1
         assert cb.nullity == copy.nullity == 64 and cb.residuals == copy.residuals
 
     def test_jordan_pair_rerouted_to_schur(self):
@@ -629,9 +646,9 @@ class TestEigenvectorGroups:
         for M in (A, adjoint(B)):
             size = op_norm(M)
             gap, s_min = DEFAULT_TOL.rank_rel**0.25 * 2 * size, DEFAULT_TOL.rank_rel**0.25
-            with monkeypatch.context() as patched:
-                refuse_schur_phase(patched)
+            with counting() as calls:
                 fast = _spectral_groups(M, gap, s_min)
+            assert operands(calls, "schur") == []
             slow = schur_phase_groups(M, gap, s_min)
             assert sorted(len(T) for _, T, _, _ in fast) == sorted(len(T) for _, T, _, _ in slow)
             for R, T, _, _ in fast + slow:
@@ -645,18 +662,18 @@ class TestEigenvectorGroups:
         eig_raises(monkeypatch)
         assert commutant_basis(A, B).nullity == nullity
 
-    def test_a_jordan_block_takes_the_schur_builder(self, monkeypatch):
+    def test_a_jordan_block_takes_the_schur_builder(self):
         # The block's eigenvector columns are numerically parallel, so its
         # cluster fails the independence test; the simple eigenvalues pass
         # and are only merge partners for the Schur phase.
         J = conjugated(np.random.default_rng(121), jordan_plus(4, 0.5, separated(np.random.default_rng(122), 12)))[0]
-        calls = count_schur_phase(monkeypatch)
-        groups = _spectral_groups(J, DEFAULT_TOL.rank_rel**0.25 * op_norm(J), DEFAULT_TOL.rank_rel**0.25)
-        assert calls == [16]
+        with counting() as calls:
+            groups = _spectral_groups(J, DEFAULT_TOL.rank_rel**0.25 * op_norm(J), DEFAULT_TOL.rank_rel**0.25)
+        assert [len(T) for T in operands(calls, "schur")] == [16]
         assert sorted(len(T) for _, T, _, _ in groups) == [1] * 12 + [4]
 
     @pytest.mark.parametrize("factor", [1.05, 0.95])
-    def test_the_condition_threshold_from_both_sides(self, factor, monkeypatch):
+    def test_the_condition_threshold_from_both_sides(self, factor):
         # M = Q [[I_4, -X], [0, 2 I_3]] Q* with ||X||_F^2 = 1 / s^2 - 1, so
         # ztrsen's s of either cluster is s, read from V and V^-1 alone.
         s_min = DEFAULT_TOL.rank_rel**0.25
@@ -666,14 +683,10 @@ class TestEigenvectorGroups:
         Q = random_unitary(rng, 7)
         M = Q @ np.block([[np.eye(4), -X], [np.zeros((3, 4)), 2.0 * np.eye(3)]]) @ adjoint(Q)
         gap = s_min * op_norm(M)
-        if factor > 1:
-            refuse_schur_phase(monkeypatch)
-            calls = None
-        else:
-            calls = count_schur_phase(monkeypatch)
-        groups = _spectral_groups(M, gap, s_min)
+        with counting() as calls:
+            groups = _spectral_groups(M, gap, s_min)
         assert sorted(len(T) for _, T, _, _ in groups) == ([3, 4] if factor > 1 else [7])
-        assert calls in (None, [7])
+        assert [len(T) for T in operands(calls, "schur")] == ([] if factor > 1 else [7])
         for R, T, _, _ in groups:
             np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * op_norm(M))
 
@@ -692,11 +705,10 @@ class TestEigenvectorGroups:
         perm = rng.permutation(len(w))
         found = []
         for order in (np.arange(len(w)), perm):
-            with monkeypatch.context() as patched:
+            with monkeypatch.context() as patched, counting() as calls:
                 patched.setattr(np.linalg, "eig", lambda M, order=order: (w[order], V[:, order]))
-                calls = count_schur_phase(patched)
                 groups = _spectral_groups(M, gap, s_min)
-            assert calls == [len(M)]
+            assert [len(T) for T in operands(calls, "schur")] == [len(M)]
             found.append(sorted((len(T), c.real, c.imag) for _, T, c, _ in groups))
         assert [m for m, _, _ in found[0]] == [1] * 5 + [3, 4]
         assert [m for m, _, _ in found[1]] == [m for m, _, _ in found[0]]
@@ -721,15 +733,15 @@ class TestEigenvectorGroups:
         W[[p, q]] *= 1e4
         monkeypatch.setattr(np.linalg, "eig", lambda M: (moved, V))
         monkeypatch.setattr(np.linalg, "inv", lambda V: W)
-        calls = count_schur_phase(monkeypatch)
-        groups = _spectral_groups(M, gap, s_min)
-        assert calls == [12]
+        with counting() as calls:
+            groups = _spectral_groups(M, gap, s_min)
+        assert [len(T) for T in operands(calls, "schur")] == [12]
         assert sum(len(T) for _, T, _, _ in groups) == 12
         for R, T, _, _ in groups:
             assert R.shape[1] == len(T) >= 1
             np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * size)
 
-    def test_a_failed_group_merges_with_a_nearby_group_read_from_v(self, monkeypatch):
+    def test_a_failed_group_merges_with_a_nearby_group_read_from_v(self):
         # A 3-fold eigenvalue 0 whose invariant subspace tilts, at angle
         # theta with sin(theta) = s_min / 1.2, toward the eigenvectors of
         # 0.3 and -0.5: the cluster's s is sin(theta) and fails, while each
@@ -747,44 +759,29 @@ class TestEigenvectorGroups:
         D[5, 6] = 1.0
         Q = random_unitary(np.random.default_rng(128), 10)
         M = Q @ S @ D @ np.linalg.solve(S, adjoint(Q))
-        calls = count_schur_phase(monkeypatch)
-        groups = _spectral_groups(M, 1e-2, s_min)
-        assert calls == [10]
+        with counting() as calls:
+            groups = _spectral_groups(M, 1e-2, s_min)
+        assert [len(T) for T in operands(calls, "schur")] == [10]
         assert sorted((len(T), round(c.real, 6)) for _, T, c, _ in groups if len(T) > 1) == [(2, 5.0), (4, 0.075)]
         assert sorted(len(T) for _, T, _, _ in groups) == [1] * 4 + [2, 4]
         for R, T, _, _ in groups:
             np.testing.assert_allclose(adjoint(R) @ M @ R, T, rtol=0, atol=1e-13 * op_norm(M))
 
-    def test_one_eigendecomposition_per_operand(self, monkeypatch):
+    def test_one_eigendecomposition_per_operand(self):
         # A defective pair: its singles are read from V and only its Jordan
         # clusters take ztrsen, with no second eig of the Schur factor.
-        import scipy.linalg
-
         A, B, nullity = jordan_pair(np.random.default_rng(95), 20, 3, 2)
-        eig, calls = np.linalg.eig, []
+        with counting() as calls:
+            assert assert_routes_agree(A, B).nullity == nullity
+        assert [len(M) for M in operands(calls, "eig")] == [20, 20]
 
-        def spy(M):
-            calls.append(len(M))
-            return eig(M)
-
-        monkeypatch.setattr(np.linalg, "eig", spy)
-        monkeypatch.setattr(scipy.linalg, "eig", refusal("scipy's eig"))
-        assert assert_routes_agree(A, B).nullity == nullity
-        assert calls == [20, 20]
-
-    def test_eigenvector_groups_take_no_svd(self, monkeypatch):
+    def test_eigenvector_groups_take_no_svd(self):
         # A similarity pair's groups are all single eigenvalues and its kept
         # blocks all full, so its SVDs are the two norms of ``scale``.
         _, ((A, B), nullity) = benchmark_pairs(np.random.default_rng(126), 16)
-        svd, calls = np.linalg.svd, []
-
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        assert commutant_basis(A, B).nullity == nullity
-        assert calls == [(16, 16), (16, 16)]
+        with counting() as calls:
+            assert commutant_basis(A, B).nullity == nullity
+        assert [M.shape for M in operands(calls, "svd")] == [(16, 16), (16, 16)]
 
     def test_a_failed_inverse_takes_the_standalone_schur_builder(self, monkeypatch):
         # A failed inverse sends every cluster to the Schur phase, as a failed eig does.
@@ -808,32 +805,9 @@ class TestEigenvectorGroups:
             assert commutant_basis(A, B).nullity == nullity
 
 
-def refusal(name):
-    """A stand-in for ``name`` that fails the test when called."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} ran")
-
-    return refuse
-
-
-def refuse_schur_phase(monkeypatch):
-    """Fail the test if _spectral_groups enters its Schur phase from here on."""
-    monkeypatch.setattr("scipy.linalg.schur", refusal("the Schur phase"))
-
-
-def count_schur_phase(monkeypatch):
-    """Record the size of every matrix whose Schur form the Schur phase takes from here on."""
-    import scipy.linalg
-
-    schur, calls = scipy.linalg.schur, []
-
-    def spy(M, *args, **kwargs):
-        calls.append(len(M))
-        return schur(M, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "schur", spy)
-    return calls
+def operands(calls, kind):
+    """The operands of the ``kind`` calls in a list that ``linalg.counting()`` yielded."""
+    return [a for k, a in calls if k == kind]
 
 
 def eig_raises(monkeypatch):
@@ -850,19 +824,6 @@ def schur_phase_groups(M, gap, s_min):
     with pytest.MonkeyPatch.context() as patched:
         eig_raises(patched)
         return _spectral_groups(M, gap, s_min)
-
-
-def count_qr_calls(monkeypatch):
-    """Record the shape of every ``np.linalg.qr`` call from here on."""
-    calls = []
-    qr = np.linalg.qr
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", spy)
-    return calls
 
 
 class TestResidualNorms:

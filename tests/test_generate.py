@@ -14,12 +14,14 @@ from aluthge.generate import (
     KINDS,
     GenerationError,
     _distinct_in_sector,
+    _is_invertible,
     _nonnormal_block,
     draw,
     generate,
     ginibre,
 )
 from aluthge.linalg import op_norm, singular_values
+from aluthge.polar import polar_factors
 
 
 def test_deterministic_per_seed():
@@ -134,3 +136,9 @@ def test_nonnormal_block_draws_the_per_entry_stream(size):
         assert _nonnormal_block(rng, sector, size).tobytes() == loop_nonnormal_block(reference, sector, size).tobytes()
         # Both leave the stream at the same point.
         assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_invertibility_asks_for_a_bounded_condition_number():
+    # The invertible kinds need the smallest singular value above 1e-6 times the largest, not just above 0.
+    assert not _is_invertible(polar_factors(np.diag([1.0, 1e-7])))
+    assert _is_invertible(polar_factors(np.diag([1.0, 1e-5])))

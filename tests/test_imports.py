@@ -2,13 +2,15 @@
 
 Every name a module exports must resolve, and every module-level import
 must be used or re-exported, so a deletion cannot leave a stale name
-behind. Every SVD is taken in one of a few named functions, so a new
-private factorization shows up here, and scipy is imported only by the
-Schur phase of the commutant groups. Every export is either called
-inside the package or named here as API for its users.
+behind. Every factorization goes through the entries of ``linalg``, the
+only module that names numpy's factorizations or a scipy module, and
+every SVD is taken in one of a few named functions, so a new private
+factorization shows up here. Every export is either called inside the
+package or named here as API for its users.
 """
 
 import ast
+import re
 from importlib import import_module
 from pathlib import Path
 
@@ -97,25 +99,29 @@ def test_eig_is_called_only_in_its_named_site():
     assert sorted(sites) == EIG_SITES
 
 
-# The functions that may import scipy: the spectral groups, in their Schur
-# phase. Every other path, diagonalizable pairs above the Kronecker
-# crossover included, runs on numpy alone.
-SCIPY_SITES = ["commutant._spectral_groups"]
+# numpy.linalg's factorizations, which only the entries of linalg may name.
+FACTORIZATIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "inv", "qr", "solve", "lstsq", "cholesky", "pinv"}
 
 
-def _imports_scipy(node: ast.AST) -> bool:
+def _names_lapack(node: ast.AST) -> bool:
+    """A numpy.linalg factorization or a scipy module, named by an attribute, an import or a string constant."""
+    if isinstance(node, ast.Attribute):
+        return ast.unparse(node.value) in ("np.linalg", "numpy.linalg") and node.attr in FACTORIZATIONS
+    if isinstance(node, ast.ImportFrom):
+        module, names = node.module or "", {alias.name for alias in node.names}
+        return module.split(".")[0] == "scipy" or module == "numpy.linalg" and not names.isdisjoint(FACTORIZATIONS)
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+    is_text = isinstance(node, ast.Constant) and isinstance(node.value, str)
+    return is_text and re.fullmatch(r"scipy(\.\w+)*", node.value) is not None
 
 
-def test_scipy_is_imported_only_by_the_schur_builder():
-    sites = {
-        f"{path.stem}.{owner}"
-        for path in SOURCES
-        for owner in _owners(ast.parse(path.read_text(encoding="utf-8")), _imports_scipy)
-    }
-    assert sorted(sites) == SCIPY_SITES
+def test_only_linalg_names_a_factorization_or_scipy():
+    # linalg's Schur entries import scipy when first called, so every other
+    # path, diagonalizable pairs above the Kronecker crossover included, runs
+    # on numpy alone.
+    sites = {path.stem for path in SOURCES if any(map(_names_lapack, ast.walk(_source(path.stem))))}
+    assert sites == {"linalg"}
 
 
 def _package_imports(tree: ast.AST) -> set[str]:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import aluthge
 from aluthge.commutant import (
     aluthge_intertwiner_map,
     intertwiner_polar_identities,
@@ -10,9 +11,11 @@ from aluthge.commutant import (
 )
 from aluthge.generate import ginibre, random_unitary
 from aluthge.linalg import (
+    _CALLS,
     Tolerances,
     adjoint,
     as_matrix,
+    counting,
     fro_norm,
     hermitian_part,
     min_hermitian_eigenvalue,
@@ -248,3 +251,27 @@ def test_norm_helpers_agree_with_numpy():
     M = ginibre(rng, 4, 6)
     assert op_norm(M) == pytest.approx(np.linalg.norm(M, 2))
     assert fro_norm(M) == pytest.approx(np.linalg.norm(M))
+
+
+def test_an_entry_looks_its_routine_up_when_called(monkeypatch):
+    # A rebinding of numpy.linalg made after import, as a tracer makes, sees the call.
+    svd, seen = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: seen.append(a.shape) or svd(a, *args, **kwargs))
+    assert aluthge.op_norm(np.diag([3.0, 4.0])) == 4.0
+    assert seen == [(2, 2)]
+
+
+def test_counting_records_only_inside_its_block():
+    M = np.diag([1.0, 2.0j])
+    op_norm(M)
+    with counting() as outer:
+        op_norm(M)
+        with counting() as inner:
+            spectral_radius(M)
+        min_hermitian_eigenvalue(M)
+    op_norm(M)
+    assert len(_CALLS.get()) == 0
+    assert [kind for kind, _ in inner] == ["eigvals"]
+    # The enclosing list is back once the inner block ends, and each operand is the array itself.
+    assert [kind for kind, _ in outer] == ["svd", "eigvalsh"]
+    assert outer[0][1] is M and inner[0][1] is M
