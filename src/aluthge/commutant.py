@@ -429,7 +429,7 @@ def _spectral_groups(M: np.ndarray, gap: float, s_min: float) -> list[tuple[np.n
         m = int(select.sum())
         # s is 1 when the group holds the whole spectrum, so a merge always has a partner.
         if m:
-            Ts, Qs, s = ztrsen(T, Q, select)
+            Ts, Qs, _, _, s, _, _ = ztrsen(select.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (len(T) - m)))
         if m and s >= s_min:
             # Copies, so a group does not keep the whole reordered Schur form alive.
             TR = Ts[:m, :m].copy()

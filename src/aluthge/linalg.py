@@ -1,11 +1,10 @@
 """Dense complex-matrix primitives: adjoints, Hermitian parts, norms, spectra and the rank cut.
 
-Everything downstream (polar decompositions, commutant solvers, norm
-inequalities) is built on the handful of operations in this module, the
-package's only way into LAPACK: every factorization goes through one of
-its entries, which :func:`counting` records. Every rank decision reads
-the one rule :func:`rank_cut`. All functions are pure and accept
-anything `np.asarray` turns into a 2-D complex array.
+Everything downstream is built on the handful of operations in this
+module, the package's only way into LAPACK: every factorization goes
+through one of its entries, which :func:`counting` records. Every rank
+decision reads the one rule :func:`rank_cut`. All functions are pure and
+accept anything `np.asarray` turns into a 2-D complex array.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ _CALLS: ContextVar = ContextVar("aluthge_factorizations", default=deque(maxlen=0
 
 @contextmanager
 def counting():
-    """Yield the list of (kind, operand) of the factorizations taken in the block, each operand the array itself."""
+    """Yield the (kind, operand) list of the block's factorizations, operands uncopied so a caller can key them."""
     token = _CALLS.set([])
     try:
         yield _CALLS.get()
@@ -86,16 +85,7 @@ def _entry(kind: str, scipy_module: str = ""):
 
 
 svd, eig, eigvals, eigvalsh, inv, qr = map(_entry, ("svd", "eig", "eigvals", "eigvalsh", "inv", "qr"))
-schur = _entry("schur", "scipy.linalg")
-
-
-def ztrsen(T: np.ndarray, Q: np.ndarray, select: np.ndarray):
-    """Reorder the Schur form (T, Q) so the selected eigenvalues lead: (Ts, Qs, s), s their reciprocal condition."""
-    _CALLS.get().append(("ztrsen", T))
-    m = int(select.sum())
-    lapack = import_module("scipy.linalg.lapack")
-    Ts, Qs, _, _, s, _, _ = lapack.ztrsen(select.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (len(T) - m)))
-    return Ts, Qs, s
+schur, ztrsen = _entry("schur", "scipy.linalg"), _entry("ztrsen", "scipy.linalg.lapack")
 
 
 def rank_cut(s: np.ndarray, rank_rel: float, bound: float = 0.0) -> float:

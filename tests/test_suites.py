@@ -167,6 +167,8 @@ def factorizations():
 
     with counting() as calls:
         yield taken
+
+
 FACTORED_ONCE = [
     "fuglede_putnam",
     "lemma21",

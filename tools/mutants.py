@@ -40,14 +40,17 @@ class Mutant(NamedTuple):
 
 GROUPS = "tests/test_commutant.py::TestEigenvectorGroups::"
 ROUTES = "tests/test_commutant.py::TestCommutantRoutes::"
-ZTRSEN = "            Ts, Qs, s = ztrsen(T, Q, select)\n"
+ZTRSEN = (
+    "            Ts, Qs, _, _, s, _, _ = ztrsen("
+    'select.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (len(T) - m)))\n'
+)
 
 MUTANTS = [
     Mutant(
         "owner-by-index",
         "src/aluthge/commutant.py",
         "owner = np.abs(np.diag(T)[:, None] - w[None, :]).argmin(axis=1)",
-        "owner = np.arange(n)",
+        "owner = np.arange(len(T))",
         [GROUPS + "test_schur_entries_are_matched_by_value"],
     ),
     Mutant(
