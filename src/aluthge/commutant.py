@@ -25,6 +25,7 @@ import numpy as np
 from .linalg import (
     _DENSE_MAX,
     DEFAULT_TOL,
+    _CALLS,
     CheckReport,
     Tolerances,
     adjoint,
@@ -93,6 +94,29 @@ def _dense_lifts(X) -> Lifts:
     return Lifts([None], [None], [(0, 0, X)] if len(X) else [])
 
 
+class BlockSolve(NamedTuple):
+    """A kept group pair (i, j), in pair order: m * k rows, full or solved, its nullity and rank gap (None if full)."""
+
+    pair: tuple[int, int]
+    rows: int
+    full: bool
+    nullity: int
+    gap: tuple[float, float] | None
+
+
+class Solve(NamedTuple):
+    """The record of one solve, :attr:`CommutantBasis.solve`, read from values the solve computed.
+
+    ``route`` is "kronecker" or "groups", ``groups`` the sizes, centres and radii of the groups of A and of B
+    (none on the Kronecker route, whose one block is (0, 0)), and ``qr`` whether the cross-pair QR ran.
+    """
+
+    route: str
+    groups: tuple[tuple[tuple, tuple, tuple], ...]
+    blocks: tuple[BlockSolve, ...]
+    qr: bool
+
+
 class CommutantBasis:
     """Frobenius-orthonormal basis of {X : AX = XB}, solved for the pair (A, B).
 
@@ -106,11 +130,12 @@ class CommutantBasis:
     Frobenius norm of AX - XB per element and ``basis`` lists the
     elements as (n1, n2) matrices; both are computed on first access and
     kept. Lifting a factored basis of more than 2**25 complex entries
-    (nullity * n1 * n2, 512 MiB) raises ``ValueError``.
+    (nullity * n1 * n2, 512 MiB) raises ``ValueError``. ``solve`` is the
+    :class:`Solve` record of the solve, None for a basis from given lifts.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, lifts: Lifts):
-        self.A, self.B, self.lifts = A, B, lifts
+    def __init__(self, A: np.ndarray, B: np.ndarray, lifts: Lifts, solve: Solve | None = None):
+        self.A, self.B, self.lifts, self.solve = A, B, lifts, solve
         self.dim_domain = (B.shape[0], A.shape[0])
         self.nullity = sum(lifts.counts())
 
@@ -159,11 +184,11 @@ class FpReport:
 
 
 # Pairs with n1 * n2 up to this size take the Kronecker SVD. Medians of 300
-# direct calls (one BLAS thread), group route against Kronecker, on normal
-# pairs of eigenvalue multiplicity 4 and on similarity pairs: 0.52 against
-# 0.19 ms and 0.33 against 0.25 at n = 6; 0.45 against 0.72 and 0.41
-# against 0.95 at n = 8; 0.59 against 5.3 and 0.56 against 6.0 at n = 12.
-# So the group route is faster from n = 8 on. 144 stays because moving it
+# interleaved direct calls (one BLAS thread) on the tests' benchmark_pairs at
+# seeds 8-10, group route against Kronecker: at n = 8 a tie on the normal pair
+# of eigenvalue multiplicity 4 (0.67-0.73 against 0.69-0.74 ms) and 0.75-0.80
+# against 0.89-0.95 on the similarity pair; at n = 12, 0.99-1.04 against
+# 4.1-4.3 and 1.17-1.33 against 5.1-5.5. 144 stays because moving it
 # changes which cut decides the pairs in between: the Kronecker SVD cuts at
 # rank_rel * ||L||_2, the group route at rank_rel * scale.
 _KRONECKER_MAX = 144
@@ -193,18 +218,22 @@ def commutant_basis(A, B, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     full block without a solve; a pair that takes a solve and whose
     block would exceed 4096 rows raises ``ValueError``, and so does
     lifting a basis of more than 2**25 complex entries
-    (nullity * n1 * n2) to dense matrices.
+    (nullity * n1 * n2) to dense matrices. Inside ``linalg.counting()``
+    the solved basis is recorded as ("commutant", basis).
     """
     A = as_square(A)
     B = as_square(B)
-    if A.shape[0] * B.shape[0] <= _KRONECKER_MAX:
-        return _kronecker_commutant(A, B, tol)
-    return _schur_commutant(A, B, tol)
+    route = _kronecker_commutant if A.shape[0] * B.shape[0] <= _KRONECKER_MAX else _schur_commutant
+    cb = route(A, B, tol)
+    _CALLS.get().append(("commutant", cb))
+    return cb
 
 
 def _kronecker_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
     """The whole pair as the one block (A, B) of :func:`_block_null_vectors`, with no bound on ||L||_2."""
-    return CommutantBasis(A, B, _dense_lifts(_block_null_vectors(A, B, tol.rank_rel)))
+    Z, gap = _block_null_vectors(A, B, tol.rank_rel)
+    block = BlockSolve((0, 0), A.shape[0] * B.shape[0], False, len(Z), gap)
+    return CommutantBasis(A, B, _dense_lifts(Z), Solve("kronecker", (), (block,), False))
 
 
 def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> CommutantBasis:
@@ -253,20 +282,20 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
     gap, s_min = tol.rank_rel**0.25 * scale, tol.rank_rel**0.25
     groups_a = _spectral_groups(A, gap, s_min)
     groups_b = [(K, U.conj().T, d.conjugate(), r) for K, U, d, r in _spectral_groups(adjoint(B), gap, s_min)]
-    _, _, ca, ra = zip(*groups_a)
-    _, _, cb, rb = zip(*groups_b)
+    sides = tuple(tuple(zip(*((len(T), c, r) for _, T, c, r in groups))) for groups in (groups_a, groups_b))
+    (ma, ca, ra), (mb, cb, rb) = sides
     distance, spread = np.abs(np.subtract.outer(ca, cb)), np.add.outer(ra, rb)
     pairs = np.argwhere(distance - spread <= gap)
     full = (distance + spread <= tol.rank_rel * scale)[pairs[:, 0], pairs[:, 1]]
     # Every block to solve is sized before any is solved, so a refusal costs no solve.
-    rows = max((len(groups_a[i][1]) * len(groups_b[j][1]) for i, j in pairs[~full]), default=0)
+    rows = max((ma[i] * mb[j] for i, j in pairs[~full]), default=0)
     if rows > _BLOCK_MAX:
         raise ValueError(f"commutant group block has {rows} rows, above the {_BLOCK_MAX} the Schur route solves")
     blocks = [
-        (i, j, None if f else _block_null_vectors(groups_a[i][1], groups_b[j][1], tol.rank_rel, scale))
+        (i, j, *((None, None) if f else _block_null_vectors(groups_a[i][1], groups_b[j][1], tol.rank_rel, scale)))
         for (i, j), f in zip(pairs, full)
     ]
-    solved = [(i, j, Z) for i, j, Z in blocks if Z is None or len(Z)]
+    solved = [(i, j, Z) for i, j, Z, _ in blocks if Z is None or len(Z)]
     # Only the groups that hold a solution become factors of the lifts.
     used_a = {i: p for p, i in enumerate(dict.fromkeys(i for i, _, _ in solved))}
     used_b = {j: p for p, j in enumerate(dict.fromkeys(j for _, j, _ in solved))}
@@ -276,23 +305,34 @@ def _schur_commutant(A: np.ndarray, B: np.ndarray, tol: Tolerances) -> Commutant
         [(used_a[i], used_b[j], Z) for i, j, Z in solved],
     )
     nullity = sum(lifts.counts())
-    if _cross_gram_bound(lifts) > nullity * np.finfo(float).eps:
+    record = tuple(
+        BlockSolve((int(i), int(j)), ma[i] * mb[j], Z is None, ma[i] * mb[j] if Z is None else len(Z), gap)
+        for i, j, Z, gap in blocks
+    )
+    solve = Solve("groups", sides, record, bool(_cross_gram_bound(lifts) > nullity * np.finfo(float).eps))
+    if solve.qr:
         Q, _ = qr(_lift_all(lifts, n1, n2, nullity).reshape(nullity, -1).T)
-        return CommutantBasis(A, B, _dense_lifts(Q.T.reshape(-1, n1, n2)))
-    return CommutantBasis(A, B, lifts)
+        return CommutantBasis(A, B, _dense_lifts(Q.T.reshape(-1, n1, n2)), solve)
+    return CommutantBasis(A, B, lifts, solve)
 
 
-def _block_null_vectors(T: np.ndarray, S: np.ndarray, rank_rel: float, bound: float = 0.0) -> np.ndarray:
-    """Orthonormal solutions Z of T Z = Z S for the (m, m) T and the (k, k) S, from one SVD.
+def _block_null_vectors(T: np.ndarray, S: np.ndarray, rank_rel: float, bound: float = 0.0) -> tuple[np.ndarray, tuple]:
+    """Orthonormal solutions Z of T Z = Z S for the (m, m) T and the (k, k) S, from one SVD, and the rank gap.
 
     They are a (count, m, k) stack read, column-major, from the right
     singular vectors of L = I (x) T - S^T (x) I whose singular values
-    s are at most ``rank_cut(s, rank_rel, bound)``, that is
+    s are at most the cut ``rank_cut(s, rank_rel, bound)``, that is
     ``rank_rel * max(||L||_2, bound)``: ``bound`` is a bound on ||L||_2
-    that the caller holds, or 0 for none.
+    that the caller holds, or 0 for none. The rank gap is the smallest s
+    above the cut and the largest at or below it, each over the cut: inf
+    or 0.0 where there is none, and (inf, 0.0) for a cut of 0.
     """
     _, s, Vh = svd(_sylvester_matrix(T, S))
-    return Vh[s <= rank_cut(s, rank_rel, bound)].conj().reshape((-1, len(S), len(T))).transpose(0, 2, 1)
+    cut = float(rank_cut(s, rank_rel, bound))
+    kept = int(np.count_nonzero(s > cut))  # s is in decreasing order, so these come first
+    above, below = (s[kept - 1] if kept else np.inf), (s[kept] if kept < len(s) else 0.0)
+    gap = (float(above) / cut, float(below) / cut) if cut else (np.inf, 0.0)
+    return Vh[kept:].conj().reshape((-1, len(S), len(T))).transpose(0, 2, 1), gap
 
 
 def _sylvester_matrix(T: np.ndarray, S: np.ndarray) -> np.ndarray:

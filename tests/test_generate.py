@@ -1,11 +1,8 @@
 """Tests for the seeded instance generators."""
 
-from importlib import import_module
-
 import numpy as np
 import pytest
 
-import aluthge.commutant as commutant_module
 from aluthge.commutant import commutant_basis, fp_property
 from aluthge.generate import (
     KIND_INVERTIBLE_FP,
@@ -20,7 +17,7 @@ from aluthge.generate import (
     generate,
     ginibre,
 )
-from aluthge.linalg import op_norm, singular_values
+from aluthge.linalg import counting, op_norm, singular_values
 from aluthge.polar import polar_factors
 
 
@@ -77,28 +74,15 @@ def test_invertible_fp_pair_properties():
         assert rep.holds and rep.com_dim >= 1
 
 
-def test_invertible_fp_draw_solves_once_per_attempt(monkeypatch):
+def test_invertible_fp_draw_solves_once_per_attempt():
     # The FP check reuses the basis that decides nontriviality, so each
     # checked attempt solves its commutant exactly once.
-    generate_module = import_module("aluthge.generate")  # the package attribute is the function
-    counts = {"solve": 0, "basis": 0}
-    solve, basis = commutant_module._block_null_vectors, generate_module.commutant_basis
-
-    def counted_solve(T, S, *args):
-        counts["solve"] += 1
-        return solve(T, S, *args)
-
-    def counted_basis(A, B, tol):
-        counts["basis"] += 1
-        return basis(A, B, tol)
-
-    monkeypatch.setattr(commutant_module, "_block_null_vectors", counted_solve)
-    monkeypatch.setattr(generate_module, "commutant_basis", counted_basis)
     rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 4, 5):
-        draw(KIND_INVERTIBLE_FP, n, rng)
-    assert counts["basis"] >= 5
-    assert counts["solve"] == counts["basis"]
+    with counting() as calls:
+        for n in (1, 2, 3, 4, 5):
+            draw(KIND_INVERTIBLE_FP, n, rng)
+    pairs = [(cb.A.tobytes(), cb.B.tobytes()) for kind, cb in calls if kind == "commutant"]
+    assert len(pairs) >= 5 and len(set(pairs)) == len(pairs)
 
 
 def test_draw_returns_the_verified_basis():

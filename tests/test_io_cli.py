@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import aluthge
 from aluthge.cli import main
 from aluthge.commutant import commutant_basis
 from aluthge.generate import ginibre, normal_pair
@@ -761,14 +762,14 @@ class TestCliWriter:
 
 
 def run_process(args: list[str]) -> subprocess.CompletedProcess:
-    """Run a new interpreter with ``args`` that imports this checkout's aluthge."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    """Run a new interpreter with ``args`` that imports the aluthge this process imported."""
+    src = str(Path(aluthge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 def run_fresh(script: str) -> None:
-    """Run a script in a new interpreter that imports this checkout's aluthge, and require exit 0."""
+    """Run a script in a new interpreter that imports the aluthge this process imported, and require exit 0."""
     proc = run_process(["-c", textwrap.dedent(script)])
     assert proc.returncode == 0, proc.stderr
 

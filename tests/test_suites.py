@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-import aluthge.commutant as commutant_module
 from aluthge.cli import main
 from aluthge.commutant import FpReport, fp_property
 from aluthge.generate import GenerationError, ginibre
@@ -122,34 +121,25 @@ def test_failure_carries_the_deciding_threshold():
     assert entry.residual > entry.expected_threshold
 
 
-def test_example_fp_fail_solves_each_pair_once(monkeypatch):
+def solved_pairs(calls):
+    """Each commutant solve in a list that ``linalg.counting()`` yielded, keyed by the bytes of its pair."""
+    return [(cb.A.tobytes(), cb.B.tobytes()) for kind, cb in calls if kind == "commutant"]
+
+
+def test_example_fp_fail_solves_each_pair_once():
     # One solve of Com(A, A) gives the verdict and the witness projection;
     # the transformed pair needs its own.
-    calls = []
-    solve = commutant_module._block_null_vectors
-
-    def counted(T, S, *args):
-        calls.append(T.shape)
-        return solve(T, S, *args)
-
-    monkeypatch.setattr(commutant_module, "_block_null_vectors", counted)
-    assert run_suite("example_fp_fail", seed=0, trials=1).passed
-    assert len(calls) == 2
+    with counting() as calls:
+        assert run_suite("example_fp_fail", seed=0, trials=1).passed
+    assert len(solved_pairs(calls)) == 2
 
 
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
-def test_each_pair_solved_once_per_case(suite_id, monkeypatch):
-    solved = []
-    solve = commutant_module._block_null_vectors
-
-    def recorded(T, S, *args):
-        solved.append((T.tobytes(), S.tobytes()))
-        return solve(T, S, *args)
-
-    monkeypatch.setattr(commutant_module, "_block_null_vectors", recorded)
+def test_each_pair_solved_once_per_case(suite_id):
     for case_id in range(8):
-        solved.clear()
-        SUITES[suite_id](np.random.default_rng([1, case_id]), DEFAULT_TOL)
+        with counting() as calls:
+            SUITES[suite_id](np.random.default_rng([1, case_id]), DEFAULT_TOL)
+        solved = solved_pairs(calls)
         assert len(solved) == len(set(solved)), f"case {case_id} solves a pair twice"
 
 

@@ -40,6 +40,8 @@ class Mutant(NamedTuple):
 
 GROUPS = "tests/test_commutant.py::TestEigenvectorGroups::"
 ROUTES = "tests/test_commutant.py::TestCommutantRoutes::"
+RECORD = "tests/test_commutant.py::TestSolveRecord::"
+FULL = "tests/test_commutant.py::TestFullBlocks::"
 ZTRSEN = (
     "            Ts, Qs, _, _, s, _, _ = ztrsen("
     'select.astype(np.int32), T, Q, job="E", lwork=max(1, 2 * m * (len(T) - m)))\n'
@@ -173,6 +175,102 @@ MUTANTS = [
         '    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
         "    return None",
         ["tests/test_imports.py::test_unknown_name_is_an_attribute_error"],
+    ),
+    # The Tolerances defaults, each moved both ways.
+    Mutant(
+        "rank-rel-default-raised",
+        "src/aluthge/linalg.py",
+        "    rank_rel: float = 1e-10",
+        "    rank_rel: float = 1e-4",
+        [
+            "tests/test_oracles.py::test_commutant_nullity_is_exact",
+            "tests/test_commutant.py::TestBlockNullVectors::test_cut_is_taken_per_block",
+            "tests/test_polar.py::TestPolarFactors::test_factors_are_cut_again_at_another_rank_rel",
+        ],
+    ),
+    Mutant(
+        "rank-rel-default-lowered",
+        "src/aluthge/linalg.py",
+        "    rank_rel: float = 1e-10",
+        "    rank_rel: float = 1e-14",
+        [
+            "tests/test_commutant.py::TestBlockNullVectors::test_bound_above_the_block_norm_raises_the_cut",
+            FULL + "test_involution_transform_takes_no_block_svd[64]",
+        ],
+    ),
+    Mutant(
+        "residual-rel-default-raised",
+        "src/aluthge/linalg.py",
+        "    residual_rel: float = 1e-8",
+        "    residual_rel: float = 1e-4",
+        [
+            "tests/test_commutant.py::TestFactoredElements::test_perturbed_element_is_caught_by_both_checks",
+            "tests/test_io_cli.py::TestCli::test_fp_check_reports_its_threshold",
+            "tests/test_oracles.py::TestWhereTheStatementsStop::test_involutions_need_the_hypotheses",
+        ],
+    ),
+    Mutant(
+        "residual-rel-default-lowered",
+        "src/aluthge/linalg.py",
+        "    residual_rel: float = 1e-8",
+        "    residual_rel: float = 1e-12",
+        [
+            ROUTES + "test_near_coincident_eigenvalues",
+            "tests/test_io_cli.py::TestCli::test_fp_check_reports_its_threshold",
+        ],
+    ),
+    Mutant(
+        # Only a new interpreter sees this: the test process has bound every name already.
+        "package-keeps-the-submodule",
+        "src/aluthge/__init__.py",
+        "        if isinstance(value, ModuleType) and _ORIGIN.get(name) == name:",
+        "        if False:",
+        ["tests/test_io_cli.py::test_import_loads_no_submodule"],
+    ),
+    # The solve record: each fact a test reads from it in place of a patched private name.
+    Mutant(
+        "kronecker-labelled-groups",
+        "src/aluthge/commutant.py",
+        'Solve("kronecker", (), (block,), False)',
+        'Solve("groups", (), (block,), False)',
+        [ROUTES + "test_route_dispatch_at_the_crossover", RECORD + "test_a_narrow_gap_where_the_nullity_is_off"],
+    ),
+    Mutant(
+        "groups-labelled-kronecker",
+        "src/aluthge/commutant.py",
+        'solve = Solve("groups", sides, record,',
+        'solve = Solve("kronecker", sides, record,',
+        [ROUTES + "test_route_dispatch_at_the_crossover", FULL + "test_nullity_matches_the_oracle_without_a_block_svd"],
+    ),
+    Mutant(
+        "gap-over-the-largest-value",
+        "src/aluthge/commutant.py",
+        "gap = (float(above) / cut, float(below) / cut)",
+        "gap = (float(above) / s[0], float(below) / s[0])",
+        [
+            RECORD + "test_a_narrow_gap_where_the_nullity_is_off",
+            RECORD + "test_benchmark_pairs_have_wide_gaps",
+            "tests/test_commutant.py::TestBlockNullVectors::test_cut_follows_a_block_norm_above_the_bound",
+        ],
+    ),
+    Mutant(
+        # The flag also decides the QR, so the basis stays as oblique factors.
+        "qr-flag-false",
+        "src/aluthge/commutant.py",
+        "record, bool(_cross_gram_bound(lifts) > nullity * np.finfo(float).eps))",
+        "record, False)",
+        [ROUTES + "test_non_orthogonal_lifts_take_the_qr"],
+    ),
+    Mutant(
+        "full-block-recorded-as-solved",
+        "src/aluthge/commutant.py",
+        "BlockSolve((int(i), int(j)), ma[i] * mb[j], Z is None,",
+        "BlockSolve((int(i), int(j)), ma[i] * mb[j], False,",
+        [
+            FULL + "test_nullity_matches_the_oracle_without_a_block_svd",
+            FULL + "test_involution_transform_takes_no_block_svd[24]",
+            ROUTES + "test_mixed_block_shapes_solve_one_block_at_a_time",
+        ],
     ),
 ]
 
