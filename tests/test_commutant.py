@@ -611,7 +611,7 @@ class TestCommutantRoutes:
         assert cb.nullity == 8
         (ma, _, _), (mb, _, _) = cb.solve.groups
         # The SVD blocks only: the four shared eigenvalues are full blocks.
-        shapes = [(ma[i], mb[j]) for (i, j), rows, full, _, _ in cb.solve.blocks if not full]
+        shapes = [(ma[b.pair[0]], mb[b.pair[1]]) for b in cb.solve.blocks if not b.full]
         assert sorted(shapes) == [(1, 1)] * 4 + [(1, 2)] * 4
         assert sum(b.full for b in cb.solve.blocks) == 4
 
